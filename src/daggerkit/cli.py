@@ -173,6 +173,8 @@ def cmd_lattice(args):
                 serialize.lattice_to_json(L.intersect_with_standard())}, \
             EXIT_OK
     if op == "membership":
+        if args.vector is None:
+            raise SchemaError("lattice membership needs --vector")
         vec = [serialize.parse_scalar(ring, x)
                for x in _load_json(args.vector)]
         member = L.membership(vec)
@@ -316,7 +318,7 @@ def cmd_crossed(args):
     alpha = serialize.action_from_json(ring, _load_json(args.action))
     u = serialize.crossed_from_json(_load_json(args.u), ring)
     v = serialize.crossed_from_json(_load_json(args.v), ring)
-    prod = crossed_mul(u, v, alpha)
+    prod = crossed_mul(u, v, alpha, z_cap=args.Dz)
     payload = {"product": serialize.crossed_to_json(prod)}
     code = EXIT_OK
     if args.c is not None:
@@ -482,7 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", default=None,
                    help="re-certify the product at this constant")
     p.add_argument("--Dz", type=int, default=None,
-                   help="override support cap (informational)")
+                   help="support cap of the product: terms with "
+                        "|n| > Dz are dropped and flagged truncated")
     p.set_defaults(handler=cmd_crossed)
 
     p = sub.add_parser("gallery", help="finite-precision regressions")

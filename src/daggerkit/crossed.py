@@ -216,20 +216,24 @@ class CrossedElem:
         return "CrossedElem(" + (" + ".join(parts) or "0") + ")"
 
 
-def crossed_mul(u: CrossedElem, v: CrossedElem,
-                alpha: AffineAction) -> CrossedElem:
+def crossed_mul(u: CrossedElem, v: CrossedElem, alpha: AffineAction,
+                z_cap: int | None = None) -> CrossedElem:
     """(sum a_p delta_p)(sum b_q delta_q) = sum a_p alpha_p(b_q) delta_(p+q),
-    truncated to |n| <= Dz with a flag."""
+    truncated to |n| <= Dz with a flag.  Dz is ``z_cap`` when given, else
+    the factors' support cap."""
     if (u.ring, u.monoid, u.z_cap, u.degree_cap) != \
             (v.ring, v.monoid, v.z_cap, v.degree_cap):
         raise ValueError("crossed element descriptor mismatch")
+    cap = u.z_cap if z_cap is None else z_cap
+    if cap < 0:
+        raise ValueError("support cap must be at least 0")
     out: dict[int, DaggerSeries] = {}
     dropped = False
     zero = DaggerSeries.zero(u.ring, u.monoid, u.degree_cap)
     for p, a_p in u.terms.items():
         for q, b_q in v.terms.items():
             n = p + q
-            if abs(n) > u.z_cap:
+            if abs(n) > cap:
                 dropped = True
                 continue
             coefficient = series_mul(a_p, act(alpha, p, b_q))
@@ -245,7 +249,7 @@ def crossed_mul(u: CrossedElem, v: CrossedElem,
     if u.certificate is not None and v.certificate is not None:
         cert = GrowthCertificate(min(u.certificate.c, v.certificate.c),
                                  u.certificate.k + v.certificate.k + 1)
-    return CrossedElem(u.ring, u.monoid, out, u.z_cap, u.degree_cap, cert,
+    return CrossedElem(u.ring, u.monoid, out, cap, u.degree_cap, cert,
                        truncated=dropped or u.truncated or v.truncated)
 
 

@@ -35,10 +35,6 @@ class MatrixV:
                     raise ValueError("ring descriptor mismatch in matrix")
 
     @classmethod
-    def from_int_rows(cls, ring: RingDescriptor, rows) -> "MatrixV":
-        return cls(ring, [[ring.scalar(n) for n in row] for row in rows])
-
-    @classmethod
     def identity(cls, ring: RingDescriptor, n: int) -> "MatrixV":
         one, zero = ring.one(), ring.zero()
         return cls(ring, [[one if i == j else zero for j in range(n)]
@@ -108,11 +104,6 @@ class MatrixV:
     def scaled_by_pi(self, e: int) -> "MatrixV":
         return MatrixV(self.ring,
                        [[a.scaled_by_pi(e) for a in row] for row in self.entries])
-
-    def transpose(self) -> "MatrixV":
-        return MatrixV(self.ring,
-                       [[self.entries[i][j] for i in range(self.rows)]
-                        for j in range(self.cols)])
 
     def column(self, j: int):
         return [self.entries[i][j] for i in range(self.rows)]

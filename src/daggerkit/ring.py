@@ -8,6 +8,16 @@ share this element model:
 * ``padic``  -- V = Z_p, uniformiser pi = p, residue field F_p;
 * ``eqchar`` -- V = F_q[[t]], uniformiser pi = t, residue field F_q.
 
+Both backends keep a unit residue as one Python int and hand the same
+residue protocol (``add``, ``mul``, ``inv``, ``val``, ``shift_up``, ...,
+``encode``/``decode``) to ``ScalarElem``.  For ``padic`` the int is the
+residue in [0, p^N).  For ``eqchar``, q = p^m, it is a Kronecker
+substitution: the m base-p digits of the coefficient of t^i fill lanes
+i*w .. i*w + m - 1 of b bits, w = 2m - 1 lanes per t-degree, and b is
+derived from (p, m, N) so that the largest lane of an unreduced product
+fits (``_EqcharOps`` gives the bound).  ``encode`` maps either residue to
+the base-q (or base-p) integer that the JSON schemas carry.
+
 Norms are never materialised as floating-point numbers: |x| = eps^v with
 eps = |pi| < 1 symbolic, so every norm comparison in this package is a
 comparison of valuation exponents (eps^a <= eps^b iff a >= b).
@@ -21,6 +31,8 @@ representatives; the flag is advisory metadata.
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 INFINITY = float("inf")
 
@@ -44,30 +56,29 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, m) with q = p^m, p prime, or raise ValueError."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            m = 0
-            r = q
-            while r % p == 0:
-                r //= p
-                m += 1
-            if r != 1 or not _is_prime(p):
-                raise ValueError(f"{q} is not a prime power")
-            return p, m
-    raise ValueError(f"{q} is not a prime power")
+    # the least divisor > 1 is prime; trial division stops at sqrt(q)
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    m = 0
+    r = q
+    while r % p == 0:
+        r //= p
+        m += 1
+    if r != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, m
 
 
 class FiniteField:
-    """Arithmetic in GF(q), q = p^m, elements encoded as integers in [0, q).
+    """GF(q) = F_p[x]/(modulus), q = p^m, with a deterministic modulus.
 
-    The encoding is base p on the coefficient vector with respect to the
-    power basis of F_p[x]/(modulus).  For m = 1 the modulus is unused and
-    operations reduce to integers mod p.
+    An element is encoded as an integer in [0, q): base p on its coefficient
+    vector with respect to the power basis.  For m = 1 the modulus is
+    unused.  The F_p[x] helpers find the modulus; element arithmetic lives
+    in the packed residues of ``_EqcharOps``.
     """
 
     def __init__(self, q: int):
         p, m = _factor_prime_power(q)
-        self.q = q
         self.p = p
         self.degree = m
         self.modulus = self._find_irreducible(p, m) if m > 1 else None
@@ -161,60 +172,6 @@ class FiniteField:
                 return mod
         raise RuntimeError(f"no irreducible polynomial of degree {m} over F_{p}")
 
-    # -- element ops on integer-encoded elements --
-
-    def _decode(self, a: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.degree):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
-
-    def _encode(self, f) -> int:
-        out = 0
-        for c in reversed(list(f[: self.degree]) + [0] * (self.degree - len(f))):
-            out = out * self.p + c
-        return out
-
-    def add(self, a: int, b: int) -> int:
-        if self.degree == 1:
-            return (a + b) % self.p
-        return self._encode([(x + y) % self.p
-                             for x, y in zip(self._decode(a), self._decode(b))])
-
-    def neg(self, a: int) -> int:
-        if self.degree == 1:
-            return (-a) % self.p
-        return self._encode([(-x) % self.p for x in self._decode(a)])
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        if self.degree == 1:
-            return (a * b) % self.p
-        prod = self._poly_mulmod(self._decode(a), self._decode(b),
-                                 self.modulus, self.p)
-        return self._encode(list(prod))
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in finite field")
-        if self.degree == 1:
-            return pow(a, -1, self.p)
-        out = 1
-        e = self.q - 2
-        base = a
-        while e > 0:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
-
-    def from_int(self, n: int) -> int:
-        return n % self.p
-
 
 class _PadicOps:
     """Unit-residue arithmetic for V = Z_p: residues are ints in [0, p^N)."""
@@ -281,61 +238,102 @@ class _PadicOps:
 
 
 class _EqcharOps:
-    """Unit-residue arithmetic for V = F_q[[t]]: residues are length-N tuples
-    of integer-encoded GF(q) elements, low degree first."""
+    """Unit-residue arithmetic for V = F_q[[t]], q = p^m: a residue is one
+    packed int (Kronecker substitution).
+
+    Layout: the coefficient of t^i is c_0 + c_1 x + ... + c_(m-1) x^(m-1) in
+    GF(q) = F_p[x]/(modulus); its digit c_j sits in lane i*w + j, where a
+    lane is b bits wide and w = 2m - 1 lanes make up one t-degree.  Stored
+    residues have every lane in [0, p) and the top m - 1 lanes of each
+    t-degree zero, so the plain integer product of two residues is their
+    product in F_p[x][t], one lane per (t, x)-degree pair: x-degrees reach
+    at most 2m - 2 < w and no lane carries into the next t-degree.
+
+    Every operation ends in ``_normalise``, which masks to t^N, folds lanes
+    m .. 2m-2 back with the precomputed x^l mod modulus, and takes every
+    lane mod p with one multiply by mu = floor(2^b / p) + 1 per lane parity.
+
+    Lane width: a lane of a product holds at most N m (p-1)^2 before the
+    fold and (1 + (m-1)(p-1)) times that after it; k is the bit length of
+    this bound, or of p^2 when that is larger (sums, and 2 - x in ``inv``).
+    The lane-wise quotient by p is exact for lanes below 2^k when
+    2^b >= p 2^k, and the products x * mu of alternate lanes fit in 2b
+    bits, so b = k + ceil(log2 p).
+    """
 
     def __init__(self, q: int, precision: int):
-        self.field = FiniteField(q)
+        field = FiniteField(q)
+        p, m, n = field.p, field.degree, precision
+        w = 2 * m - 1
+        lane_max = max(p * p, n * m * (p - 1) ** 2 * (1 + (m - 1) * (p - 1)))
+        b = lane_max.bit_length() + (p - 1).bit_length()
         self.q = q
+        self.p = p
         self.precision = precision
+        self._b = b
+        self._stride = b * w
+        self._mu = (1 << b) // p + 1
+        self._block = (1 << self._stride) - 1
+        lane = (1 << b) - 1
+        lane0 = sum(lane << (self._stride * i) for i in range(n))
+        self._lane0 = lane0
+        self._low = sum(lane0 << (b * j) for j in range(m))
+        self._even = sum(lane << (2 * b * g) for g in range((n * w + 1) // 2))
+        self._folds = []
+        for e in range(m, w):
+            rem = FiniteField._poly_powmod_x(e, field.modulus, p)
+            self._folds.append((b * e, sum(c << (b * j)
+                                           for j, c in enumerate(rem))))
+        # lane shift of every base-p digit of the base-q encoding, high first
+        self._digits = [b * (i * w + j) for i in reversed(range(n))
+                        for j in reversed(range(m))]
+
+    def _normalise(self, r):
+        s = r & self._low
+        for shift, rem in self._folds:
+            s += (r >> shift & self._lane0) * rem
+        b, mu, even = self._b, self._mu, self._even
+        quot = (s & even) * mu >> b & even
+        quot |= ((s >> b & even) * mu >> b & even) << b
+        return s - self.p * quot
 
     def zero(self):
-        return (0,) * self.precision
+        return 0
 
     def one(self):
-        return (1,) + (0,) * (self.precision - 1)
+        return 1
 
     def is_zero(self, r) -> bool:
-        return all(c == 0 for c in r)
+        return r == 0
 
     def val(self, r) -> int:
-        for i, c in enumerate(r):
-            if c != 0:
-                return i
-        return self.precision
+        if not r:
+            return self.precision
+        return ((r & -r).bit_length() - 1) // self._stride
 
     def add(self, a, b):
-        return tuple(self.field.add(x, y) for x, y in zip(a, b))
+        return self._normalise(a + b)
 
     def neg(self, a):
-        return tuple(self.field.neg(x) for x in a)
+        return self._normalise((self.p - 1) * a)
 
     def mul(self, a, b):
-        n = self.precision
-        out = [0] * n
-        for i, x in enumerate(a):
-            if x:
-                for j in range(n - i):
-                    if b[j]:
-                        out[i + j] = self.field.add(out[i + j],
-                                                    self.field.mul(x, b[j]))
-        return tuple(out)
+        return self._normalise(a * b)
 
     def inv(self, a):
-        if a[0] == 0:
+        """Newton iteration g <- g (2 - a g) from the inverse of the
+        constant term, doubling the correct t-degrees at every step."""
+        c0 = a & self._block
+        if not c0:
             raise ZeroDivisionError("inverse of a non-unit power series")
-        n = self.precision
-        c0 = self.field.inv(a[0])
-        out = [c0] + [0] * (n - 1)
-        for k in range(1, n):
-            acc = 0
-            for i in range(1, k + 1):
-                acc = self.field.add(acc, self.field.mul(a[i], out[k - i]))
-            out[k] = self.field.neg(self.field.mul(c0, acc))
-        return tuple(out)
+        g = self.pow(c0, self.q - 2)
+        for _ in range((self.precision - 1).bit_length()):
+            # lanes of 2 + (p - 1) a g stay below p^2 before normalising
+            g = self.mul(g, self._normalise(2 + (self.p - 1) * self.mul(a, g)))
+        return g
 
     def pow(self, a, e: int):
-        out = self.one()
+        out = 1
         base = a
         while e > 0:
             if e & 1:
@@ -346,33 +344,35 @@ class _EqcharOps:
 
     def shift_up(self, a, d: int):
         if d >= self.precision:
-            return self.zero()
-        return (0,) * d + a[: self.precision - d]
+            return 0
+        return a << (self._stride * d) & self._low
 
     def shift_down(self, a, w: int):
-        return a[w:] + (0,) * w
+        return a >> (self._stride * w)
 
     def mod_pi_power(self, a, e: int):
-        return a[:e] + (0,) * (self.precision - e)
+        return a & ((1 << (self._stride * e)) - 1)
 
     def is_unit(self, a) -> bool:
-        return a[0] != 0
+        return bool(a & self._block)
 
     def from_int(self, n: int):
-        return (self.field.from_int(n),) + (0,) * (self.precision - 1)
+        return n % self.p
 
     def encode(self, a) -> int:
+        """The base-q integer sum c_i q^i of the t-coefficients c_i."""
         out = 0
-        for c in reversed(a):
-            out = out * self.q + c
+        lane = (1 << self._b) - 1
+        for s in self._digits:
+            out = out * self.p + (a >> s & lane)
         return out
 
     def decode(self, n: int):
-        out = []
-        for _ in range(self.precision):
-            out.append(n % self.q)
-            n //= self.q
-        return tuple(out)
+        out = 0
+        for s in reversed(self._digits):
+            n, d = divmod(n, self.p)
+            out |= d << s
+        return out
 
 
 class RingDescriptor:
@@ -411,10 +411,6 @@ class RingDescriptor:
         sym = "p" if self.backend == "padic" else "q"
         return (f"RingDescriptor({self.backend}, {sym}={self.base}, "
                 f"N={self.precision})")
-
-    @property
-    def uniformiser_symbol(self) -> str:
-        return "p" if self.backend == "padic" else "t"
 
     def zero(self) -> "ScalarElem":
         return ScalarElem(self, INFINITY, None)
@@ -604,7 +600,7 @@ class ScalarElem:
             return None
         window = self.ring.precision - max(self.v, 0)
         if window <= 0:
-            return ()
+            return 0
         return self.ring.ops.mod_pi_power(self.u, window)
 
     def __eq__(self, other):

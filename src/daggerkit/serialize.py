@@ -92,7 +92,8 @@ def matrix_to_json(a: MatrixV) -> list:
 
 
 def matrix_from_json(ring: RingDescriptor, obj) -> MatrixV:
-    if not isinstance(obj, list) or not obj:
+    if not isinstance(obj, list) or not obj \
+            or not all(isinstance(row, list) for row in obj):
         raise SchemaError("matrix must be a nonempty nested array")
     return MatrixV(ring, [[parse_scalar(ring, x) for x in row]
                           for row in obj])

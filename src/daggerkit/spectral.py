@@ -174,8 +174,9 @@ def rho1_estimate(S: Lattice, ctx, n_max: int) -> RadiusReport:
     # superadditivity of the gauge exponents is a hard invariant
     for m, num in nus.items():
         for n, nun in nus.items():
-            if m + n in nus:
-                assert nus[m + n] >= num + nun, "superadditivity violated"
+            if m + n in nus and nus[m + n] < num + nun:
+                raise ArithmeticError(
+                    f"superadditivity violated at {m} + {n}")
     return RadiusReport(estimates, best, "converged" if converged
                         else "upper_bound_only")
 
@@ -315,6 +316,8 @@ def semi_dagger_probe(S: Lattice, ctx, m: int, j_list, l_max: int = 8):
     tracking gauge exponents of the powers and of their partial sums."""
     if m < 1:
         raise ValueError("m must be at least 1")
+    if any(j < 1 for j in j_list):
+        raise ValueError("every j must be at least 1")
     reports = {}
     decrease_window = -(-l_max // 2)
     for j in j_list:

@@ -1,9 +1,13 @@
 """CLI dispatch, exit codes, schema round-trips, report determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import daggerkit
 from daggerkit import serialize
 from daggerkit.cli import dispatch
 from daggerkit.crossed import CrossedElem, shift_action
@@ -20,6 +24,17 @@ def run(capsys, argv):
 
 
 RING = ["--p", "5", "--precision", "20"]
+
+
+def run_child(argv):
+    """Run the CLI in a fresh interpreter, as a shell user would."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(daggerkit.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from daggerkit.cli import main; main()",
+         *argv], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert "Traceback" not in proc.stderr, proc.stderr
+    return proc.returncode, json.loads(proc.stdout)
 
 
 class TestScalar:
@@ -177,6 +192,54 @@ class TestCrossedCommand:
         assert code == 1
         assert out["certify"] == {"c": "1", "ok": False, "minimal_offset": 1}
         assert out["product"]["certificate"] == {"c": "1", "k": 1}
+
+
+class TestExitCodeContract:
+    """Malformed or edge inputs exit 0/1/2/3 with JSON and no traceback."""
+
+    LATTICE = json.dumps({"ambient_rank": 2,
+                          "generators": [["1", "0"], ["0", "pi"]]})
+
+    def test_flat_matrix_is_schema_error(self):
+        code, out = run_child(["snf", "--p", "5", "--precision", "10",
+                               "--matrix", "[1,2]"])
+        assert code == 2
+        assert out["error"] == "input"
+
+    def test_membership_without_vector_is_schema_error(self):
+        code, out = run_child(["lattice", *RING, "--op", "membership",
+                               "--lattice", self.LATTICE])
+        assert code == 2
+        assert "--vector" in out["detail"]
+
+    def test_probe_j_zero_is_input_error(self):
+        code, out = run_child(["probe", *RING, "--d", "2", "--j", "0",
+                               "--lattice", '[[["pi","0"],["0","1"]]]'])
+        assert code == 2
+        assert out["error"] == "input"
+
+    def test_crossed_dz_caps_the_product(self):
+        ring = RingDescriptor("padic", 5, 20)
+        n1 = MonoidDescriptor("N", 1)
+        x = DaggerSeries(ring, n1, {n1.element((1,)): ring.one()}, 4)
+        u = CrossedElem(ring, n1, {-1: x, 1: x}, 3, 4)
+        v = CrossedElem(ring, n1, {0: x, 2: x}, 3, 4)
+        argv = ["crossed", *RING,
+                "--action", json.dumps(serialize.action_to_json(
+                    shift_action(ring))),
+                "--u", json.dumps(serialize.crossed_to_json(u)),
+                "--v", json.dumps(serialize.crossed_to_json(v))]
+        code, full = run_child(argv)
+        assert code == 0
+        assert sorted(t["n"] for t in full["product"]["terms"]) == [-1, 1, 3]
+        assert full["product"]["truncated"] is False
+        code, out = run_child(argv + ["--Dz", "1"])
+        assert code == 0
+        assert out["product"]["Dz"] == 1
+        assert sorted(t["n"] for t in out["product"]["terms"]) == [-1, 1]
+        assert out["product"]["truncated"] is True
+        code, out = run_child(argv + ["--Dz", "-1"])
+        assert code == 2
 
 
 class TestGalleryCommand:
