@@ -501,7 +501,9 @@ class ScalarElem:
     # -- arithmetic --
 
     def _check(self, other: "ScalarElem"):
-        if self.ring != other.ring:
+        # the identity test skips the field-by-field comparison in the
+        # common case of operands built from one descriptor
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("ring descriptor mismatch")
 
     def __add__(self, other: "ScalarElem") -> "ScalarElem":

@@ -64,6 +64,20 @@ class TestArith:
     def test_descriptor_mismatch(self, zp, fqt):
         with pytest.raises(ValueError):
             zp.one() + fqt.one()
+        coarser = RingDescriptor("padic", 5, 9)
+        for op in (lambda x, y: x + y, lambda x, y: x * y,
+                   lambda x, y: x / y):
+            with pytest.raises(ValueError):
+                op(zp.scalar(7), coarser.scalar(3))
+
+    def test_equal_descriptors_combine(self):
+        # distinct instances describing the same ring are interchangeable
+        r1, r2 = RingDescriptor("padic", 5, 40), RingDescriptor("padic", 5, 40)
+        assert r1 is not r2
+        x, y = r1.scalar(7), r2.scalar(3)
+        assert x + y == r1.scalar(10)
+        assert x * y == r2.scalar(21)
+        assert (x / y) * y == x
 
     def test_arith_dispatch(self, zp):
         x, y = zp.scalar(7), zp.scalar(3)

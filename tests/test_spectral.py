@@ -140,6 +140,150 @@ class TestNewtonPolygon:
                 Fraction(1, n_max)
 
 
+def cofactor_charpoly(a):
+    """Reference: det(x*I - a) by O(n!) cofactor expansion along the
+    first column, degree 0 first; independent of Berkowitz's recursion."""
+    ring = a.ring
+
+    def poly_mul(f, g):
+        out = [ring.zero()] * (len(f) + len(g) - 1)
+        for i, x in enumerate(f):
+            for j, y in enumerate(g):
+                out[i + j] = out[i + j] + x * y
+        return out
+
+    def poly_add(f, g):
+        n = max(len(f), len(g))
+        f = f + [ring.zero()] * (n - len(f))
+        g = g + [ring.zero()] * (n - len(g))
+        return [x + y for x, y in zip(f, g)]
+
+    def det(m):
+        if len(m) == 1:
+            return m[0][0]
+        out = [ring.zero()]
+        for i in range(len(m)):
+            minor = [row[1:] for j, row in enumerate(m) if j != i]
+            term = poly_mul(m[i][0], det(minor))
+            out = poly_add(out, [-x for x in term] if i % 2 else term)
+        return out
+
+    n = a.rows
+    return det([[[-a[i, j], ring.one()] if i == j else [-a[i, j]]
+                 for j in range(n)] for i in range(n)])
+
+
+def random_entry(rng, ring, vmax=3, zeros=0.2):
+    """A random element of V: zero with probability `zeros`, otherwise
+    pi^v times a random unit with v <= vmax."""
+    if rng.random() < zeros:
+        return ring.zero()
+    q, n = ring.base, ring.precision
+    unit = rng.randrange(1, q ** n)
+    while unit % q == 0:
+        unit = rng.randrange(1, q ** n)
+    return ring.from_valuation_unit(rng.randint(0, vmax), unit)
+
+
+def int_lift(x):
+    """The integer in [0, p^N) that a padic element of V stands for."""
+    if x.effectively_zero:
+        return 0
+    assert x.valuation >= 0
+    return x.ring.base ** x.valuation * x.unit_encoded() % \
+        x.ring.base ** x.ring.precision
+
+
+def family_matrix(rng, ring, family, d):
+    """Random V-matrices, companions of monic polynomials with
+    pi-divisible lower coefficients, and strictly upper triangular
+    (nilpotent) matrices."""
+    if family == "random":
+        return MatrixV(ring, [[random_entry(rng, ring) for _ in range(d)]
+                              for _ in range(d)])
+    rows = [[ring.zero()] * d for _ in range(d)]
+    if family == "companion":
+        for i in range(d - 1):
+            rows[i][i + 1] = ring.one()
+        rows[d - 1] = [random_entry(rng, ring, zeros=0.3).scaled_by_pi(1)
+                       for _ in range(d)]
+    else:
+        for i in range(d):
+            for j in range(i + 1, d):
+                rows[i][j] = random_entry(rng, ring, vmax=2, zeros=0.3)
+    return MatrixV(ring, rows)
+
+
+@pytest.fixture
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def sympy_charpoly(sympy, ints, modulus):
+    coeffs = sympy.Matrix(ints).charpoly().all_coeffs()[::-1]
+    return [int(c) % modulus for c in coeffs]
+
+
+class TestCharacteristicPolynomial:
+    @pytest.mark.parametrize("backend,base", [
+        ("padic", 5), ("eqchar", 4), ("eqchar", 5), ("eqchar", 9)])
+    def test_equals_cofactor_expansion(self, backend, base):
+        ring = RingDescriptor(backend, base, 20)
+        rng = random.Random(base)
+        for d in range(1, 7):
+            for _ in range(3):
+                a = family_matrix(rng, ring, "random", d)
+                assert characteristic_polynomial(a) == cofactor_charpoly(a)
+
+    @pytest.mark.parametrize("family", ["random", "companion", "nilpotent"])
+    def test_matches_sympy_mod_p_to_the_n(self, ring, sympy, family):
+        rng = random.Random(family)
+        modulus = ring.base ** ring.precision
+        for d in range(1, 9):
+            a = family_matrix(rng, ring, family, d)
+            ints = [[int_lift(a[i, j]) for j in range(d)] for i in range(d)]
+            ours = [int_lift(c) for c in characteristic_polynomial(a)]
+            assert ours == sympy_charpoly(sympy, ints, modulus)
+
+    def test_entries_in_k(self, ring, sympy):
+        # a = pi^-k b has coefficients c_i = pi^(-k (n - i)) * chi_b,i
+        rng = random.Random(7)
+        modulus = ring.base ** ring.precision
+        for d in range(1, 7):
+            for k in (1, 2):
+                b = family_matrix(rng, ring, "random", d)
+                a = MatrixV(ring, [[b[i, j].scaled_by_pi(-k)
+                                    for j in range(d)] for i in range(d)])
+                ints = [[int_lift(b[i, j]) for j in range(d)]
+                        for i in range(d)]
+                coeffs = characteristic_polynomial(a)
+                ours = [int_lift(c.scaled_by_pi(k * (d - i)))
+                        for i, c in enumerate(coeffs)]
+                assert ours == sympy_charpoly(sympy, ints, modulus)
+
+    def test_ring_multiplications_are_polynomial(self):
+        # a dense 8 x 8 matrix needs about 10^3 residue products here and
+        # about 10^5 by cofactor expansion; n^4 separates the two
+        ring = RingDescriptor("padic", 5, 40)
+        calls = []
+        mul = ring.ops.mul
+
+        def counting_mul(x, y):
+            calls.append(1)
+            return mul(x, y)
+
+        ring.ops.mul = counting_mul
+        rng = random.Random(8)
+        a = MatrixV(ring, [[random_entry(rng, ring, zeros=0)
+                            for _ in range(8)] for _ in range(8)])
+        characteristic_polynomial(a)
+        assert len(calls) <= 8 ** 4
+
+    def test_non_square_rejected(self, ring):
+        with pytest.raises(ValueError):
+            characteristic_polynomial(MatrixV(ring, [[ring.one()] * 2]))
+
+
 class TestLgbClosure:
     def test_polynomial_context(self, ring):
         cap = 5
@@ -192,6 +336,19 @@ class TestSemiDaggerProbe:
         S = singleton(ctx, mat(ring, [[(1, 1), 0], [0, (2, 1)]]))
         reports = semi_dagger_probe(S, ctx, 1, [1, 2, 3])
         assert all(r.verdict == "bounded" for r in reports.values())
+
+    def test_j_list_matches_single_j_calls(self, ring, ctx):
+        # one power chain S, S^2, S^3 serves the whole j_list
+        for a in (mat(ring, [[(-1, 1), 0], [0, 1]]),
+                  mat(ring, [[1, 2], [(1, 3), 4]]),
+                  mat(ring, [[(1, 1), 0], [0, (2, 1)]])):
+            S = singleton(ctx, a)
+            together = semi_dagger_probe(S, ctx, 1, [3, 1, 2])
+            assert list(together) == [3, 1, 2]
+            for j, report in together.items():
+                alone = semi_dagger_probe(S, ctx, 1, [j])[j]
+                assert (report.verdict, report.gauges, report.stabilized_at) \
+                    == (alone.verdict, alone.gauges, alone.stabilized_at)
 
 
 class TestLatticePowers:
