@@ -98,7 +98,7 @@ def cmd_snf(args):
         "D": serialize.matrix_to_json(res.D),
         "W": serialize.matrix_to_json(res.W),
         "diagonal_exponents": res.diagonal_exponents,
-        "valid_at_precision": res.flagged,
+        "valid_at_precision": not res.flagged,
     }
     return payload, EXIT_OK
 

@@ -4,17 +4,148 @@ Smith-style diagonalisation, torsion-freeness of finitely presented
 modules, canonical column Hermite forms for finitely generated lattices,
 pi-preimages, and divisibility in quotients.
 
-Pivoting always selects the entry of minimal valuation (ties broken by
-lowest row, then column index): over a DVR the minimal-valuation entry
-divides every other entry in scope, so a single elimination pass per pivot
-suffices and precision loss is minimised.  An entry whose residue vanishes
-at precision N is treated as zero and the result is flagged as valid at
-precision N rather than guessed.
+One elimination kernel, ``_Kernel``, does the arithmetic of matrix
+products, ``det``, ``inverse``, ``snf``, the Hermite form behind
+``Lattice.from_columns`` and ``Lattice.membership`` (after Storjohann,
+*Algorithms for Matrix Canonical Forms*, 2000) on raw (v, u, lossy)
+triples; a public call converts its ScalarElem inputs and outputs once.
+Its parts: a pivot search for the first entry of least valuation below N
+(over a DVR it divides every entry in scope, so one pass per pivot
+suffices and precision loss is minimised), one row update
+``row - f*pivot_row`` and one ordered dot accumulation.
+
+Exactness contract: the kernel makes ScalarElem's residue operations for
+``a - f*b``, ``acc + a*b``, ``x / p``, ``pi^v / p`` and
+``split_at_pi_power`` in the same order, so each output entry has the
+valuation, unit residue and ``lossy`` flag ScalarElem would give (a sum
+that cancels digits is flagged, a full cancellation is a flagged zero).
+An entry with N <= v < inf counts as zero: Hermite and Smith forms store
+it as an unflagged zero, and ``snf`` sets ``SNFResult.flagged``.
 """
 
 from __future__ import annotations
 
 from .ring import INFINITY, PrecisionExhausted, RingDescriptor, ScalarElem
+
+_ZERO = (INFINITY, None, False)
+_LOST = (INFINITY, None, True)  # a sum that cancelled to zero
+
+
+def _raw(ring, xs):
+    """(v, u, lossy) triples of scalars that must belong to ``ring``."""
+    for x in xs:
+        if x.ring is not ring and x.ring != ring:
+            raise ValueError("ring descriptor mismatch")
+    return [(x.v, x.u, x.lossy) for x in xs]
+
+
+def _raw_rows(M):
+    return [[(x.v, x.u, x.lossy) for x in row] for row in M.entries]
+
+
+def _matrix(ring, rows):
+    return MatrixV(ring, [[ScalarElem(ring, v, u, lossy)
+                           for v, u, lossy in row] for row in rows])
+
+
+class _Kernel:
+    """Elimination on triples over one ring; a zero is (inf, None, lossy).
+    ``scale``, ``over``, ``update`` and ``dot`` give exactly what c * a,
+    a / b, [a - f * b for a, b in zip(row, prow)] and the sum of a * b
+    over the pairs without a zero factor give on ScalarElem."""
+
+    def __init__(self, ring: RingDescriptor):
+        ops = ring.ops
+        self.N, self.one, self.inv, self.neg = (ring.precision, ops.one(),
+                                                ops.inv, ops.neg)
+        self.mul, self.add, self.val = ops.mul, ops.add, ops.val
+        self.up, self.down = ops.shift_up, ops.shift_down
+
+    def pivot(self, entries):
+        """(key, v) of the first entry of least valuation below N among
+        (key, triple) pairs; (None, N) when all are effectively zero."""
+        best, best_v = None, self.N
+        for key, (v, _, _) in entries:
+            if v < best_v:
+                best, best_v = key, v
+        return best, best_v
+
+    def cleared(self, rows):
+        """Effectively-zero entries (N <= v < inf) made unflagged zeros."""
+        return [[_ZERO if self.N <= x[0] < INFINITY else x for x in r]
+                for r in rows]
+
+    def over(self, a, b):
+        if b[0] == INFINITY:
+            raise ZeroDivisionError("division by zero")
+        if a[0] == INFINITY:
+            return (INFINITY, None, a[2])
+        return (a[0] - b[0], self.mul(a[1], self.inv(b[1])), a[2] or b[2])
+
+    def floor(self, x, e):
+        """The quotient of ``x.split_at_pi_power(e)``, x nonzero in V."""
+        q = self.down(self.up(x[1], x[0]), e)
+        w = self.val(q)
+        return (INFINITY, None, x[2]) if w >= self.N else \
+            (w, self.down(q, w), x[2])
+
+    def scale(self, mats, k, c):
+        """Row k of every matrix in mats times c, which is nonzero."""
+        (cv, cu, cl), mul = c, self.mul
+        for M in mats:
+            M[k] = [(v, u, cl or lossy) if v == INFINITY else
+                    (cv + v, mul(cu, u), cl or lossy) for v, u, lossy in M[k]]
+
+    def eliminate(self, mats, k, c, factor, start=0):
+        """Clear column c of mats[0] against row k: each other row i >= start
+        with entry x below N and f = factor(i, x) != 0 becomes
+        row i - f * row k, in every matrix of mats alike."""
+        for i in range(start, len(mats[0])):
+            x = mats[0][i][c]
+            if i != k and x[0] < self.N:
+                f = factor(i, x)
+                if f[0] != INFINITY:
+                    for M in mats:
+                        M[i] = self.update(M[i], f, M[k])
+
+    def update(self, row, f, prow):
+        """row - f * prow entry by entry; f must be nonzero."""
+        mul, add, neg, val = self.mul, self.add, self.neg, self.val
+        up, down, N = self.up, self.down, self.N
+        fv, fu, fl = f
+        out = []
+        for (av, au, al), (bv, bu, bl) in zip(row, prow):
+            if bv == INFINITY:  # f * b is a zero carrying fl or bl
+                out.append((av, au, al or fl or bl))
+                continue
+            tv, tu, tl = fv + bv, neg(mul(fu, bu)), fl or bl
+            if av == INFINITY:
+                out.append((tv, tu, tl or al))
+                continue
+            v = av if av < tv else tv
+            s = add(up(au, av - v), up(tu, tv - v))
+            w = val(s)
+            out.append(_LOST if w >= N else
+                       (v + w, down(s, w), al or tl or w > 0))
+        return out
+
+    def dot(self, xs, ys):
+        mul, add, val = self.mul, self.add, self.val
+        up, down, N = self.up, self.down, self.N
+        av, au, al = _ZERO
+        for (xv, xu, xl), (yv, yu, yl) in zip(xs, ys):
+            if xv == INFINITY or yv == INFINITY:
+                continue
+            tv, tu, tl = xv + yv, mul(xu, yu), xl or yl
+            if av == INFINITY:
+                av, au, al = tv, tu, tl or al
+                continue
+            v = av if av < tv else tv
+            s = add(up(au, av - v), up(tu, tv - v))
+            w = val(s)
+            av, au, al = _LOST if w >= N else \
+                (v + w, down(s, w), al or tl or w > 0)
+        return (av, au, al)
 
 
 class MatrixV:
@@ -31,7 +162,7 @@ class MatrixV:
             if len(row) != self.cols:
                 raise ValueError("ragged matrix")
             for x in row:
-                if x.ring != ring:
+                if x.ring is not ring and x.ring != ring:
                     raise ValueError("ring descriptor mismatch in matrix")
 
     @classmethod
@@ -77,23 +208,13 @@ class MatrixV:
     def __mul__(self, other: "MatrixV") -> "MatrixV":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        zero = self.ring.zero()
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if not (a.is_zero or b.is_zero):
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return MatrixV(self.ring, out)
+        self._shape_check(other)
+        dot, cols = _Kernel(self.ring).dot, list(zip(*_raw_rows(other)))
+        return _matrix(self.ring, [[dot(row, col) for col in cols]
+                                   for row in _raw_rows(self)])
 
     def _shape_check(self, other, same=False):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("ring descriptor mismatch")
         if same and (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
@@ -120,71 +241,47 @@ class MatrixV:
         """Matrix-vector product."""
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
-        out = []
-        for i in range(self.rows):
-            acc = self.ring.zero()
-            for k in range(self.cols):
-                a = self.entries[i][k]
-                if not (a.is_zero or vec[k].is_zero):
-                    acc = acc + a * vec[k]
-            out.append(acc)
-        return out
+        dot, col = _Kernel(self.ring).dot, _raw(self.ring, vec)
+        return [ScalarElem(self.ring, *dot(row, col))
+                for row in _raw_rows(self)]
 
     def det(self) -> ScalarElem:
         """Determinant by Gaussian elimination over K with minimal-valuation
         pivoting; exact at precision N."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        work = [list(row) for row in self.entries]
-        det = self.ring.one()
+        n, kern = self.rows, _Kernel(self.ring)
+        work, det = _raw_rows(self), (0, kern.one, False)
         for k in range(n):
-            piv_i, piv_v = -1, INFINITY
-            for i in range(k, n):
-                x = work[i][k]
-                if not x.effectively_zero and x.valuation < piv_v:
-                    piv_i, piv_v = i, x.valuation
-            if piv_i < 0:
+            i0, _ = kern.pivot((i, work[i][k]) for i in range(k, n))
+            if i0 is None:
                 return self.ring.zero()
-            if piv_i != k:
-                work[k], work[piv_i] = work[piv_i], work[k]
-                det = -det
+            if i0 != k:
+                work[k], work[i0] = work[i0], work[k]
+                det = (det[0], kern.neg(det[1]), det[2])
             pivot = work[k][k]
-            det = det * pivot
-            for i in range(k + 1, n):
-                if work[i][k].effectively_zero:
-                    continue
-                f = work[i][k] / pivot
-                work[i] = [a - f * b for a, b in zip(work[i], work[k])]
-        return det
+            det = (det[0] + pivot[0], kern.mul(det[1], pivot[1]),
+                   det[2] or pivot[2])
+            kern.eliminate([work], k, k, lambda i, x: kern.over(x, pivot),
+                           k + 1)
+        return ScalarElem(self.ring, *det)
 
     def inverse(self) -> "MatrixV":
         """Inverse over K (entries may leave V); pivot of minimal valuation."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        work = [list(row) for row in self.entries]
-        aug = [list(row) for row in MatrixV.identity(self.ring, n).entries]
+        n, kern = self.rows, _Kernel(self.ring)
+        work, aug = _raw_rows(self), _raw_rows(MatrixV.identity(self.ring, n))
         for k in range(n):
-            piv_i, piv_v = -1, INFINITY
-            for i in range(k, n):
-                x = work[i][k]
-                if not x.effectively_zero and x.valuation < piv_v:
-                    piv_i, piv_v = i, x.valuation
-            if piv_i < 0:
+            i0, _ = kern.pivot((i, work[i][k]) for i in range(k, n))
+            if i0 is None:
                 raise ZeroDivisionError("matrix is singular at precision N")
-            work[k], work[piv_i] = work[piv_i], work[k]
-            aug[k], aug[piv_i] = aug[piv_i], aug[k]
-            inv_p = self.ring.one() / work[k][k]
-            work[k] = [a * inv_p for a in work[k]]
-            aug[k] = [a * inv_p for a in aug[k]]
-            for i in range(n):
-                if i == k or work[i][k].effectively_zero:
-                    continue
-                f = work[i][k]
-                work[i] = [a - f * b for a, b in zip(work[i], work[k])]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[k])]
-        return MatrixV(self.ring, aug)
+            work[k], work[i0] = work[i0], work[k]
+            aug[k], aug[i0] = aug[i0], aug[k]
+            kern.scale([work, aug], k,
+                       kern.over((0, kern.one, False), work[k][k]))
+            kern.eliminate([work, aug], k, k, lambda i, x: x)
+        return _matrix(self.ring, aug)
 
     def kronecker(self, other: "MatrixV") -> "MatrixV":
         self._shape_check(other)
@@ -234,60 +331,32 @@ def snf(A: MatrixV) -> SNFResult:
     ring = A.ring
     if A.min_valuation() < 0:
         raise ValueError("snf needs entries in V (nonnegative valuations)")
-    m, n = A.rows, A.cols
-    work = [list(row) for row in A.entries]
-    U = [list(row) for row in MatrixV.identity(ring, m).entries]
-    W = [list(row) for row in MatrixV.identity(ring, n).entries]
+    m, n, kern = A.rows, A.cols, _Kernel(ring)
+    work, U, W = (_raw_rows(M) for M in (A, MatrixV.identity(ring, m),
+                                         MatrixV.identity(ring, n)))
     flagged = A.lossy
-
     for k in range(min(m, n)):
-        piv, piv_v = None, INFINITY
-        for i in range(k, m):
-            for j in range(k, n):
-                x = work[i][j]
-                if not x.effectively_zero and x.valuation < piv_v:
-                    piv, piv_v = (i, j), x.valuation
+        piv, piv_v = kern.pivot(((i, j), work[i][j]) for i in range(k, m)
+                                for j in range(k, n))
         if piv is None:
             break
         i0, j0 = piv
-        if i0 != k:
-            work[k], work[i0] = work[i0], work[k]
-            U[k], U[i0] = U[i0], U[k]
-        if j0 != k:
-            for row in work:
-                row[k], row[j0] = row[j0], row[k]
-            for row in W:
-                row[k], row[j0] = row[j0], row[k]
+        work[k], work[i0], U[k], U[i0] = work[i0], work[k], U[i0], U[k]
+        for row in work + W:
+            row[k], row[j0] = row[j0], row[k]
+        # pivot to an exact power of pi; clear its row, then its column
+        kern.scale([work, U], k, kern.over((piv_v, kern.one, False),
+                                            work[k][k]))
         pivot = work[k][k]
-        # normalise the pivot to an exact power of pi
-        unit_inv = ring.pi(pivot.valuation) / pivot
-        work[k] = [unit_inv * a for a in work[k]]
-        U[k] = [unit_inv * a for a in U[k]]
-        pivot = work[k][k]
-        for i in range(m):
-            if i == k or work[i][k].effectively_zero:
-                continue
-            f = work[i][k] / pivot
-            work[i] = [a - f * b for a, b in zip(work[i], work[k])]
-            U[i] = [a - f * b for a, b in zip(U[i], U[k])]
-        for j in range(n):
-            if j == k or work[k][j].effectively_zero:
-                continue
-            f = work[k][j] / pivot
-            for row in work:
-                row[j] = row[j] - f * row[k]
-            for wrow in W:
-                wrow[j] = wrow[j] - f * wrow[k]
-
-    zero = ring.zero()
-    for i in range(m):
-        for j in range(n):
-            if work[i][j].effectively_zero and not work[i][j].is_zero:
-                work[i][j] = zero
-                flagged = True
-    D = MatrixV(ring, work)
-    flagged = flagged or D.lossy
-    return SNFResult(MatrixV(ring, U), D, MatrixV(ring, W), flagged)
+        kern.eliminate([work, U], k, k, lambda i, x: kern.over(x, pivot))
+        cols, wcols = ([list(c) for c in zip(*M)] for M in (work, W))
+        kern.eliminate([cols, wcols], k, k, lambda j, x: kern.over(x, pivot))
+        work, W = ([list(r) for r in zip(*M)] for M in (cols, wcols))
+    D = kern.cleared(work)
+    # clearing an effectively-zero entry flags the form, as does any flag
+    flagged = flagged or D != work or any(x[2] for row in D for x in row)
+    return SNFResult(_matrix(ring, U), _matrix(ring, D), _matrix(ring, W),
+                     flagged)
 
 
 class ModulePresentation:
@@ -392,7 +461,8 @@ class Lattice:
     of lattices is equality of the pair (e, H) at precision N.
     """
 
-    __slots__ = ("ring", "ambient_rank", "pi_exponent", "gens")
+    __slots__ = ("ring", "ambient_rank", "pi_exponent", "gens",
+                 "__weakref__")
 
     def __init__(self, ring, ambient_rank, pi_exponent, gens: MatrixV):
         self.ring = ring
@@ -413,27 +483,18 @@ class Lattice:
     @classmethod
     def from_columns(cls, ring, ambient_rank, columns) -> "Lattice":
         """Span of the given generator vectors (entries in V or K)."""
-        cols = [list(c) for c in columns
-                if not all(x.effectively_zero for x in c)]
-        if not cols:
-            return cls.zero(ring, ambient_rank)
-        for c in cols:
-            if len(c) != ambient_rank:
-                raise ValueError("generator has wrong ambient rank")
-        e = min(min(x.valuation for x in c if not x.effectively_zero)
-                for c in cols)
-        cols = [[x.scaled_by_pi(-e) for x in c] for c in cols]
-        reduced = _column_hermite(ring, ambient_rank, cols)
+        cols = [_raw(ring, c) for c in columns
+                if any(x.v < ring.precision for x in c)]
+        if any(len(c) != ambient_rank for c in cols):
+            raise ValueError("generator has wrong ambient rank")
+        e = min((x[0] for c in cols for x in c), default=0)
+        reduced = _column_hermite(ring, ambient_rank, _shifted(cols, -e))
         if not reduced:
             return cls.zero(ring, ambient_rank)
         # reduction can only reveal a finer common pi factor, never lose one
-        extra = min(min(x.valuation for x in c if not x.effectively_zero)
-                    for c in reduced)
-        if extra > 0:
-            reduced = [[x.scaled_by_pi(-extra) for x in c] for c in reduced]
-        mat = MatrixV(ring, [[c[i] for c in reduced]
-                             for i in range(ambient_rank)])
-        return cls(ring, ambient_rank, e + extra, mat)
+        extra = min(x[0] for c in reduced for x in c)
+        return cls(ring, ambient_rank, e + extra,
+                   _matrix(ring, zip(*_shifted(reduced, -extra))))
 
     @classmethod
     def from_matrix_columns(cls, mat: MatrixV) -> "Lattice":
@@ -459,26 +520,27 @@ class Lattice:
 
     def generator_vectors(self):
         """Generators as vectors of K-scalars, pi_exponent folded in."""
-        return [[x.scaled_by_pi(self.pi_exponent) for x in self.gens.column(j)]
-                for j in range(self.gens.cols)]
+        e = self.pi_exponent
+        return [[x if x.v == INFINITY or not e else
+                 ScalarElem(x.ring, x.v + e, x.u, x.lossy) for x in col]
+                for col in zip(*self.gens.entries)]
 
     def membership(self, vec) -> bool:
         """Decide vec in L by back-substitution against the Hermite form."""
         if len(vec) != self.ambient_rank:
             raise ValueError("ambient rank mismatch")
-        residual = [x.scaled_by_pi(-self.pi_exponent) for x in vec]
-        pivots = _pivot_rows(self.gens)
-        for col_idx, row_idx in enumerate(pivots):
-            x = residual[row_idx]
-            if x.effectively_zero:
+        kern, N = _Kernel(self.ring), self.ring.precision
+        residual = _shifted([_raw(self.ring, vec)], -self.pi_exponent)[0]
+        for col in zip(*_raw_rows(self.gens)):
+            # the pivot row of a Hermite column: its first entry below N
+            row = next((i for i, x in enumerate(col) if x[0] < N), None)
+            if row is None or residual[row][0] >= N:
                 continue
-            a = self.gens[row_idx, col_idx].valuation
-            if x.valuation < a:
+            x = residual[row]
+            if x[0] < col[row][0]:
                 return False
-            coeff = x / self.gens[row_idx, col_idx]
-            col = self.gens.column(col_idx)
-            residual = [r - coeff * g for r, g in zip(residual, col)]
-        return all(r.effectively_zero for r in residual)
+            residual = kern.update(residual, kern.over(x, col[row]), col)
+        return all(x[0] >= N for x in residual)
 
     def contains(self, other: "Lattice") -> bool:
         return all(self.membership(g) for g in other.generator_vectors())
@@ -548,7 +610,7 @@ class Lattice:
         return self.intersect(Lattice.standard(self.ring, self.ambient_rank))
 
     def _compat(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("ring descriptor mismatch")
         if self.ambient_rank != other.ambient_rank:
             raise ValueError("ambient rank mismatch")
@@ -565,59 +627,38 @@ def kernel_basis(A: MatrixV):
     return [res.W.column(j) for j in range(rank, A.cols)]
 
 
-def _pivot_rows(H: MatrixV):
-    """Pivot row of each column of a column Hermite form."""
-    out = []
-    for j in range(H.cols):
-        for i in range(H.rows):
-            if not H[i, j].effectively_zero:
-                out.append(i)
-                break
-    return out
+def _shifted(cols, e):
+    """Columns of triples multiplied by pi^e (``scaled_by_pi``)."""
+    if not e:
+        return cols
+    return [[x if x[0] == INFINITY else (x[0] + e, x[1], x[2]) for x in c]
+            for c in cols]
 
 
 def _column_hermite(ring, rank, cols):
     """Canonical column Hermite form over V of the given columns.
 
-    Columns must have entries in V.  Returns a list of columns with
-    strictly increasing pivot rows, pivot entries exact powers of pi, zero
-    entries to the right of each pivot and canonical residues to the left.
+    Columns are lists of (v, u, lossy) triples with entries in V.  Returns
+    a list of columns with strictly increasing pivot rows, pivot entries
+    exact powers of pi, zero entries to the right of each pivot and
+    canonical residues to the left.
     """
-    cols = [list(c) for c in cols]
-    zero = ring.zero()
+    kern = _Kernel(ring)
     n_pivots = 0
     for row in range(rank):
         # choose the minimal-valuation entry of this row among free columns
-        piv, piv_v = None, INFINITY
-        for j in range(n_pivots, len(cols)):
-            x = cols[j][row]
-            if not x.effectively_zero and x.valuation < piv_v:
-                piv, piv_v = j, x.valuation
+        piv, piv_v = kern.pivot((j, cols[j][row])
+                                for j in range(n_pivots, len(cols)))
         if piv is None:
             continue
         cols[n_pivots], cols[piv] = cols[piv], cols[n_pivots]
+        kern.scale([cols], n_pivots,
+                   kern.over((piv_v, kern.one, False), cols[n_pivots][row]))
         p = cols[n_pivots]
-        unit_inv = ring.pi(piv_v) / p[row]
-        cols[n_pivots] = p = [unit_inv * x for x in p]
-        for j in range(len(cols)):
-            if j == n_pivots:
-                continue
-            x = cols[j][row]
-            if x.effectively_zero:
-                continue
-            if j > n_pivots or x.valuation >= piv_v:
-                f = x / p[row]
-            else:
-                # an earlier pivot column: reduce modulo pi^piv_v only
-                quo, _ = x.split_at_pi_power(piv_v)
-                f = quo
-            if f.is_zero:
-                continue
-            cols[j] = [a - f * b for a, b in zip(cols[j], p)]
+        # an earlier pivot column is reduced modulo pi^piv_v only
+        kern.eliminate([cols], n_pivots, row, lambda j, x: (
+            kern.over(x, p[row]) if j > n_pivots or x[0] >= piv_v
+            else kern.floor(x, piv_v)))
         n_pivots += 1
-    reduced = []
-    for c in cols[:n_pivots]:
-        c = [zero if x.effectively_zero and not x.is_zero else x for x in c]
-        if not all(x.is_zero for x in c):
-            reduced.append(c)
-    return reduced
+    return [c for c in kern.cleared(cols[:n_pivots])
+            if any(x[0] != INFINITY for x in c)]

@@ -65,9 +65,9 @@ class DaggerSeries:
         for s, x in terms.items():
             if x.is_zero:
                 continue
-            if s.descriptor != monoid:
+            if s.descriptor is not monoid and s.descriptor != monoid:
                 raise ValueError("term index from the wrong monoid")
-            if x.ring != ring:
+            if x.ring is not ring and x.ring != ring:
                 raise ValueError("coefficient from the wrong ring")
             if s.length > degree_cap:
                 raise ValueError(
@@ -141,7 +141,9 @@ class DaggerSeries:
         return "DaggerSeries(" + " + ".join(parts) + ")"
 
     def _compat(self, other: "DaggerSeries"):
-        if self.ring != other.ring or self.monoid != other.monoid:
+        if (self.ring is not other.ring and self.ring != other.ring) or \
+                (self.monoid is not other.monoid
+                 and self.monoid != other.monoid):
             raise ValueError("series descriptor mismatch")
         if self.degree_cap != other.degree_cap:
             raise ValueError("degree cap mismatch")

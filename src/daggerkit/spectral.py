@@ -7,12 +7,15 @@ larger exponents and rho >= 1 exactly when the exponent is <= 0.
 
 Lattice powers are computed by pairwise generator products with immediate
 Hermite reduction at every step, which keeps generator counts small and is
-exact at precision N.
+exact at precision N.  ``rho1_estimate``, ``lgb_closure`` and
+``semi_dagger_probe`` share one chain S, S^2, ... per lattice (``_power``),
+so a query that asks all three builds each power once.
 """
 
 from __future__ import annotations
 
 import operator
+import weakref
 from fractions import Fraction
 
 from .linalg import Lattice, MatrixV
@@ -100,6 +103,31 @@ def lattice_product(ctx, L1: Lattice, L2: Lattice) -> Lattice:
     return Lattice.from_columns(ctx.ring, ctx.dim, cols)
 
 
+# id(S) -> (weak reference to S, ctx, [S^2, S^3, ...]) for every lattice
+# S that still has a chain; an entry goes when its lattice is collected
+_CHAINS: dict = {}
+
+
+def _power(S: Lattice, ctx, n: int) -> Lattice:
+    """S^n for n >= 1; each new link is lattice_product(ctx, S^(k-1), S).
+
+    The chain S^2, S^3, ... is kept for the last context asked, and only
+    while S is alive: until then it holds every power up to the largest n
+    asked for (``rho1_estimate(S, ctx, n_max)`` keeps n_max - 1 lattices).
+    """
+    if n == 1:
+        return S
+    key = id(S)
+    entry = _CHAINS.get(key)
+    if entry is None or entry[0]() is not S or entry[1] is not ctx:
+        entry = _CHAINS[key] = (
+            weakref.ref(S, lambda _, key=key: _CHAINS.pop(key, None)), ctx, [])
+    chain = entry[2]
+    while len(chain) < n - 1:
+        chain.append(lattice_product(ctx, chain[-1] if chain else S, S))
+    return chain[n - 2]
+
+
 def star_scale(t, L: Lattice) -> Lattice:
     """r * S for r = eps^t <= 1: multiply by pi^ceil(t)."""
     t = Fraction(t)
@@ -152,13 +180,10 @@ def rho1_estimate(S: Lattice, ctx, n_max: int) -> RadiusReport:
     ring = ctx.ring
     estimates = []
     running: list[Fraction] = []
-    power = S
     nus = {}
     best = None
     for n in range(1, n_max + 1):
-        if n > 1:
-            power = lattice_product(ctx, power, S)
-        nu = power.gauge_exponent()
+        nu = _power(S, ctx, n).gauge_exponent()
         if nu == INFINITY:
             # S^n = 0: nilpotent at the cap, radius exponent +inf
             return RadiusReport(estimates, INFINITY, "converged")
@@ -257,12 +282,10 @@ def lgb_closure(S: Lattice, ctx, i_max: int):
     L_i = L_(i+1), or None if the chain is still growing at i_max.
     """
     ring = ctx.ring
-    power = S
     chain = [S]
     stabilized_at = None
     for i in range(1, i_max + 1):
-        power = lattice_product(ctx, power, S)
-        term = power.scale_by_pi(i)
+        term = _power(S, ctx, i + 1).scale_by_pi(i)
         if not term.is_zero and term.gauge_exponent() < -ring.precision:
             raise PrecisionExhausted("closure term has gauge below -N")
         nxt = chain[-1].sum(term)
@@ -308,11 +331,8 @@ def semi_dagger_probe(S: Lattice, ctx, m: int, j_list, l_max: int = 8):
         raise ValueError("every j must be at least 1")
     reports = {}
     decrease_window = -(-l_max // 2)
-    powers = [S]  # S, S^2, ..., extended once up to max(j_list)
     for j in j_list:
-        while len(powers) < j:
-            powers.append(lattice_product(ctx, powers[-1], S))
-        base = powers[j - 1].scale_by_pi(m)
+        base = _power(S, ctx, j).scale_by_pi(m)
         power = base
         chain = base
         gauges = [power.gauge_exponent()]

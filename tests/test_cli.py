@@ -74,6 +74,19 @@ class TestSnfAndTorsion:
         assert code == 0
         assert out["diagonal_exponents"] == [0, 0]
 
+    def test_valid_at_precision(self, capsys):
+        # nothing cancels in the identity, so its form is exact at N
+        code, out = run(capsys, ["snf", *RING, "--matrix",
+                                 '[["1","0"],["0","1"]]'])
+        assert code == 0
+        assert out["valid_at_precision"] is True
+        # the second row of [[1,1],[1,1]] cancels to zero
+        code, out = run(capsys, ["snf", *RING, "--matrix",
+                                 '[["1","1"],["1","1"]]'])
+        assert code == 0
+        assert out["diagonal_exponents"] == [0]
+        assert out["valid_at_precision"] is False
+
     def test_torsion_false_exit_one(self, capsys):
         code, out = run(capsys, ["torsion", *RING, "--relations",
                                  '[["pi"]]'])

@@ -299,3 +299,43 @@ class TestTensor:
         P = ModulePresentation(ring, 1, pi_mat(ring, [[(1, 1)]]))
         Q = ModulePresentation(ring, 1, None)
         assert not P.tensor(Q).is_torsion_free()
+
+
+class TestDescriptorChecks:
+    def test_equal_descriptors_combine(self):
+        # distinct instances describing the same ring are interchangeable
+        r1, r2 = RingDescriptor("padic", 5, 16), RingDescriptor("padic", 5, 16)
+        A = MatrixV(r1, [[r2.one(), r1.scalar(2)], [r2.scalar(3), r1.zero()]])
+        B = MatrixV(r2, [[r2.one(), r2.zero()], [r2.zero(), r2.one()]])
+        assert A * B == A
+        assert (A + B) - B == A
+        assert A.scale(r2.scalar(2)) == A + A
+        assert A.kronecker(B).rows == 4
+        L1 = Lattice.from_matrix_columns(A)
+        L2 = Lattice.standard(r2, 2)
+        assert L1.sum(L2) == L2
+        assert L1.intersect(L2) == L1
+        assert L2.membership([r1.one(), r2.pi(3)])
+        assert Lattice.from_columns(r1, 2, [[r2.one(), r2.zero()]]).rank == 1
+
+    def test_mismatches_still_raise(self):
+        r1 = RingDescriptor("padic", 5, 16)
+        for other in (RingDescriptor("padic", 5, 9),
+                      RingDescriptor("eqchar", 5, 16)):
+            A, B = MatrixV.identity(r1, 2), MatrixV.identity(other, 2)
+            with pytest.raises(ValueError):
+                MatrixV(r1, [[r1.one(), other.one()]])
+            for op in (lambda x, y: x + y, lambda x, y: x - y,
+                       lambda x, y: x * y, lambda x, y: x.kronecker(y)):
+                with pytest.raises(ValueError):
+                    op(A, B)
+            L1, L2 = Lattice.standard(r1, 2), Lattice.standard(other, 2)
+            for op in (lambda x, y: x.sum(y), lambda x, y: x.intersect(y)):
+                with pytest.raises(ValueError):
+                    op(L1, L2)
+            with pytest.raises(ValueError):
+                L1.membership([other.one(), other.one()])
+            with pytest.raises(ValueError):
+                Lattice.from_columns(r1, 2, [[other.one(), other.one()]])
+            with pytest.raises(ValueError):
+                A.apply([other.one(), other.one()])

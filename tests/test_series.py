@@ -240,3 +240,30 @@ class TestTorusPowers:
         cube = series_pow(u1, 3, c)
         assert cube == DaggerSeries.delta(ring, monoid,
                                           monoid.element((3, 0)), 6)
+
+
+class TestDescriptorChecks:
+    def test_equal_descriptors_combine(self):
+        # distinct but equal ring and monoid descriptors are interchangeable
+        r1, r2 = RingDescriptor("padic", 5, 20), RingDescriptor("padic", 5, 20)
+        m1, m2 = MonoidDescriptor("N", 1), MonoidDescriptor("N", 1)
+        a = DaggerSeries(r1, m1, {m2.element((1,)): r2.scalar(3)}, 4)
+        b = DaggerSeries(r2, m2, {m1.element((2,)): r1.scalar(2)}, 4)
+        assert mul(a, b) == DaggerSeries(r1, m1, {m1.element((3,)):
+                                                  r1.scalar(6)}, 4)
+        assert add_scale(a, b, r2.one()).coefficient(m1.element((2,))) == \
+            r1.scalar(2)
+
+    def test_mismatches_still_raise(self):
+        ring = RingDescriptor("padic", 5, 20)
+        coarser = RingDescriptor("padic", 5, 9)
+        s = N1.element((1,))
+        with pytest.raises(ValueError, match="wrong ring"):
+            DaggerSeries(ring, N1, {s: coarser.one()}, 4)
+        with pytest.raises(ValueError, match="wrong monoid"):
+            DaggerSeries(ring, Z2, {s: ring.one()}, 4)
+        a = DaggerSeries(ring, N1, {s: ring.one()}, 4)
+        for b in (DaggerSeries(coarser, N1, {s: coarser.one()}, 4),
+                  DaggerSeries(ring, MonoidDescriptor("N", 2), {}, 4)):
+            with pytest.raises(ValueError, match="series descriptor"):
+                mul(a, b)

@@ -1,10 +1,12 @@
 """Spectral radius estimates, Newton polygon oracle, closures, probes."""
 
+import gc
 import random
 from fractions import Fraction
 
 import pytest
 
+from daggerkit import spectral
 from daggerkit.linalg import Lattice, MatrixV
 from daggerkit.monoid import MonoidDescriptor
 from daggerkit.ring import INFINITY, RingDescriptor
@@ -352,6 +354,65 @@ class TestSemiDaggerProbe:
 
 
 class TestLatticePowers:
+    def test_one_chain_serves_the_consistency_triangle(self, monkeypatch):
+        # acceptance 05 on A = [[1, 2], [3, 4]] over Z_5 at N = 40: rho1
+        # builds S^2 .. S^16; the closure (S^2 .. S^9) and the probe's S^2
+        # and S^3 reuse them, so only the probe's own powers are new
+        ring = RingDescriptor("padic", 5, 40)
+        ctx = MatrixAlgebraContext(ring, 2)
+        a = mat(ring, [[1, 2], [3, 4]])
+
+        def triangle(S):
+            return (rho1_estimate(S, ctx, 16), lgb_closure(S, ctx, 8),
+                    semi_dagger_probe(S, ctx, 1, [1, 2, 3], l_max=8))
+
+        # each function alone on its own S, before any chain is shared
+        alone = [f(singleton(ctx, a)) for f in (
+            lambda S: rho1_estimate(S, ctx, 16),
+            lambda S: lgb_closure(S, ctx, 8),
+            lambda S: semi_dagger_probe(S, ctx, 1, [1, 2, 3], l_max=8))]
+        calls = []
+        real = spectral.lattice_product
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(spectral, "lattice_product", counting)
+        S = singleton(ctx, a)
+        report = rho1_estimate(S, ctx, 16)
+        assert len(calls) == 15
+        chain, stabilized = lgb_closure(S, ctx, 8)
+        assert len(calls) == 15
+        probes = semi_dagger_probe(S, ctx, 1, [1, 2, 3], l_max=8)
+        assert len(calls) == 21
+        # sharing changes no output
+        assert (report.exponent_estimates, report.rho_exponent,
+                report.verdict) == (alone[0].exponent_estimates,
+                                    alone[0].rho_exponent, alone[0].verdict)
+        assert (chain, stabilized) == alone[1]
+        assert [(r.verdict, r.gauges, r.stabilized_at)
+                for r in probes.values()] == \
+            [(r.verdict, r.gauges, r.stabilized_at)
+             for r in alone[2].values()]
+        # the chain lives on S: an equal lattice starts its own
+        triangle(singleton(ctx, a))
+        assert len(calls) == 42
+
+    def test_chain_goes_with_its_lattice(self, ring, ctx):
+        S = singleton(ctx, mat(ring, [[1, 2], [3, 4]]))
+        rho1_estimate(S, ctx, 4)
+        key = id(S)
+        assert len(spectral._CHAINS[key][2]) == 3
+        # a new context starts a new chain instead of keeping both
+        other = MatrixAlgebraContext(ring, 2)
+        lgb_closure(S, other, 1)
+        assert spectral._CHAINS[key][1] is other
+        assert len(spectral._CHAINS[key][2]) == 1
+        del S
+        gc.collect()
+        assert key not in spectral._CHAINS
+
     def test_two_generator_product(self, ring, ctx):
         e12 = mat(ring, [[0, 1], [0, 0]])
         e21 = mat(ring, [[0, 0], [1, 0]])
