@@ -9,6 +9,9 @@ products, ``det``, ``inverse``, ``snf``, the Hermite form behind
 ``Lattice.from_columns`` and ``Lattice.membership`` (after Storjohann,
 *Algorithms for Matrix Canonical Forms*, 2000) on raw (v, u, lossy)
 triples; a public call converts its ScalarElem inputs and outputs once.
+A ``Lattice`` keeps its Hermite columns as such triples (``Lattice.cols``),
+so lattice sums, products, equality and membership stay on triples; its
+ScalarElem matrix ``gens`` is built from them the first time it is read.
 Its parts: a pivot search for the first entry of least valuation below N
 (over a DVR it divides every entry in scope, so one pass per pivot
 suffices and precision loss is minimised), one row update
@@ -32,7 +35,11 @@ _LOST = (INFINITY, None, True)  # a sum that cancelled to zero
 
 
 def _raw(ring, xs):
-    """(v, u, lossy) triples of scalars that must belong to ``ring``."""
+    """(v, u, lossy) triples of scalars that must belong to ``ring``; a
+    vector that is already triples passes through."""
+    xs = list(xs)
+    if xs and type(xs[0]) is tuple:
+        return xs
     for x in xs:
         if x.ring is not ring and x.ring != ring:
             raise ValueError("ring descriptor mismatch")
@@ -459,42 +466,59 @@ class Lattice:
     rows, pivot entries exact powers of pi, zero entries elsewhere in pivot
     rows up to canonical residues, and minimal entry valuation 0.  Equality
     of lattices is equality of the pair (e, H) at precision N.
+
+    e is ``pi_exponent``; H is ``cols``, a tuple of columns, each a tuple of
+    (v, u, lossy) triples.  ``gens`` is H as a MatrixV of ScalarElem, built
+    from ``cols`` the first time it is read.
     """
 
-    __slots__ = ("ring", "ambient_rank", "pi_exponent", "gens",
+    __slots__ = ("ring", "ambient_rank", "pi_exponent", "cols", "_gens",
                  "__weakref__")
 
-    def __init__(self, ring, ambient_rank, pi_exponent, gens: MatrixV):
+    def __init__(self, ring, ambient_rank, pi_exponent, cols):
         self.ring = ring
         self.ambient_rank = ambient_rank
         self.pi_exponent = pi_exponent
-        self.gens = gens
+        self.cols = cols
+        self._gens = None
+
+    @property
+    def gens(self) -> MatrixV:
+        """H as a MatrixV of ScalarElem, built on first read."""
+        if self._gens is None:
+            self._gens = (_matrix(self.ring, zip(*self.cols)) if self.cols
+                          else MatrixV.zero(self.ring, self.ambient_rank, 0))
+        return self._gens
 
     # -- construction --
 
     @classmethod
     def zero(cls, ring: RingDescriptor, ambient_rank: int) -> "Lattice":
-        return cls(ring, ambient_rank, 0, MatrixV.zero(ring, ambient_rank, 0))
+        return cls(ring, ambient_rank, 0, ())
 
     @classmethod
     def standard(cls, ring: RingDescriptor, ambient_rank: int) -> "Lattice":
-        return cls(ring, ambient_rank, 0, MatrixV.identity(ring, ambient_rank))
+        one = (0, ring.ops.one(), False)
+        return cls(ring, ambient_rank, 0, tuple(
+            tuple(one if i == j else _ZERO for i in range(ambient_rank))
+            for j in range(ambient_rank)))
 
     @classmethod
     def from_columns(cls, ring, ambient_rank, columns) -> "Lattice":
-        """Span of the given generator vectors (entries in V or K)."""
-        cols = [_raw(ring, c) for c in columns
-                if any(x.v < ring.precision for x in c)]
+        """Span of the given generator vectors (entries in V or K), each of
+        ScalarElem or of (v, u, lossy) triples."""
+        cols = [_raw(ring, c) for c in columns]
         if any(len(c) != ambient_rank for c in cols):
             raise ValueError("generator has wrong ambient rank")
-        e = min((x[0] for c in cols for x in c), default=0)
+        cols = [c for c in cols if c and _least_v(c) < ring.precision]
+        e = min(map(_least_v, cols), default=0)
         reduced = _column_hermite(ring, ambient_rank, _shifted(cols, -e))
         if not reduced:
             return cls.zero(ring, ambient_rank)
         # reduction can only reveal a finer common pi factor, never lose one
-        extra = min(x[0] for c in reduced for x in c)
+        extra = min(map(_least_v, reduced))
         return cls(ring, ambient_rank, e + extra,
-                   _matrix(ring, zip(*_shifted(reduced, -extra))))
+                   tuple(map(tuple, _shifted(reduced, -extra))))
 
     @classmethod
     def from_matrix_columns(cls, mat: MatrixV) -> "Lattice":
@@ -505,11 +529,11 @@ class Lattice:
 
     @property
     def is_zero(self) -> bool:
-        return self.gens.cols == 0
+        return not self.cols
 
     @property
     def rank(self) -> int:
-        return self.gens.cols
+        return len(self.cols)
 
     def gauge_exponent(self):
         """Maximal e with L inside pi^e times the standard lattice; +inf for
@@ -520,18 +544,22 @@ class Lattice:
 
     def generator_vectors(self):
         """Generators as vectors of K-scalars, pi_exponent folded in."""
-        e = self.pi_exponent
-        return [[x if x.v == INFINITY or not e else
-                 ScalarElem(x.ring, x.v + e, x.u, x.lossy) for x in col]
-                for col in zip(*self.gens.entries)]
+        return [[ScalarElem(self.ring, *x) for x in c]
+                for c in self.generator_triples()]
+
+    def generator_triples(self):
+        """``generator_vectors`` as (v, u, lossy) triples: the columns of
+        H times pi^e."""
+        return _shifted(self.cols, self.pi_exponent)
 
     def membership(self, vec) -> bool:
-        """Decide vec in L by back-substitution against the Hermite form."""
+        """Decide vec in L by back-substitution against the Hermite form;
+        vec holds ScalarElem or (v, u, lossy) triples."""
         if len(vec) != self.ambient_rank:
             raise ValueError("ambient rank mismatch")
         kern, N = _Kernel(self.ring), self.ring.precision
         residual = _shifted([_raw(self.ring, vec)], -self.pi_exponent)[0]
-        for col in zip(*_raw_rows(self.gens)):
+        for col in self.cols:
             # the pivot row of a Hermite column: its first entry below N
             row = next((i for i, x in enumerate(col) if x[0] < N), None)
             if row is None or residual[row][0] >= N:
@@ -543,19 +571,35 @@ class Lattice:
         return all(x[0] >= N for x in residual)
 
     def contains(self, other: "Lattice") -> bool:
-        return all(self.membership(g) for g in other.generator_vectors())
+        self._compat(other)
+        return all(self.membership(g) for g in other.generator_triples())
+
+    def _seen(self, x):
+        """What equality sees of an entry x, as ScalarElem.__eq__: None when
+        effectively zero, else v and the unit digits inside the window
+        pi^(N - max(v, 0))."""
+        v, N = x[0], self.ring.precision
+        return None if v >= N else \
+            (v, self.ring.ops.mod_pi_power(x[1], N - max(v, 0)))
 
     def __eq__(self, other):
-        return (isinstance(other, Lattice)
-                and self.ring == other.ring
+        if not (isinstance(other, Lattice)
+                and (self.ring is other.ring or self.ring == other.ring)
                 and self.ambient_rank == other.ambient_rank
-                and ((self.is_zero and other.is_zero)
-                     or (self.pi_exponent == other.pi_exponent
-                         and self.gens == other.gens)))
+                and len(self.cols) == len(other.cols)):
+            return False
+        if not self.cols:
+            return True
+        # equal v and u need no windowing
+        seen = self._seen
+        return self.pi_exponent == other.pi_exponent and all(
+            x[:2] == y[:2] or seen(x) == seen(y)
+            for c, d in zip(self.cols, other.cols) for x, y in zip(c, d))
 
     def __hash__(self):
-        return hash((self.ring, self.ambient_rank, self.pi_exponent,
-                     self.gens))
+        return hash((self.ring, self.ambient_rank,
+                     self.pi_exponent if self.cols else None,
+                     tuple(self._seen(x) for c in self.cols for x in c)))
 
     def __repr__(self):
         return (f"Lattice(rank {self.rank} in K^{self.ambient_rank}, "
@@ -567,13 +611,13 @@ class Lattice:
         self._compat(other)
         return Lattice.from_columns(
             self.ring, self.ambient_rank,
-            self.generator_vectors() + other.generator_vectors())
+            [*self.generator_triples(), *other.generator_triples()])
 
     def scale_by_pi(self, e: int) -> "Lattice":
         if self.is_zero:
             return self
         return Lattice(self.ring, self.ambient_rank, self.pi_exponent + e,
-                       self.gens)
+                       self.cols)
 
     def preimage_pi(self, j: int) -> "Lattice":
         """The lattice {x in K^r : pi^j x in L}; equals pi^(-j) L in the
@@ -617,7 +661,7 @@ class Lattice:
 
     @property
     def lossy(self) -> bool:
-        return self.gens.lossy
+        return any(x[2] for c in self.cols for x in c)
 
 
 def kernel_basis(A: MatrixV):
@@ -625,6 +669,12 @@ def kernel_basis(A: MatrixV):
     res = snf(A)
     rank = len(res.diagonal_exponents)
     return [res.W.column(j) for j in range(rank, A.cols)]
+
+
+def _least_v(col):
+    """Least valuation in a nonempty column of triples, read off its least
+    triple (a tie in v never sets a unit against the None of a zero)."""
+    return min(col)[0]
 
 
 def _shifted(cols, e):

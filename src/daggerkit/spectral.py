@@ -7,9 +7,12 @@ larger exponents and rho >= 1 exactly when the exponent is <= 0.
 
 Lattice powers are computed by pairwise generator products with immediate
 Hermite reduction at every step, which keeps generator counts small and is
-exact at precision N.  ``rho1_estimate``, ``lgb_closure`` and
-``semi_dagger_probe`` share one chain S, S^2, ... per lattice (``_power``),
-so a query that asks all three builds each power once.
+exact at precision N.  Generators travel as coordinate vectors of
+(v, u, lossy) triples: each algebra context's ``_products`` multiplies two
+lists of them, and ``Lattice.from_columns`` reduces the result.
+``rho1_estimate``, ``lgb_closure`` and ``semi_dagger_probe`` share one
+chain S, S^2, ... per lattice (``_power``), so a query that asks all three
+builds each power once.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import operator
 import weakref
 from fractions import Fraction
 
-from .linalg import Lattice, MatrixV
+from .linalg import Lattice, MatrixV, _Kernel
 from .monoid import MonoidDescriptor
 from .ring import INFINITY, PrecisionExhausted, RingDescriptor, ScalarElem
 from .series import DaggerSeries, mul as series_mul
@@ -43,6 +46,16 @@ class MatrixAlgebraContext:
 
     def product(self, a: MatrixV, b: MatrixV) -> MatrixV:
         return a * b
+
+    def _products(self, xs, ys):
+        """Vectors of a * b for a in xs, then b in ys, all vectors of
+        triples: each a is cut into rows and each b into columns once, and
+        entry (i, j) is the kernel's dot of row i and column j, as in
+        ``MatrixV.__mul__``."""
+        d, dot = self.d, _Kernel(self.ring).dot
+        rows = [[x[i:i + d] for i in range(0, self.dim, d)] for x in xs]
+        cols = [[y[j::d] for j in range(d)] for y in ys]
+        return [[dot(r, c) for r in a for c in b] for a in rows for b in cols]
 
     def __repr__(self):
         return f"MatrixAlgebraContext(d={self.d})"
@@ -78,6 +91,16 @@ class SeriesAlgebraContext:
     def product(self, a: DaggerSeries, b: DaggerSeries) -> DaggerSeries:
         return series_mul(a, b, self.cocycle)
 
+    def _products(self, xs, ys):
+        """Vectors of a * b for a in xs, then b in ys, all vectors of
+        triples; the products are taken on DaggerSeries."""
+        def series(vec):
+            return self.from_vector([ScalarElem(self.ring, *x) for x in vec])
+        left, right = [series(x) for x in xs], [series(y) for y in ys]
+        return [[(c.v, c.u, c.lossy) for c in
+                 self.to_vector(self.product(a, b))]
+                for a in left for b in right]
+
     def __repr__(self):
         return (f"SeriesAlgebraContext({self.monoid!r}, "
                 f"D={self.degree_cap})")
@@ -92,15 +115,19 @@ def lattice_elements(ctx, L: Lattice):
     return [ctx.from_vector(v) for v in L.generator_vectors()]
 
 
+def _generators(ctx, L: Lattice):
+    """L's generator triples, once L is checked to lie in ctx's K^dim."""
+    if L.ring is not ctx.ring and L.ring != ctx.ring:
+        raise ValueError("ring descriptor mismatch")
+    if L.ambient_rank != ctx.dim:
+        raise ValueError("ambient rank mismatch")
+    return L.generator_triples()
+
+
 def lattice_product(ctx, L1: Lattice, L2: Lattice) -> Lattice:
     """Reduced span of pairwise products of generators."""
-    gens1 = lattice_elements(ctx, L1)
-    gens2 = lattice_elements(ctx, L2)
-    cols = []
-    for a in gens1:
-        for b in gens2:
-            cols.append(ctx.to_vector(ctx.product(a, b)))
-    return Lattice.from_columns(ctx.ring, ctx.dim, cols)
+    return Lattice.from_columns(ctx.ring, ctx.dim, ctx._products(
+        _generators(ctx, L1), _generators(ctx, L2)))
 
 
 # id(S) -> (weak reference to S, ctx, [S^2, S^3, ...]) for every lattice
@@ -296,15 +323,11 @@ def lgb_closure(S: Lattice, ctx, i_max: int):
 
 
 def pi_multiplicative(ctx, U: Lattice) -> bool:
-    """Does pi * U * U lie inside U?  (Generator products suffice.)"""
-    gens = lattice_elements(ctx, U)
-    for a in gens:
-        for b in gens:
-            prod = ctx.product(a, b)
-            vec = [x.scaled_by_pi(1) for x in ctx.to_vector(prod)]
-            if not U.membership(vec):
-                return False
-    return True
+    """Does pi * U * U lie inside U?  (Generator products suffice, and
+    pi * a * b lies in U exactly when a * b lies in pi^-1 U.)"""
+    gens = _generators(ctx, U)
+    inside = U.scale_by_pi(-1)
+    return all(inside.membership(p) for p in ctx._products(gens, gens))
 
 
 class ProbeReport:

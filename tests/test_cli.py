@@ -225,6 +225,17 @@ class TestExitCodeContract:
         assert code == 2
         assert "--vector" in out["detail"]
 
+    def test_wrong_length_generators_are_input_errors(self):
+        # an all-zero generator of the wrong length is as bad as any other
+        for entry in ("0", "1"):
+            lattice = json.dumps({"ambient_rank": 2,
+                                  "generators": [[entry, "0", "0"]]})
+            code, out = run_child(["lattice", *RING, "--op", "gauge",
+                                   "--lattice", lattice])
+            assert code == 2
+            assert out["error"] == "input"
+            assert "wrong ambient rank" in out["detail"]
+
     def test_probe_j_zero_is_input_error(self):
         code, out = run_child(["probe", *RING, "--d", "2", "--j", "0",
                                "--lattice", '[[["pi","0"],["0","1"]]]'])

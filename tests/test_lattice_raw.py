@@ -1,0 +1,313 @@
+"""Differential tests of the lattice layer on raw (v, u, lossy) triples.
+
+A ``Lattice`` keeps its Hermite columns as triples, and ``lattice_product``,
+``Lattice.sum``, ``Lattice.__eq__``, ``membership``, ``contains`` and
+``pi_multiplicative`` work on them.  The ScalarElem versions they replaced
+are kept here as the reference: generator products of ScalarElem elements,
+sums of ``generator_vectors``, equality of the ``gens`` matrices through
+``ScalarElem.__eq__`` and back-substitution on ScalarElem.  Outputs must be
+identical: the same pi_exponent, the same valuation, unit residue and
+``lossy`` flag in every Hermite entry, the same ``==`` (with a hash that
+agrees with it) and the same exceptions.  Inputs mix zero lattices, entries
+of K (negative pi_exponent), zeros, flagged zeros, effectively-zero
+entries (N <= v < inf), flagged entries and rank deficiency, over padic
+p in {2, 5} and eqchar q in {4, 5, 9} at N in {1, 3, 12, 40, 160}, in
+matrix contexts d <= 4 and one series context.
+"""
+
+import random
+
+import pytest
+
+from daggerkit.linalg import Lattice, MatrixV
+from daggerkit.monoid import MonoidDescriptor
+from daggerkit.ring import INFINITY, RingDescriptor, ScalarElem
+from daggerkit.spectral import (MatrixAlgebraContext, SeriesAlgebraContext,
+                                lattice_product, pi_multiplicative)
+
+RINGS = [("padic", 2), ("padic", 5), ("eqchar", 4), ("eqchar", 5),
+         ("eqchar", 9)]
+PRECISIONS = (1, 3, 12, 40, 160)
+CASES = [(b, base, n) for b, base in RINGS for n in PRECISIONS]
+
+
+# -- the ScalarElem reference --
+
+def ref_generator_vectors(L):
+    e = L.pi_exponent
+    return [[x if x.v == INFINITY or not e else
+             ScalarElem(x.ring, x.v + e, x.u, x.lossy) for x in col]
+            for col in zip(*L.gens.entries)]
+
+
+def ref_elements(ctx, L):
+    return [ctx.from_vector(v) for v in ref_generator_vectors(L)]
+
+
+def ref_product(ctx, a, b):
+    """The coordinate vector of a * b, by ScalarElem arithmetic."""
+    if isinstance(ctx, SeriesAlgebraContext):
+        return ctx.to_vector(ctx.product(a, b))
+    out = []
+    for i in range(ctx.d):
+        for j in range(ctx.d):
+            acc = ctx.ring.zero()
+            for k in range(ctx.d):
+                x, y = a[i, k], b[k, j]
+                if not (x.is_zero or y.is_zero):
+                    acc = acc + x * y
+            out.append(acc)
+    return out
+
+
+def ref_lattice_product(ctx, L1, L2):
+    cols = [ref_product(ctx, a, b) for a in ref_elements(ctx, L1)
+            for b in ref_elements(ctx, L2)]
+    return Lattice.from_columns(ctx.ring, ctx.dim, cols)
+
+
+def ref_sum(L1, L2):
+    if L1.ring != L2.ring:
+        raise ValueError("ring descriptor mismatch")
+    if L1.ambient_rank != L2.ambient_rank:
+        raise ValueError("ambient rank mismatch")
+    return Lattice.from_columns(
+        L1.ring, L1.ambient_rank,
+        ref_generator_vectors(L1) + ref_generator_vectors(L2))
+
+
+def ref_eq(L1, L2):
+    return (L1.ring == L2.ring and L1.ambient_rank == L2.ambient_rank
+            and ((L1.is_zero and L2.is_zero)
+                 or (L1.pi_exponent == L2.pi_exponent
+                     and L1.gens == L2.gens)))
+
+
+def ref_membership(L, vec):
+    if len(vec) != L.ambient_rank:
+        raise ValueError("ambient rank mismatch")
+    residual = [x.scaled_by_pi(-L.pi_exponent) for x in vec]
+    for j in range(L.gens.cols):
+        col = L.gens.column(j)
+        row = next(i for i, g in enumerate(col) if not g.effectively_zero)
+        x = residual[row]
+        if x.effectively_zero:
+            continue
+        if x.valuation < col[row].valuation:
+            return False
+        coeff = x / col[row]
+        residual = [r - coeff * g for r, g in zip(residual, col)]
+    return all(r.effectively_zero for r in residual)
+
+
+def ref_contains(L, M):
+    return all(ref_membership(L, g) for g in ref_generator_vectors(M))
+
+
+def ref_pi_multiplicative(ctx, U):
+    gens = ref_elements(ctx, U)
+    for a in gens:
+        for b in gens:
+            vec = [x.scaled_by_pi(1) for x in ref_product(ctx, a, b)]
+            if not ref_membership(U, vec):
+                return False
+    return True
+
+
+# -- comparison and inputs --
+
+def sig(x):
+    return (x.v, x.u, x.lossy)
+
+
+def form(L):
+    """What must agree: pi_exponent, then every Hermite entry, read both
+    from the triples and from ``gens``."""
+    if L.is_zero:
+        return ("zero", L.ambient_rank, L.gens.rows, L.gens.cols)
+    return (L.pi_exponent, [list(c) for c in L.cols],
+            [[sig(x) for x in row] for row in L.gens.entries])
+
+
+def outcome(fn, *args):
+    """form() of fn(*args) or its plain value, or what it raised."""
+    try:
+        out = fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return (type(exc), str(exc))
+    return form(out) if isinstance(out, Lattice) else out
+
+
+class Inputs:
+    """Random entries and lattices over one ring."""
+
+    def __init__(self, ring, seed):
+        self.ring = ring
+        self.rng = random.Random(seed)
+
+    def unit(self, v, lossy=False):
+        q, n = self.ring.base, self.ring.precision
+        enc = self.rng.randrange(1, q ** n)
+        if enc % q == 0:
+            enc += 1
+        x = self.ring.from_valuation_unit(v, enc)
+        return ScalarElem(self.ring, x.v, x.u, lossy)
+
+    def entry(self):
+        r, n = self.rng.random(), self.ring.precision
+        if r < 0.2:
+            return self.ring.zero()
+        if r < 0.25:
+            return ScalarElem(self.ring, INFINITY, None, lossy=True)
+        if r < 0.3:
+            return self.unit(n + self.rng.randint(0, 2))
+        return self.unit(self.rng.randint(-2, min(n - 1, 3)),
+                         lossy=self.rng.random() < 0.1)
+
+    def lattice(self, dim, rank):
+        """A lattice from rank random generators; some repeat an earlier
+        one up to pi^k or add two (rank deficiency), and the result is
+        scaled by pi^k, k in [-3, 2]."""
+        cols = [[self.entry() for _ in range(dim)] for _ in range(rank)]
+        for i in range(1, rank):
+            r = self.rng.random()
+            if r < 0.25:
+                pik = self.ring.pi(self.rng.randint(0,
+                                                    self.ring.precision + 1))
+                cols[i] = [pik * x for x in cols[self.rng.randrange(i)]]
+            elif r < 0.4:
+                cols[i] = [a + b for a, b in zip(cols[0], cols[i - 1])]
+        if self.rng.random() < 0.1:
+            cols = [[self.unit(self.ring.precision) for _ in range(dim)]]
+        L = Lattice.from_columns(self.ring, dim, cols)
+        return L.scale_by_pi(self.rng.randint(-3, 2))
+
+    def lattices(self, dim, count):
+        out = [Lattice.zero(self.ring, dim)]
+        if dim <= 4:  # V^dim has dim generators, so dim^2 products
+            out.append(Lattice.standard(self.ring, dim))
+        out += [self.lattice(dim, self.rng.randint(1, 3))
+                for _ in range(count)]
+        return out
+
+
+def contexts(ring):
+    yield from (MatrixAlgebraContext(ring, d) for d in (1, 2, 3, 4))
+    yield SeriesAlgebraContext(ring, MonoidDescriptor("N", 2), 2)
+
+
+def nudged(L, position):
+    """L with pi^(position(v)) added to the unit of each nonzero Hermite
+    entry pi^v * u whose nudge stays below pi^N."""
+    ops, N = L.ring.ops, L.ring.precision
+    cols = []
+    for c in L.cols:
+        col = []
+        for v, u, lossy in c:
+            k = position(v)
+            if v != INFINITY and 0 < k < N:
+                u = ops.add(u, ops.shift_up(ops.one(), k))
+            col.append((v, u, lossy))
+        cols.append(tuple(col))
+    return Lattice(L.ring, L.ambient_rank, L.pi_exponent, tuple(cols))
+
+
+# -- the differential tests --
+
+@pytest.mark.parametrize("backend,base,n", CASES)
+def test_products_match_the_scalar_route(backend, base, n):
+    ring = RingDescriptor(backend, base, n)
+    gen = Inputs(ring, f"product-{backend}-{base}-{n}")
+    for ctx in contexts(ring):
+        lats = gen.lattices(ctx.dim, 2)
+        for L1 in lats:
+            L2 = gen.rng.choice(lats)
+            assert outcome(lattice_product, ctx, L1, L2) == \
+                outcome(ref_lattice_product, ctx, L1, L2)
+            assert pi_multiplicative(ctx, L1) is \
+                ref_pi_multiplicative(ctx, L1)
+
+
+@pytest.mark.parametrize("backend,base,n", CASES)
+def test_sum_equality_and_membership_match(backend, base, n):
+    ring = RingDescriptor(backend, base, n)
+    gen = Inputs(ring, f"sum-{backend}-{base}-{n}")
+    for dim in (1, 3):
+        lats = gen.lattices(dim, 3)
+        lats += [L.sum(M) for L, M in zip(lats, lats[2:])]
+        for L in lats:
+            M = gen.rng.choice(lats)
+            assert outcome(L.sum, M) == outcome(ref_sum, L, M)
+            assert L.contains(M) is ref_contains(L, M)
+            probes = ref_generator_vectors(M)
+            probes.append([gen.entry() for _ in range(dim)])
+            for vec in probes:
+                assert L.membership(vec) is ref_membership(L, vec)
+                raw = [sig(x) for x in vec]
+                assert L.membership(raw) is ref_membership(L, vec)
+            # digits above the window are invisible, the top one inside is not
+            window_edge = nudged(L, lambda v: n - max(v, 0))
+            window_top = nudged(L, lambda v: n - max(v, 0) - 1)
+            for other in (M, L.sum(L), window_edge, window_top,
+                          L.scale_by_pi(1)):
+                assert (L == other) is ref_eq(L, other)
+                if L == other:
+                    assert hash(L) == hash(other)
+
+
+def test_mismatches_raise_as_before():
+    ring, other_ring = (RingDescriptor("padic", 5, n) for n in (12, 13))
+    gen = Inputs(ring, "mismatch")
+    L = gen.lattice(4, 2)
+    M = Inputs(other_ring, "mismatch").lattice(4, 2)
+    assert outcome(L.sum, M) == outcome(ref_sum, L, M)
+    assert outcome(L.sum, gen.lattice(2, 1)) == \
+        outcome(ref_sum, L, gen.lattice(2, 1))
+    assert outcome(L.membership, [ring.one()]) == \
+        outcome(ref_membership, L, [ring.one()])
+    assert L != M and L != "L"
+    ctx = MatrixAlgebraContext(ring, 2)
+    for bad in (M, gen.lattice(9, 2)):
+        for fn in (lambda: lattice_product(ctx, L, bad),
+                   lambda: lattice_product(ctx, bad, L),
+                   lambda: pi_multiplicative(ctx, bad)):
+            with pytest.raises(ValueError, match="mismatch"):
+                fn()
+
+
+# -- tier-1 guards --
+
+def test_products_sums_and_equality_build_no_scalars(monkeypatch):
+    ring = RingDescriptor("padic", 5, 40)
+    ctx = MatrixAlgebraContext(ring, 2)
+    mats = [[[1, 2], [3, 4]], [[5, 0], [1, 10]], [[0, 25], [7, 1]],
+            [[2, 0], [0, 3]]]
+    L = Lattice.from_columns(ring, 4, [[ring.scalar(x) for row in m
+                                        for x in row] for m in mats])
+    assert L.rank == 4
+    M = L.scale_by_pi(1)
+    built = {"ScalarElem": 0, "MatrixV": 0}
+    for cls in (ScalarElem, MatrixV):
+        init = cls.__init__
+
+        def counting(self, *args, _init=init, _name=cls.__name__):
+            built[_name] += 1
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting)
+    P = lattice_product(ctx, L, L)
+    S = L.sum(M)
+    assert (L == M, S == L, P == P) == (False, True, True)
+    assert built == {"ScalarElem": 0, "MatrixV": 0}
+
+
+def test_digits_above_the_window_compare_and_hash_equal():
+    ring = RingDescriptor("eqchar", 9, 6)
+    pi, u = ring.pi(2), ring.from_valuation_unit(0, 4)
+    L = Lattice.from_columns(ring, 2, [[ring.one(), pi * u],
+                                       [ring.zero(), ring.pi(5)]])
+    assert L.cols[0][1][0] == 2  # an entry pi^2 * u with a 4-digit window
+    above = nudged(L, lambda v: ring.precision - v)
+    inside = nudged(L, lambda v: ring.precision - v - 1)
+    assert above.cols != L.cols and inside.cols != L.cols
+    assert above == L and hash(above) == hash(L)
+    assert inside != L

@@ -161,6 +161,14 @@ class TestLattice:
              [ring.one(), ring.one()]])
         assert a == b
 
+    def test_wrong_length_generators_rejected_even_when_zero(self, ring):
+        z = ring.zero()
+        for cols in ([[z, z, z]], [[ring.one(), z, z]], [[z, z], [z]],
+                     [[z, ring.pi(ring.precision)]] + [[z]]):
+            with pytest.raises(ValueError, match="wrong ambient rank"):
+                Lattice.from_columns(ring, 2, cols)
+        assert Lattice.from_columns(ring, 2, [[z, z]]).is_zero
+
     def test_gauge_exponent(self, ring):
         L = Lattice.from_columns(
             ring, 2, [[ring.pi(3), ring.zero()], [ring.zero(), ring.pi(3)]])
