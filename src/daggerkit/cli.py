@@ -144,6 +144,8 @@ def cmd_monoid(args):
     monoid = serialize.monoid_from_json(_load_json(args.monoid))
     s = serialize.element_from_json(monoid, _load_json(args.s))
     if args.op == "compose":
+        if args.t is None:
+            raise SchemaError("monoid compose needs --t")
         t = serialize.element_from_json(monoid, _load_json(args.t))
         prod = compose(s, t)
         return {"product": serialize.element_to_json(prod),

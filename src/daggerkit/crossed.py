@@ -10,16 +10,17 @@ Crossed elements are finitely supported maps n -> series over N^k with a
 support cap |n| <= Dz; multiplication follows
 (a_p delta_p)(b_q delta_q) = a_p alpha_p(b_q) delta_(p+q) and certificates
 over the combined length |n| + |m| compose as (min c, k1 + k2 + 1).
+Coefficients are summed only through ``series._add_term``, in ``act`` as in
+``crossed_mul``, and certificates use the rules of ``series``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .linalg import Lattice, MatrixV
-from .monoid import MonoidDescriptor, MonoidElem
-from .ring import RingDescriptor, ScalarElem
-from .series import (DaggerSeries, GrowthCertificate, _ceil_fraction,
+from .monoid import MonoidDescriptor
+from .ring import RingDescriptor
+from .series import (DaggerSeries, GrowthCertificate, _add_term,
+                     _minimal_offset, _product_certificate,
                      mul as series_mul)
 
 
@@ -85,18 +86,11 @@ def _substitute(ring, monoid, f: DaggerSeries, matrix: MatrixV,
     """f(matrix * x + shift), computed with exact series products."""
     cap = f.degree_cap
     k = monoid.rank
-    lines = []
-    for j in range(k):
-        terms = {}
-        if not shift[j].is_zero:
-            terms[monoid.identity()] = shift[j]
-        for i in range(k):
-            c = matrix[j, i]
-            if not c.is_zero:
-                e = [0] * k
-                e[i] = 1
-                terms[monoid.element(tuple(e))] = c
-        lines.append(DaggerSeries(ring, monoid, terms, cap))
+    # line j is shift_j + sum_i matrix[j, i] x_i (DaggerSeries drops zeros)
+    basis = [monoid.identity(), *monoid.generators()]
+    lines = [DaggerSeries(ring, monoid, dict(zip(
+        basis, [shift[j]] + [matrix[j, i] for i in range(k)])), cap)
+        for j in range(k)]
     # memoised powers of each substituted coordinate
     powers = [[DaggerSeries.unit(ring, monoid, cap)] for _ in range(k)]
 
@@ -105,7 +99,6 @@ def _substitute(ring, monoid, f: DaggerSeries, matrix: MatrixV,
             powers[j].append(series_mul(powers[j][-1], lines[j]))
         return powers[j][e]
 
-    out = DaggerSeries.zero(ring, monoid, cap)
     acc = {}
     for s, x in f.terms.items():
         term = None
@@ -115,12 +108,10 @@ def _substitute(ring, monoid, f: DaggerSeries, matrix: MatrixV,
             p = power(j, e)
             term = p if term is None else series_mul(term, p)
         if term is None:
-            contrib = {monoid.identity(): x}
+            _add_term(acc, monoid.identity(), x)
         else:
-            contrib = {t: x * y for t, y in term.terms.items()}
-        for t, y in contrib.items():
-            prev = acc.get(t)
-            acc[t] = y if prev is None else prev + y
+            for t, y in term.terms.items():
+                _add_term(acc, t, x * y)
     return DaggerSeries(ring, monoid, acc, cap)
 
 
@@ -173,8 +164,8 @@ class CrossedElem:
         self.degree_cap = degree_cap
         self.truncated = truncated
         if certificate is not None:
-            _, k = crossed_certify_raw(clean, certificate.c)
-            if k > certificate.k:
+            if _minimal_offset(certificate.c, self._points()) > \
+                    certificate.k:
                 raise ValueError(
                     f"certificate {certificate!r} fails on stored terms")
         self.certificate = certificate
@@ -199,6 +190,12 @@ class CrossedElem:
 
     def support(self):
         return sorted(self.terms)
+
+    def _points(self):
+        """(|n| + |m|, nu(a_{n,m})) for every stored coefficient."""
+        return ((abs(n) + s.length, x.valuation)
+                for n, series in self.terms.items()
+                for s, x in series.terms.items())
 
     def __eq__(self, other):
         """Coefficientwise equality; certificates and flags are metadata."""
@@ -227,9 +224,10 @@ def crossed_mul(u: CrossedElem, v: CrossedElem, alpha: AffineAction,
     cap = u.z_cap if z_cap is None else z_cap
     if cap < 0:
         raise ValueError("support cap must be at least 0")
-    out: dict[int, DaggerSeries] = {}
+    # one term dict per support point, and the points whose sum truncated
+    sums: dict[int, dict] = {}
+    truncated_at = set()
     dropped = False
-    zero = DaggerSeries.zero(u.ring, u.monoid, u.degree_cap)
     for p, a_p in u.terms.items():
         for q, b_q in v.terms.items():
             n = p + q
@@ -237,40 +235,24 @@ def crossed_mul(u: CrossedElem, v: CrossedElem, alpha: AffineAction,
                 dropped = True
                 continue
             coefficient = series_mul(a_p, act(alpha, p, b_q))
-            acc = out.get(n, zero)
-            merged = dict(acc.terms)
+            terms = sums.setdefault(n, {})
             for s, x in coefficient.terms.items():
-                prev = merged.get(s)
-                merged[s] = x if prev is None else prev + x
-            out[n] = DaggerSeries(u.ring, u.monoid, merged, u.degree_cap,
-                                  truncated=acc.truncated
-                                  or coefficient.truncated)
-    cert = None
-    if u.certificate is not None and v.certificate is not None:
-        cert = GrowthCertificate(min(u.certificate.c, v.certificate.c),
-                                 u.certificate.k + v.certificate.k + 1)
-    return CrossedElem(u.ring, u.monoid, out, cap, u.degree_cap, cert,
+                _add_term(terms, s, x)
+            if coefficient.truncated:
+                truncated_at.add(n)
+    out = {n: DaggerSeries(u.ring, u.monoid, terms, u.degree_cap,
+                           truncated=n in truncated_at)
+           for n, terms in sums.items()}
+    return CrossedElem(u.ring, u.monoid, out, cap, u.degree_cap,
+                       _product_certificate(u.certificate, v.certificate),
                        truncated=dropped or u.truncated or v.truncated)
-
-
-def crossed_certify_raw(terms, c) -> tuple[bool, int]:
-    c = Fraction(c)
-    if c <= 0:
-        raise ValueError("growth constant c must be positive")
-    worst = Fraction(0)
-    for n, series in terms.items():
-        for s, x in series.terms.items():
-            gap = c * (abs(n) + s.length) - 1 - x.valuation
-            if gap > worst:
-                worst = gap
-    k = max(0, _ceil_fraction(worst))
-    return k == 0, k
 
 
 def crossed_certify(u: CrossedElem, c) -> tuple[bool, int]:
     """Minimal k with nu(a_{n,m}) + 1 + k >= c(|n| + |m|) over all stored
     coefficients; scoped to the caps (Dz, D, N)."""
-    return crossed_certify_raw(u.terms, c)
+    k = _minimal_offset(c, u._points())
+    return k == 0, k
 
 
 class BoundednessReport:
@@ -304,6 +286,8 @@ def uniform_boundedness_probe(alpha: AffineAction, U: Lattice,
     """
     from .spectral import lattice_elements, lattice_from_elements
 
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
     if U.is_zero:
         return BoundednessReport("stabilized", U, [U.gauge_exponent()], 0)
     T = U

@@ -147,6 +147,8 @@ def cocycle_to_json(c: Cocycle) -> dict:
 
 
 def cocycle_from_json(ring: RingDescriptor, obj) -> Cocycle:
+    if not isinstance(obj, (dict, type(None))):
+        raise SchemaError(f"a cocycle is a JSON object, not {obj!r}")
     if obj is None or obj.get("kind") == "trivial":
         return TrivialCocycle(ring)
     if obj.get("kind") == "bicharacter" or "lambda" in obj:

@@ -10,6 +10,8 @@ inequality preserves the bound under coefficient summation.
 
 Everything is scoped to the truncation (D, N): products drop terms above
 the cap and set a truncation flag instead of failing.
+``_add_term`` is the one place where coefficients of a series or crossed
+product are summed, so a coefficient whose summands cancelled is ``lossy``.
 """
 
 from __future__ import annotations
@@ -20,8 +22,37 @@ from .monoid import Cocycle, MonoidDescriptor, MonoidElem, TrivialCocycle, compo
 from .ring import RingDescriptor, ScalarElem
 
 
-def _ceil_fraction(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
+def _add_term(terms: dict, key, x: ScalarElem) -> None:
+    """terms[key] += x, an absent key read as zero.  A cancelled sum stays
+    as a flagged zero for the next summand; ``DaggerSeries`` prunes it."""
+    acc = terms.get(key)
+    terms[key] = x if acc is None else acc + x
+
+
+def _minimal_offset(c, points) -> int:
+    """Least k >= 0 with v + 1 + k >= c * L for every (L, v) in points."""
+    c = Fraction(c)
+    if c <= 0:
+        raise ValueError("growth constant c must be positive")
+    # with c = n / d and d > 0, max(c L - v - 1) = max(n L - d (v + 1)) / d
+    n, d = c.numerator, c.denominator
+    worst = max((n * L - d * (v + 1) for L, v in points), default=0)
+    return max(0, -(-worst // d))
+
+
+def _lower_hull(points) -> list:
+    """Vertices of the lower convex hull of points sorted by abscissa."""
+    hull: list = []
+    for x, y in points:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            # drop the middle point when it lies on or above the chord
+            if (y2 - y1) * (x - x1) >= (y - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append((x, y))
+    return hull
 
 
 class GrowthCertificate:
@@ -47,6 +78,13 @@ class GrowthCertificate:
 
     def admits(self, length: int, valuation) -> bool:
         return valuation + 1 + self.k >= self.c * length
+
+
+def _product_certificate(a, b) -> GrowthCertificate | None:
+    """(min(c1, c2), k1 + k2 + 1), or None unless both factors have one."""
+    if a is None or b is None:
+        return None
+    return GrowthCertificate(min(a.c, b.c), a.k + b.k + 1)
 
 
 class DaggerSeries:
@@ -164,14 +202,9 @@ def mul(a: DaggerSeries, b: DaggerSeries,
             if u.length > a.degree_cap:
                 dropped = True
                 continue
-            term = x * y * cocycle.value(s, t)
-            acc = out.get(u)
-            out[u] = term if acc is None else acc + term
-    cert = None
-    if a.certificate is not None and b.certificate is not None:
-        cert = GrowthCertificate(min(a.certificate.c, b.certificate.c),
-                                 a.certificate.k + b.certificate.k + 1)
-    return DaggerSeries(a.ring, a.monoid, out, a.degree_cap, cert,
+            _add_term(out, u, x * y * cocycle.value(s, t))
+    return DaggerSeries(a.ring, a.monoid, out, a.degree_cap,
+                        _product_certificate(a.certificate, b.certificate),
                         truncated=dropped or a.truncated or b.truncated)
 
 
@@ -185,9 +218,7 @@ def add_scale(a: DaggerSeries, b: DaggerSeries,
     out = dict(a.terms)
     if not s.is_zero:
         for t, y in b.terms.items():
-            term = s * y
-            acc = out.get(t)
-            out[t] = term if acc is None else acc + term
+            _add_term(out, t, s * y)
     cert = _sum_certificate(a, b, s)
     return DaggerSeries(a.ring, a.monoid, out, a.degree_cap, cert,
                         truncated=a.truncated or b.truncated)
@@ -212,15 +243,8 @@ def certify(a: DaggerSeries, c) -> tuple[bool, int]:
     """Minimal offset k with nu(x_s) + 1 + k >= c * l(s) over all stored
     terms, and whether the paper-style condition (k = 0) holds.  Scoped to
     the truncation (D, N)."""
-    c = Fraction(c)
-    if c <= 0:
-        raise ValueError("growth constant c must be positive")
-    worst = Fraction(0)
-    for s, x in a.terms.items():
-        gap = c * s.length - 1 - x.valuation
-        if gap > worst:
-            worst = gap
-    k = max(0, _ceil_fraction(worst))
+    k = _minimal_offset(c, ((s.length, x.valuation)
+                            for s, x in a.terms.items()))
     return k == 0, k
 
 
@@ -241,7 +265,7 @@ class CertificateEnvelope:
             raise ValueError("growth constant c must be positive")
         worst = max((c * L - m for L, m in self.vertices),
                     default=Fraction(0))
-        return max(0, _ceil_fraction(worst))
+        return max(0, -((-worst.numerator) // worst.denominator))
 
     def admits(self, cert: GrowthCertificate) -> bool:
         return cert.k >= self.minimal_offset(cert.c)
@@ -256,18 +280,7 @@ def best_certificate(a: DaggerSeries) -> CertificateEnvelope:
         m = by_length.get(s.length)
         if m is None or x.valuation + 1 < m:
             by_length[s.length] = x.valuation + 1
-    points = sorted(by_length.items())
-    hull: list[tuple[int, int]] = []
-    for L, m in points:
-        while len(hull) >= 2:
-            (L1, m1), (L2, m2) = hull[-2], hull[-1]
-            # drop the middle point when it lies on or above the chord
-            if (m2 - m1) * (L - L1) >= (m - m1) * (L2 - L1):
-                hull.pop()
-            else:
-                break
-        hull.append((L, m))
-    return CertificateEnvelope(hull)
+    return CertificateEnvelope(_lower_hull(sorted(by_length.items())))
 
 
 def membership_filtration(a: DaggerSeries, n: int) -> bool:
@@ -308,13 +321,12 @@ def nc_torus(ring: RingDescriptor, lam: ScalarElem, degree_cap: int):
 
 def torus_monomial(ring, monoid, cocycle, s1: int, s2: int,
                    degree_cap: int) -> DaggerSeries:
-    """U1^s1 * U2^s2 built by repeated twisted multiplication."""
-    u1 = DaggerSeries.delta(ring, monoid, monoid.element((1, 0)), degree_cap)
-    u1_inv = DaggerSeries.delta(ring, monoid, monoid.element((-1, 0)),
-                                degree_cap)
-    u2 = DaggerSeries.delta(ring, monoid, monoid.element((0, 1)), degree_cap)
-    u2_inv = DaggerSeries.delta(ring, monoid, monoid.element((0, -1)),
-                                degree_cap)
-    out = series_pow(u1, s1, cocycle, inverse=u1_inv)
-    second = series_pow(u2, s2, cocycle, inverse=u2_inv)
-    return mul(out, second, cocycle)
+    """U1^s1 * U2^s2 built by repeated twisted multiplication; each factor
+    is series_pow of U_i or of its inverse, whichever the sign asks for."""
+    def power(i, n):
+        e = [0, 0]
+        e[i] = 1 if n >= 0 else -1
+        step = DaggerSeries.delta(ring, monoid, monoid.element(e), degree_cap)
+        return series_pow(step, abs(n), cocycle)
+
+    return mul(power(0, s1), power(1, s2), cocycle)

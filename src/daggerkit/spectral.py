@@ -24,7 +24,7 @@ from fractions import Fraction
 from .linalg import Lattice, MatrixV, _Kernel
 from .monoid import MonoidDescriptor
 from .ring import INFINITY, PrecisionExhausted, RingDescriptor, ScalarElem
-from .series import DaggerSeries, mul as series_mul
+from .series import DaggerSeries, _lower_hull, mul as series_mul
 
 
 class MatrixAlgebraContext:
@@ -79,6 +79,9 @@ class SeriesAlgebraContext:
         self.dim = len(self.basis)
 
     def to_vector(self, a: DaggerSeries):
+        if a.ring != self.ring or a.monoid != self.monoid or \
+                a.max_length() > self.degree_cap:
+            raise ValueError(f"series outside {self!r} over {self.ring!r}")
         vec = [self.ring.zero()] * self.dim
         for s, x in a.terms.items():
             vec[self.index[s]] = x
@@ -279,25 +282,12 @@ def newton_polygon_rho(a: MatrixV):
     valuation equals lim nu(a^n)/n for diagonalisable (and nilpotent)
     matrices.
     """
-    ring = a.ring
-    coeffs = characteristic_polynomial(a)
-    points = []
-    for i, c in enumerate(coeffs):
-        if not c.effectively_zero:
-            points.append((i, c.valuation))
+    points = [(i, c.valuation)
+              for i, c in enumerate(characteristic_polynomial(a))
+              if not c.effectively_zero]
     if len(points) <= 1:
         return INFINITY
-    # lower convex hull, scanning degrees upward
-    hull = []
-    for (i, v) in points:
-        while len(hull) >= 2:
-            (i1, v1), (i2, v2) = hull[-2], hull[-1]
-            if (v2 - v1) * (i - i1) >= (v - v1) * (i2 - i1):
-                hull.pop()
-            else:
-                break
-        hull.append((i, v))
-    (i1, v1), (i2, v2) = hull[-2], hull[-1]
+    (i1, v1), (i2, v2) = _lower_hull(points)[-2:]
     # the rightmost hull segment carries the roots of minimal valuation
     return Fraction(v1 - v2, i2 - i1)
 
@@ -308,6 +298,8 @@ def lgb_closure(S: Lattice, ctx, i_max: int):
     Returns (chain, stabilized_at) where stabilized_at is the first i with
     L_i = L_(i+1), or None if the chain is still growing at i_max.
     """
+    if i_max < 1:
+        raise ValueError("i_max must be at least 1")
     ring = ctx.ring
     chain = [S]
     stabilized_at = None
@@ -350,6 +342,8 @@ def semi_dagger_probe(S: Lattice, ctx, m: int, j_list, l_max: int = 8):
     tracking gauge exponents of the powers and of their partial sums."""
     if m < 1:
         raise ValueError("m must be at least 1")
+    if l_max < 1:
+        raise ValueError("l_max must be at least 1")
     if any(j < 1 for j in j_list):
         raise ValueError("every j must be at least 1")
     reports = {}

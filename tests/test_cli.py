@@ -242,6 +242,54 @@ class TestExitCodeContract:
         assert code == 2
         assert out["error"] == "input"
 
+    def test_cocycle_that_is_not_an_object_is_schema_error(self, capsys):
+        a = TestSeriesCommands.SERIES
+        for blob in ("[]", "1", '"x"'):
+            for argv in (["cocycle-check", *RING, "--cocycle", blob,
+                          "--monoid", '{"kind":"Z","rank":2}'],
+                         ["series-mul", *RING, "--a", a, "--b", a,
+                          "--cocycle", blob]):
+                code, out = run(capsys, argv)
+                assert code == 2
+                assert "JSON object" in out["detail"]
+
+    def test_monoid_compose_without_t_is_schema_error(self, capsys):
+        code, out = run(capsys, ["monoid", "--monoid", '{"kind":"N","rank":1}',
+                                 "--op", "compose", "--s", "[1]"])
+        assert code == 2
+        assert "--t" in out["detail"]
+
+    def test_ubprobe_term_above_degree_cap_is_input_error(self, capsys):
+        ring = RingDescriptor("padic", 5, 20)
+        n1 = MonoidDescriptor("N", 1)
+        gen = DaggerSeries(ring, n1, {n1.element((3,)): ring.one()}, 4)
+        lattice = json.dumps([serialize.series_to_json(gen)])
+        argv = ["ubprobe", *RING, "--action", '{"a":[["1"]],"b":["1"]}',
+                "--lattice", lattice]
+        code, out = run(capsys, argv + ["--D", "2"])
+        assert code == 2
+        assert out["error"] == "input"
+        code, out = run(capsys, argv + ["--D", "3"])
+        assert code == 0
+
+    def test_iteration_budgets_below_one_are_input_errors(self, capsys):
+        ubprobe = ["ubprobe", *RING, "--action", '{"a":[["1"]],"b":["1"]}',
+                   "--lattice", json.dumps([serialize.series_to_json(
+                       DaggerSeries.unit(RingDescriptor("padic", 5, 20),
+                                         MonoidDescriptor("N", 1), 4))])]
+        lattice = '[[["pi","0"],["0","1"]]]'
+        probe = ["probe", *RING, "--d", "2", "--lattice", lattice]
+        closure = ["closure", *RING, "--d", "2", "--lattice", lattice]
+        for argv in (ubprobe + ["--depth", "-1"], ubprobe + ["--depth", "0"],
+                     probe + ["--lmax", "0"], closure + ["--imax", "0"]):
+            code, out = run(capsys, argv)
+            assert code == 2, argv
+            assert "at least 1" in out["detail"]
+        for argv in (ubprobe + ["--depth", "1"], probe + ["--lmax", "1"],
+                     closure + ["--imax", "1"]):
+            code, out = run(capsys, argv)
+            assert code in (0, 1), argv
+
     def test_crossed_dz_caps_the_product(self):
         ring = RingDescriptor("padic", 5, 20)
         n1 = MonoidDescriptor("N", 1)

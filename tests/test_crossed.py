@@ -219,6 +219,17 @@ class TestUniformBoundedness:
         assert report.verdict == "stabilized"
         assert report.lattice.is_zero
 
+    def test_depth_below_one_rejected(self, ring):
+        from daggerkit.linalg import Lattice
+        ctx = SeriesAlgebraContext(ring, N1, 3)
+        alpha = shift_action(ring)
+        U = lattice_from_elements(ctx, [poly(ring, N1, 3, {(1,): 1})])
+        for lattice in (U, Lattice.zero(ring, ctx.dim)):
+            for depth in (0, -1):
+                with pytest.raises(ValueError):
+                    uniform_boundedness_probe(alpha, lattice, ctx, depth)
+        assert uniform_boundedness_probe(alpha, U, ctx, 1).steps == 1
+
     def test_strict_sublattice_grows_to_invariant(self, ring):
         # span{x} is not shift-invariant; the probe should grow it and
         # stabilise inside the degree-1 coefficient lattice

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from daggerkit.monoid import (BicharacterCocycle, MonoidDescriptor,
-                              TrivialCocycle)
+                              TableCocycle, TrivialCocycle)
 from daggerkit.ring import RingDescriptor
 from daggerkit.series import (DaggerSeries, GrowthCertificate, add_scale,
                               best_certificate, certify,
@@ -240,6 +240,35 @@ class TestTorusPowers:
         cube = series_pow(u1, 3, c)
         assert cube == DaggerSeries.delta(ring, monoid,
                                           monoid.element((3, 0)), 6)
+
+    def test_powers_multiply_left_to_right(self, ring):
+        # this table breaks the cocycle identity, so ((1 * U) * U) * U and
+        # U * (U * U) differ, and so do U^4 and the binary (U^2)^2: the
+        # powers must be the left-to-right chain
+        def e(a, b):
+            return Z2.element((a, b))
+
+        table = TableCocycle(ring, {
+            (e(2, 0), e(1, 0)): ring.scalar(2),
+            (e(1, 0), e(2, 0)): ring.scalar(11),
+            (e(3, 0), e(1, 0)): ring.scalar(19),
+            (e(2, 0), e(2, 0)): ring.scalar(17),
+            (e(0, -2), e(0, -1)): ring.scalar(3),
+            (e(0, -1), e(0, -2)): ring.scalar(13),
+            (e(3, 0), e(0, -3)): ring.scalar(7)})
+
+        def delta(a, b, x=1):
+            return DaggerSeries.delta(ring, Z2, e(a, b), 6, ring.scalar(x))
+
+        u1 = delta(1, 0)
+        assert series_pow(u1, 3, table) == delta(3, 0, 2)
+        assert mul(u1, mul(u1, u1, table), table) == delta(3, 0, 11)
+        assert series_pow(u1, 4, table) == delta(4, 0, 2 * 19)
+        square = series_pow(u1, 2, table)
+        assert mul(square, square, table) == delta(4, 0, 17)
+        # U1^3 U2^-3: (2) from U1^3, (3) from U2^-3, (7) joining them
+        assert torus_monomial(ring, Z2, table, 3, -3, 6) == \
+            delta(3, -3, 2 * 3 * 7)
 
 
 class TestDescriptorChecks:

@@ -10,6 +10,7 @@ from daggerkit import spectral
 from daggerkit.linalg import Lattice, MatrixV
 from daggerkit.monoid import MonoidDescriptor
 from daggerkit.ring import INFINITY, RingDescriptor
+from daggerkit.series import DaggerSeries
 from daggerkit.spectral import (MatrixAlgebraContext, SeriesAlgebraContext,
                                 characteristic_polynomial, gauge_exponent,
                                 lattice_from_elements, lattice_product,
@@ -284,6 +285,41 @@ class TestCharacteristicPolynomial:
     def test_non_square_rejected(self, ring):
         with pytest.raises(ValueError):
             characteristic_polynomial(MatrixV(ring, [[ring.one()] * 2]))
+
+
+class TestSeriesContext:
+    def test_series_outside_the_context_rejected(self, ring):
+        n1 = MonoidDescriptor("N", 1)
+        sctx = SeriesAlgebraContext(ring, n1, 2)
+        outside = [
+            # a term above the context's degree cap
+            DaggerSeries(ring, n1, {n1.element((3,)): ring.one()}, 4),
+            # another monoid, another ring
+            DaggerSeries.unit(ring, MonoidDescriptor("N", 2), 2),
+            DaggerSeries.unit(RingDescriptor("padic", 5, 12), n1, 2)]
+        for a in outside:
+            with pytest.raises(ValueError):
+                sctx.to_vector(a)
+            with pytest.raises(ValueError):
+                lattice_from_elements(sctx, [DaggerSeries.unit(ring, n1, 2),
+                                             a])
+        # a larger cap is fine while every term fits
+        inside = DaggerSeries(ring, n1, {n1.element((2,)): ring.one()}, 4)
+        assert sctx.to_vector(inside)[2] == ring.one()
+
+
+class TestIterationBudgets:
+    def test_budgets_below_one_rejected(self, ring, ctx):
+        S = singleton(ctx, mat(ring, [[0, 1], [0, 0]]))
+        for budget in (0, -1):
+            with pytest.raises(ValueError):
+                lgb_closure(S, ctx, budget)
+            with pytest.raises(ValueError):
+                semi_dagger_probe(S, ctx, 1, [1], l_max=budget)
+        # a budget of 1 is a result, not an error
+        assert lgb_closure(S, ctx, 1)[1] == 0
+        assert semi_dagger_probe(S, ctx, 1, [1], l_max=1)[1].verdict == \
+            "inconclusive"
 
 
 class TestLgbClosure:
