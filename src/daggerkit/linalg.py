@@ -4,14 +4,18 @@ Smith-style diagonalisation, torsion-freeness of finitely presented
 modules, canonical column Hermite forms for finitely generated lattices,
 pi-preimages, and divisibility in quotients.
 
+Stored form: matrices and lattices keep their entries as raw
+(v, u, lossy) triples, the valuation, unit residue and flag of a
+ScalarElem.  A ``MatrixV`` holds its rows in ``raw`` and a ``Lattice`` its
+Hermite columns in ``cols``; the ScalarElem values a caller reads
+(``MatrixV.entries``, ``m[i, j]``, ``column``, ``Lattice.gens``) are views
+built from them.  Equality of matrices and lattices is
+``RingDescriptor.same`` on the triples, the rule ScalarElem's ``==`` uses.
+
 One elimination kernel, ``_Kernel``, does the arithmetic of matrix
 products, ``det``, ``inverse``, ``snf``, the Hermite form behind
 ``Lattice.from_columns`` and ``Lattice.membership`` (after Storjohann,
-*Algorithms for Matrix Canonical Forms*, 2000) on raw (v, u, lossy)
-triples; a public call converts its ScalarElem inputs and outputs once.
-A ``Lattice`` keeps its Hermite columns as such triples (``Lattice.cols``),
-so lattice sums, products, equality and membership stay on triples; its
-ScalarElem matrix ``gens`` is built from them the first time it is read.
+*Algorithms for Matrix Canonical Forms*, 2000) on these triples.
 Its parts: a pivot search for the first entry of least valuation below N
 (over a DVR it divides every entry in scope, so one pass per pivot
 suffices and precision loss is minimised), one row update
@@ -28,6 +32,9 @@ it as an unflagged zero, and ``snf`` sets ``SNFResult.flagged``.
 
 from __future__ import annotations
 
+import operator
+from itertools import chain
+
 from .ring import INFINITY, PrecisionExhausted, RingDescriptor, ScalarElem
 
 _ZERO = (INFINITY, None, False)
@@ -37,22 +44,19 @@ _LOST = (INFINITY, None, True)  # a sum that cancelled to zero
 def _raw(ring, xs):
     """(v, u, lossy) triples of scalars that must belong to ``ring``; a
     vector that is already triples passes through."""
-    xs = list(xs)
+    xs = tuple(xs)
     if xs and type(xs[0]) is tuple:
         return xs
     for x in xs:
         if x.ring is not ring and x.ring != ring:
             raise ValueError("ring descriptor mismatch")
-    return [(x.v, x.u, x.lossy) for x in xs]
+    return tuple((x.v, x.u, x.lossy) for x in xs)
 
 
-def _raw_rows(M):
-    return [[(x.v, x.u, x.lossy) for x in row] for row in M.entries]
-
-
-def _matrix(ring, rows):
-    return MatrixV(ring, [[ScalarElem(ring, v, u, lossy)
-                           for v, u, lossy in row] for row in rows])
+def _eye(ring, n):
+    """Rows of the n x n identity as triples."""
+    one = (0, ring.ops.one(), False)
+    return [[one if i == j else _ZERO for j in range(n)] for i in range(n)]
 
 
 class _Kernel:
@@ -67,6 +71,7 @@ class _Kernel:
                                                 ops.inv, ops.neg)
         self.mul, self.add, self.val = ops.mul, ops.add, ops.val
         self.up, self.down = ops.shift_up, ops.shift_down
+        self._last_inv = (None, None)
 
     def pivot(self, entries):
         """(key, v) of the first entry of least valuation below N among
@@ -83,11 +88,19 @@ class _Kernel:
                 for r in rows]
 
     def over(self, a, b):
+        """a / b.  A unit of 1 (a pivot that ``scale`` made an exact power
+        of pi) is not inverted, and the last inverse is kept, so the rows
+        cleared against one pivot invert its unit once."""
         if b[0] == INFINITY:
             raise ZeroDivisionError("division by zero")
         if a[0] == INFINITY:
             return (INFINITY, None, a[2])
-        return (a[0] - b[0], self.mul(a[1], self.inv(b[1])), a[2] or b[2])
+        u = a[1]
+        if b[1] != self.one:
+            if self._last_inv[0] != b[1]:
+                self._last_inv = (b[1], self.inv(b[1]))
+            u = self.mul(u, self._last_inv[1])
+        return (a[0] - b[0], u, a[2] or b[2])
 
     def floor(self, x, e):
         """The quotient of ``x.split_at_pi_power(e)``, x nonzero in V."""
@@ -156,58 +169,71 @@ class _Kernel:
 
 
 class MatrixV:
-    """A dense matrix of scalars sharing one ring descriptor."""
+    """A dense matrix over one ring, built from rows of ScalarElem or of
+    (v, u, lossy) triples.
 
-    __slots__ = ("ring", "rows", "cols", "entries")
+    The stored form is ``raw``, a tuple of rows of triples, which products,
+    ``det``, ``inverse`` and ``snf`` read directly.  ``entries``, the rows
+    as ScalarElem, is a view built the first time it is read; ``m[i, j]``,
+    ``column`` and ``apply`` build only the values they return.
+    """
+
+    __slots__ = ("ring", "rows", "cols", "raw", "_entries")
 
     def __init__(self, ring: RingDescriptor, entries):
         self.ring = ring
-        self.entries = tuple(tuple(row) for row in entries)
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.rows else 0
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix")
-            for x in row:
-                if x.ring is not ring and x.ring != ring:
-                    raise ValueError("ring descriptor mismatch in matrix")
+        self.raw = tuple(_raw(ring, row) for row in entries)
+        self.rows = len(self.raw)
+        self.cols = len(self.raw[0]) if self.rows else 0
+        if any(len(row) != self.cols for row in self.raw):
+            raise ValueError("ragged matrix")
+        self._entries = None
 
     @classmethod
     def identity(cls, ring: RingDescriptor, n: int) -> "MatrixV":
-        one, zero = ring.one(), ring.zero()
-        return cls(ring, [[one if i == j else zero for j in range(n)]
-                          for i in range(n)])
+        return cls(ring, _eye(ring, n))
 
     @classmethod
     def zero(cls, ring: RingDescriptor, rows: int, cols: int) -> "MatrixV":
-        z = ring.zero()
-        return cls(ring, [[z] * cols for _ in range(rows)])
+        return cls(ring, [(_ZERO,) * cols] * rows)
+
+    @property
+    def entries(self):
+        """The rows as ScalarElem, built on first read."""
+        if self._entries is None:
+            ring = self.ring
+            self._entries = tuple(tuple(ScalarElem(ring, *x) for x in row)
+                                  for row in self.raw)
+        return self._entries
 
     def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
+        return ScalarElem(self.ring, *self.raw[ij[0]][ij[1]])
 
     def __eq__(self, other):
-        return (isinstance(other, MatrixV) and self.ring == other.ring
-                and self.entries == other.entries)
+        return (isinstance(other, MatrixV)
+                and (self.ring is other.ring or self.ring == other.ring)
+                and (self.rows, self.cols) == (other.rows, other.cols)
+                and self.ring.same(chain.from_iterable(self.raw),
+                                   chain.from_iterable(other.raw)))
 
     def __hash__(self):
-        return hash((self.ring, self.entries))
+        seen = map(self.ring.seen, chain.from_iterable(self.raw))
+        return hash((self.ring, self.rows, self.cols, tuple(seen)))
 
     def __repr__(self):
         body = "; ".join(" ".join(repr(x) for x in row) for row in self.entries)
         return f"MatrixV[{body}]"
 
     def __add__(self, other: "MatrixV") -> "MatrixV":
-        self._shape_check(other, same=True)
-        return MatrixV(self.ring,
-                       [[a + b for a, b in zip(r1, r2)]
-                        for r1, r2 in zip(self.entries, other.entries)])
+        return self._entrywise(operator.add, other)
 
     def __sub__(self, other: "MatrixV") -> "MatrixV":
+        return self._entrywise(operator.sub, other)
+
+    def _entrywise(self, op, other):
         self._shape_check(other, same=True)
-        return MatrixV(self.ring,
-                       [[a - b for a, b in zip(r1, r2)]
-                        for r1, r2 in zip(self.entries, other.entries)])
+        return MatrixV(self.ring, [list(map(op, r1, r2)) for r1, r2
+                                   in zip(self.entries, other.entries)])
 
     def __neg__(self) -> "MatrixV":
         return MatrixV(self.ring, [[-a for a in row] for row in self.entries])
@@ -216,9 +242,9 @@ class MatrixV:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
         self._shape_check(other)
-        dot, cols = _Kernel(self.ring).dot, list(zip(*_raw_rows(other)))
-        return _matrix(self.ring, [[dot(row, col) for col in cols]
-                                   for row in _raw_rows(self)])
+        dot, cols = _Kernel(self.ring).dot, list(zip(*other.raw))
+        return MatrixV(self.ring, [[dot(row, col) for col in cols]
+                                   for row in self.raw])
 
     def _shape_check(self, other, same=False):
         if self.ring is not other.ring and self.ring != other.ring:
@@ -230,27 +256,20 @@ class MatrixV:
         return MatrixV(self.ring, [[a * s for a in row] for row in self.entries])
 
     def scaled_by_pi(self, e: int) -> "MatrixV":
-        return MatrixV(self.ring,
-                       [[a.scaled_by_pi(e) for a in row] for row in self.entries])
+        return MatrixV(self.ring, _shifted(self.raw, e))
 
     def column(self, j: int):
-        return [self.entries[i][j] for i in range(self.rows)]
+        return [ScalarElem(self.ring, *row[j]) for row in self.raw]
 
     def min_valuation(self):
-        v = INFINITY
-        for row in self.entries:
-            for x in row:
-                if x.valuation < v:
-                    v = x.valuation
-        return v
+        return min((x[0] for row in self.raw for x in row), default=INFINITY)
 
     def apply(self, vec):
         """Matrix-vector product."""
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
         dot, col = _Kernel(self.ring).dot, _raw(self.ring, vec)
-        return [ScalarElem(self.ring, *dot(row, col))
-                for row in _raw_rows(self)]
+        return [ScalarElem(self.ring, *dot(row, col)) for row in self.raw]
 
     def det(self) -> ScalarElem:
         """Determinant by Gaussian elimination over K with minimal-valuation
@@ -258,7 +277,7 @@ class MatrixV:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         n, kern = self.rows, _Kernel(self.ring)
-        work, det = _raw_rows(self), (0, kern.one, False)
+        work, det = list(self.raw), (0, kern.one, False)
         for k in range(n):
             i0, _ = kern.pivot((i, work[i][k]) for i in range(k, n))
             if i0 is None:
@@ -278,7 +297,7 @@ class MatrixV:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n, kern = self.rows, _Kernel(self.ring)
-        work, aug = _raw_rows(self), _raw_rows(MatrixV.identity(self.ring, n))
+        work, aug = list(self.raw), _eye(self.ring, n)
         for k in range(n):
             i0, _ = kern.pivot((i, work[i][k]) for i in range(k, n))
             if i0 is None:
@@ -288,23 +307,17 @@ class MatrixV:
             kern.scale([work, aug], k,
                        kern.over((0, kern.one, False), work[k][k]))
             kern.eliminate([work, aug], k, k, lambda i, x: x)
-        return _matrix(self.ring, aug)
+        return MatrixV(self.ring, aug)
 
     def kronecker(self, other: "MatrixV") -> "MatrixV":
         self._shape_check(other)
-        out = []
-        for i in range(self.rows):
-            for k in range(other.rows):
-                row = []
-                for j in range(self.cols):
-                    for l in range(other.cols):
-                        row.append(self.entries[i][j] * other.entries[k][l])
-                out.append(row)
-        return MatrixV(self.ring, out)
+        return MatrixV(self.ring, [[a * b for a in r1 for b in r2]
+                                   for r1 in self.entries
+                                   for r2 in other.entries])
 
     @property
     def lossy(self) -> bool:
-        return any(x.lossy for row in self.entries for x in row)
+        return any(x[2] for row in self.raw for x in row)
 
 
 class SNFResult:
@@ -321,10 +334,10 @@ class SNFResult:
         """Exponents a_i of the nonzero diagonal entries, weakly increasing."""
         out = []
         for i in range(min(self.D.rows, self.D.cols)):
-            x = self.D[i, i]
-            if x.is_zero:
+            v = self.D.raw[i][i][0]
+            if v == INFINITY:
                 break
-            out.append(x.valuation)
+            out.append(v)
         return out
 
 
@@ -339,8 +352,7 @@ def snf(A: MatrixV) -> SNFResult:
     if A.min_valuation() < 0:
         raise ValueError("snf needs entries in V (nonnegative valuations)")
     m, n, kern = A.rows, A.cols, _Kernel(ring)
-    work, U, W = (_raw_rows(M) for M in (A, MatrixV.identity(ring, m),
-                                         MatrixV.identity(ring, n)))
+    work, U, W = [list(row) for row in A.raw], _eye(ring, m), _eye(ring, n)
     flagged = A.lossy
     for k in range(min(m, n)):
         piv, piv_v = kern.pivot(((i, j), work[i][j]) for i in range(k, m)
@@ -362,7 +374,7 @@ def snf(A: MatrixV) -> SNFResult:
     D = kern.cleared(work)
     # clearing an effectively-zero entry flags the form, as does any flag
     flagged = flagged or D != work or any(x[2] for row in D for x in row)
-    return SNFResult(_matrix(ring, U), _matrix(ring, D), _matrix(ring, W),
+    return SNFResult(MatrixV(ring, U), MatrixV(ring, D), MatrixV(ring, W),
                      flagged)
 
 
@@ -407,7 +419,7 @@ class ModulePresentation:
 
     def quotient_is_zero(self, v) -> bool:
         """Is [v] = 0 in the cokernel, i.e. v in im(relations)?"""
-        cols = [self.relations.column(j) for j in range(self.relations.cols)]
+        cols = list(zip(*self.relations.raw))
         if not cols:
             return all(x.is_zero for x in v)
         return self._solve_membership(cols, v)
@@ -420,11 +432,10 @@ class ModulePresentation:
             raise PrecisionExhausted(
                 f"divisibility by pi^{m} is not decidable at precision "
                 f"{self.ring.precision}")
-        cols = [self.relations.column(j) for j in range(self.relations.cols)]
-        zero = self.ring.zero()
+        cols = list(zip(*self.relations.raw))
         for i in range(self.ambient_rank):
-            col = [zero] * self.ambient_rank
-            col[i] = self.ring.pi(m)
+            col = [_ZERO] * self.ambient_rank
+            col[i] = (m, self.ring.ops.one(), False)
             cols.append(col)
         return self._solve_membership(cols, v)
 
@@ -446,7 +457,7 @@ class ModulePresentation:
         for i in range(m * n):
             row = []
             for b in blocks:
-                row.extend(b.entries[i])
+                row.extend(b.raw[i])
             rows.append(row)
         return ModulePresentation(self.ring, m * n, MatrixV(self.ring, rows))
 
@@ -467,12 +478,11 @@ class Lattice:
     rows up to canonical residues, and minimal entry valuation 0.  Equality
     of lattices is equality of the pair (e, H) at precision N.
 
-    e is ``pi_exponent``; H is ``cols``, a tuple of columns, each a tuple of
-    (v, u, lossy) triples.  ``gens`` is H as a MatrixV of ScalarElem, built
-    from ``cols`` the first time it is read.
+    e is ``pi_exponent``; H is ``cols``, the stored form: a tuple of
+    columns, each a tuple of (v, u, lossy) triples.
     """
 
-    __slots__ = ("ring", "ambient_rank", "pi_exponent", "cols", "_gens",
+    __slots__ = ("ring", "ambient_rank", "pi_exponent", "cols",
                  "__weakref__")
 
     def __init__(self, ring, ambient_rank, pi_exponent, cols):
@@ -480,15 +490,12 @@ class Lattice:
         self.ambient_rank = ambient_rank
         self.pi_exponent = pi_exponent
         self.cols = cols
-        self._gens = None
 
     @property
     def gens(self) -> MatrixV:
-        """H as a MatrixV of ScalarElem, built on first read."""
-        if self._gens is None:
-            self._gens = (_matrix(self.ring, zip(*self.cols)) if self.cols
-                          else MatrixV.zero(self.ring, self.ambient_rank, 0))
-        return self._gens
+        """A view of H as a MatrixV, one row per ambient coordinate."""
+        return (MatrixV(self.ring, zip(*self.cols)) if self.cols
+                else MatrixV.zero(self.ring, self.ambient_rank, 0))
 
     # -- construction --
 
@@ -498,10 +505,8 @@ class Lattice:
 
     @classmethod
     def standard(cls, ring: RingDescriptor, ambient_rank: int) -> "Lattice":
-        one = (0, ring.ops.one(), False)
-        return cls(ring, ambient_rank, 0, tuple(
-            tuple(one if i == j else _ZERO for i in range(ambient_rank))
-            for j in range(ambient_rank)))
+        return cls(ring, ambient_rank, 0,
+                   tuple(map(tuple, _eye(ring, ambient_rank))))
 
     @classmethod
     def from_columns(cls, ring, ambient_rank, columns) -> "Lattice":
@@ -522,8 +527,7 @@ class Lattice:
 
     @classmethod
     def from_matrix_columns(cls, mat: MatrixV) -> "Lattice":
-        return cls.from_columns(mat.ring, mat.rows,
-                                [mat.column(j) for j in range(mat.cols)])
+        return cls.from_columns(mat.ring, mat.rows, zip(*mat.raw))
 
     # -- queries --
 
@@ -574,14 +578,6 @@ class Lattice:
         self._compat(other)
         return all(self.membership(g) for g in other.generator_triples())
 
-    def _seen(self, x):
-        """What equality sees of an entry x, as ScalarElem.__eq__: None when
-        effectively zero, else v and the unit digits inside the window
-        pi^(N - max(v, 0))."""
-        v, N = x[0], self.ring.precision
-        return None if v >= N else \
-            (v, self.ring.ops.mod_pi_power(x[1], N - max(v, 0)))
-
     def __eq__(self, other):
         if not (isinstance(other, Lattice)
                 and (self.ring is other.ring or self.ring == other.ring)
@@ -590,16 +586,14 @@ class Lattice:
             return False
         if not self.cols:
             return True
-        # equal v and u need no windowing
-        seen = self._seen
-        return self.pi_exponent == other.pi_exponent and all(
-            x[:2] == y[:2] or seen(x) == seen(y)
-            for c, d in zip(self.cols, other.cols) for x, y in zip(c, d))
+        return (self.pi_exponent == other.pi_exponent
+                and self.ring.same(chain.from_iterable(self.cols),
+                                   chain.from_iterable(other.cols)))
 
     def __hash__(self):
+        seen = map(self.ring.seen, chain.from_iterable(self.cols))
         return hash((self.ring, self.ambient_rank,
-                     self.pi_exponent if self.cols else None,
-                     tuple(self._seen(x) for c in self.cols for x in c)))
+                     self.pi_exponent if self.cols else None, tuple(seen)))
 
     def __repr__(self):
         return (f"Lattice(rank {self.rank} in K^{self.ambient_rank}, "
@@ -632,23 +626,19 @@ class Lattice:
         if self.is_zero or other.is_zero:
             return Lattice.zero(self.ring, self.ambient_rank)
         e = min(self.pi_exponent, other.pi_exponent)
-        g1 = [[x.scaled_by_pi(self.pi_exponent - e) for x in c]
-              for c in (self.gens.column(j) for j in range(self.gens.cols))]
-        g2 = [[x.scaled_by_pi(other.pi_exponent - e) for x in c]
-              for c in (other.gens.column(j) for j in range(other.gens.cols))]
-        stacked = MatrixV(self.ring,
-                          [[*(c[i] for c in g1), *((-c[i]) for c in g2)]
-                           for i in range(self.ambient_rank)])
-        kernel = kernel_basis(stacked)
-        n1 = len(g1)
+        neg, kern = self.ring.ops.neg, _Kernel(self.ring)
+        g1 = _shifted(self.cols, self.pi_exponent - e)
+        g2 = [[x if x[0] == INFINITY else (x[0], neg(x[1]), x[2]) for x in c]
+              for c in _shifted(other.cols, other.pi_exponent - e)]
         gens = []
-        for z in kernel:
-            vec = [self.ring.zero()] * self.ambient_rank
-            for idx in range(n1):
-                if not z[idx].is_zero:
-                    vec = [a + z[idx] * b for a, b in zip(vec, g1[idx])]
-            gens.append([x.scaled_by_pi(e) for x in vec])
-        return Lattice.from_columns(self.ring, self.ambient_rank, gens)
+        for z in _kernel_triples(MatrixV(self.ring, zip(*g1, *g2))):
+            vec = [_ZERO] * self.ambient_rank
+            for x, col in zip(z, g1):
+                if x[0] != INFINITY:  # vec + x * col, as vec - (-x) * col
+                    vec = kern.update(vec, (x[0], neg(x[1]), x[2]), col)
+            gens.append(vec)
+        return Lattice.from_columns(self.ring, self.ambient_rank,
+                                    _shifted(gens, e))
 
     def intersect_with_standard(self) -> "Lattice":
         return self.intersect(Lattice.standard(self.ring, self.ambient_rank))
@@ -666,9 +656,14 @@ class Lattice:
 
 def kernel_basis(A: MatrixV):
     """A V-basis of ker(A : V^n -> V^m), read off the Smith form."""
+    return [[ScalarElem(A.ring, *x) for x in z] for z in _kernel_triples(A)]
+
+
+def _kernel_triples(A: MatrixV):
+    """``kernel_basis`` as columns of (v, u, lossy) triples: the columns of
+    W past the rank of the Smith form."""
     res = snf(A)
-    rank = len(res.diagonal_exponents)
-    return [res.W.column(j) for j in range(rank, A.cols)]
+    return list(zip(*res.W.raw))[len(res.diagonal_exponents):]
 
 
 def _least_v(col):
@@ -678,7 +673,7 @@ def _least_v(col):
 
 
 def _shifted(cols, e):
-    """Columns of triples multiplied by pi^e (``scaled_by_pi``)."""
+    """Columns (or rows) of triples multiplied by pi^e (``scaled_by_pi``)."""
     if not e:
         return cols
     return [[x if x[0] == INFINITY else (x[0] + e, x[1], x[2]) for x in c]

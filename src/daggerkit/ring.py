@@ -412,6 +412,24 @@ class RingDescriptor:
         return (f"RingDescriptor({self.backend}, {sym}={self.base}, "
                 f"N={self.precision})")
 
+    def seen(self, x):
+        """What equality sees of an entry x = (v, u, ...): None when it is
+        effectively zero (v >= N), else v and the unit digits inside the
+        window pi^(N - max(v, 0)).  Those determine pi^v * u modulo pi^N;
+        digits above the window depend on the order in which the value was
+        computed.  ScalarElem, MatrixV and Lattice compare and hash by it.
+        """
+        v, N = x[0], self.precision
+        return None if v >= N else \
+            (v, self.ops.mod_pi_power(x[1], N - max(v, 0)))
+
+    def same(self, xs, ys):
+        """Entrywise equality under ``seen`` of two sequences of entries;
+        equal v and u need no windowing."""
+        seen = self.seen
+        return all(x[:2] == y[:2] or seen(x) == seen(y)
+                   for x, y in zip(xs, ys))
+
     def zero(self) -> "ScalarElem":
         return ScalarElem(self, INFINITY, None)
 
@@ -591,35 +609,25 @@ class ScalarElem:
     # -- comparison and display --
 
     def _comparable_unit(self):
-        """Unit digits inside the absolute window pi^N.
-
-        An element pi^v * u with v >= 0 is determined modulo pi^N by its
-        valuation and the bottom N - v unit digits; digits above the window
-        depend on the order in which a value was computed and are excluded
-        from equality.
-        """
+        """Unit digits inside the absolute window pi^N that equality sees
+        (``RingDescriptor.seen``): None for zero, 0 when N <= v < inf."""
         if self.is_zero:
             return None
-        window = self.ring.precision - max(self.v, 0)
-        if window <= 0:
-            return 0
-        return self.ring.ops.mod_pi_power(self.u, window)
+        seen = self.ring.seen((self.v, self.u))
+        return 0 if seen is None else seen[1]
 
     def __eq__(self, other):
         if not isinstance(other, ScalarElem):
             return NotImplemented
-        if self.ring != other.ring:
-            return False
-        if self.effectively_zero or other.effectively_zero:
-            return self.effectively_zero and other.effectively_zero
-        return (self.v == other.v
-                and self._comparable_unit() == other._comparable_unit())
+        return (self.ring == other.ring
+                and self.ring.seen((self.v, self.u))
+                == self.ring.seen((other.v, other.u)))
 
     def __hash__(self):
-        if self.effectively_zero:
+        seen = self.ring.seen((self.v, self.u))
+        if seen is None:
             return hash((self.ring, INFINITY))
-        u = self._comparable_unit()
-        return hash((self.ring, self.v, self.ring.ops.encode(u)))
+        return hash((self.ring, seen[0], self.ring.ops.encode(seen[1])))
 
     def __repr__(self):
         if self.is_zero:

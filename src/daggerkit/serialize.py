@@ -57,6 +57,8 @@ def scalar_to_json(x: ScalarElem) -> dict:
 
 def scalar_from_json(ring: RingDescriptor, obj) -> ScalarElem:
     try:
+        if isinstance(obj["v"], bool) or isinstance(obj.get("u"), bool):
+            raise SchemaError("a JSON boolean is not a scalar field")
         if obj["v"] == "inf":
             return ring.zero()
         return ring.from_valuation_unit(int(obj["v"]), int(obj["u"]))
@@ -73,6 +75,8 @@ def parse_scalar(ring: RingDescriptor, value) -> ScalarElem:
     "3*pi", "2*pi^-1"."""
     if isinstance(value, dict):
         return scalar_from_json(ring, value)
+    if isinstance(value, bool):
+        raise SchemaError(f"a JSON boolean is not a scalar: {value!r}")
     if isinstance(value, int):
         return ring.scalar(value)
     if isinstance(value, str):

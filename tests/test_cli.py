@@ -219,6 +219,27 @@ class TestExitCodeContract:
         assert code == 2
         assert out["error"] == "input"
 
+    def test_json_booleans_are_not_scalars(self, capsys):
+        # int(True) is 1, so a boolean used to read as the scalar 1
+        code, out = run_child(["snf", "--p", "5", "--precision", "10",
+                               "--matrix", "[[true]]"])
+        assert code == 2
+        assert out["error"] == "input"
+        for blob in ('[[false, 1]]', '[[{"v": true, "u": "1"}]]',
+                     '[[{"v": 0, "u": true}]]'):
+            code, out = run(capsys, ["snf", *RING, "--matrix", blob])
+            assert code == 2, blob
+            assert "boolean" in out["detail"]
+        # the zero lattice's generators [[], []] (empty rows) still parse
+        zero = serialize.lattice_to_json(
+            Lattice.zero(RingDescriptor("padic", 5, 20), 2))
+        assert zero["generators"] == [[], []]
+        code, out = run(capsys, ["lattice", *RING, "--op", "intersect",
+                                 "--lattice", json.dumps(zero),
+                                 "--other", self.LATTICE])
+        assert code == 0
+        assert out["lattice"] == zero
+
     def test_membership_without_vector_is_schema_error(self):
         code, out = run_child(["lattice", *RING, "--op", "membership",
                                "--lattice", self.LATTICE])

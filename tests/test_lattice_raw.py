@@ -1,14 +1,16 @@
 """Differential tests of the lattice layer on raw (v, u, lossy) triples.
 
-A ``Lattice`` keeps its Hermite columns as triples, and ``lattice_product``,
-``Lattice.sum``, ``Lattice.__eq__``, ``membership``, ``contains`` and
+A ``Lattice`` keeps its Hermite columns as triples and a ``MatrixV`` its
+rows, and ``lattice_product``, ``Lattice.sum``, ``Lattice.intersect``,
+``Lattice.__eq__``, ``MatrixV.__eq__``, ``membership``, ``contains`` and
 ``pi_multiplicative`` work on them.  The ScalarElem versions they replaced
 are kept here as the reference: generator products of ScalarElem elements,
-sums of ``generator_vectors``, equality of the ``gens`` matrices through
-``ScalarElem.__eq__`` and back-substitution on ScalarElem.  Outputs must be
-identical: the same pi_exponent, the same valuation, unit residue and
-``lossy`` flag in every Hermite entry, the same ``==`` (with a hash that
-agrees with it) and the same exceptions.  Inputs mix zero lattices, entries
+sums of ``generator_vectors``, the intersection through a ScalarElem
+kernel and ``a + z * b``, entrywise equality by the windowed rule that
+``ScalarElem.__eq__`` and ``__hash__`` had, and back-substitution on
+ScalarElem.  Outputs must be identical: the same pi_exponent, the same
+valuation, unit residue and ``lossy`` flag in every Hermite entry, the
+same ``==`` (with a hash that agrees with it) and the same exceptions.  Inputs mix zero lattices, entries
 of K (negative pi_exponent), zeros, flagged zeros, effectively-zero
 entries (N <= v < inf), flagged entries and rank deficiency, over padic
 p in {2, 5} and eqchar q in {4, 5, 9} at N in {1, 3, 12, 40, 160}, in
@@ -19,7 +21,7 @@ import random
 
 import pytest
 
-from daggerkit.linalg import Lattice, MatrixV
+from daggerkit.linalg import Lattice, MatrixV, snf
 from daggerkit.monoid import MonoidDescriptor
 from daggerkit.ring import INFINITY, RingDescriptor, ScalarElem
 from daggerkit.spectral import (MatrixAlgebraContext, SeriesAlgebraContext,
@@ -76,11 +78,67 @@ def ref_sum(L1, L2):
         ref_generator_vectors(L1) + ref_generator_vectors(L2))
 
 
+def ref_comparable_unit(x):
+    if x.is_zero:
+        return None
+    window = x.ring.precision - max(x.v, 0)
+    return 0 if window <= 0 else x.ring.ops.mod_pi_power(x.u, window)
+
+
+def ref_scalar_eq(x, y):
+    if x.ring != y.ring:
+        return False
+    if x.effectively_zero or y.effectively_zero:
+        return x.effectively_zero and y.effectively_zero
+    return x.v == y.v and ref_comparable_unit(x) == ref_comparable_unit(y)
+
+
+def ref_scalar_hash(x):
+    if x.effectively_zero:
+        return hash((x.ring, INFINITY))
+    return hash((x.ring, x.v, x.ring.ops.encode(ref_comparable_unit(x))))
+
+
+def ref_matrix_eq(A, B):
+    return (isinstance(B, MatrixV) and A.ring == B.ring
+            and len(A.entries) == len(B.entries)
+            and all(len(r) == len(s) and all(map(ref_scalar_eq, r, s))
+                    for r, s in zip(A.entries, B.entries)))
+
+
 def ref_eq(L1, L2):
     return (L1.ring == L2.ring and L1.ambient_rank == L2.ambient_rank
             and ((L1.is_zero and L2.is_zero)
                  or (L1.pi_exponent == L2.pi_exponent
-                     and L1.gens == L2.gens)))
+                     and ref_matrix_eq(L1.gens, L2.gens))))
+
+
+def ref_intersect(L1, L2):
+    """The kernel of [G1 | -G2] over V, combined as a + z * b."""
+    if L1.ring != L2.ring:
+        raise ValueError("ring descriptor mismatch")
+    if L1.ambient_rank != L2.ambient_rank:
+        raise ValueError("ambient rank mismatch")
+    ring, r = L1.ring, L1.ambient_rank
+    if L1.is_zero or L2.is_zero:
+        return Lattice.zero(ring, r)
+    e = min(L1.pi_exponent, L2.pi_exponent)
+    g1 = [[x.scaled_by_pi(L1.pi_exponent - e) for x in c]
+          for c in zip(*L1.gens.entries)]
+    g2 = [[x.scaled_by_pi(L2.pi_exponent - e) for x in c]
+          for c in zip(*L2.gens.entries)]
+    stacked = MatrixV(ring, [[*(c[i] for c in g1), *((-c[i]) for c in g2)]
+                             for i in range(r)])
+    res = snf(stacked)
+    gens = []
+    for j in range(len(res.diagonal_exponents), stacked.cols):
+        z = res.W.column(j)
+        vec = [ring.zero()] * r
+        for idx in range(len(g1)):
+            if not z[idx].is_zero:
+                vec = [a + z[idx] * b for a, b in zip(vec, g1[idx])]
+        gens.append([x.scaled_by_pi(e) for x in vec])
+    return Lattice.from_columns(ring, r, gens)
 
 
 def ref_membership(L, vec):
@@ -196,20 +254,26 @@ def contexts(ring):
     yield SeriesAlgebraContext(ring, MonoidDescriptor("N", 2), 2)
 
 
-def nudged(L, position):
-    """L with pi^(position(v)) added to the unit of each nonzero Hermite
-    entry pi^v * u whose nudge stays below pi^N."""
-    ops, N = L.ring.ops, L.ring.precision
-    cols = []
-    for c in L.cols:
+def nudged_triples(ring, vectors, position):
+    """Vectors of triples with pi^(position(v)) added to the unit of each
+    nonzero entry pi^v * u whose nudge stays below pi^N."""
+    ops, N = ring.ops, ring.precision
+    out = []
+    for c in vectors:
         col = []
         for v, u, lossy in c:
             k = position(v)
             if v != INFINITY and 0 < k < N:
                 u = ops.add(u, ops.shift_up(ops.one(), k))
             col.append((v, u, lossy))
-        cols.append(tuple(col))
-    return Lattice(L.ring, L.ambient_rank, L.pi_exponent, tuple(cols))
+        out.append(tuple(col))
+    return tuple(out)
+
+
+def nudged(L, position):
+    """L with its Hermite entries nudged as by ``nudged_triples``."""
+    return Lattice(L.ring, L.ambient_rank, L.pi_exponent,
+                   nudged_triples(L.ring, L.cols, position))
 
 
 # -- the differential tests --
@@ -253,6 +317,66 @@ def test_sum_equality_and_membership_match(backend, base, n):
                 assert (L == other) is ref_eq(L, other)
                 if L == other:
                     assert hash(L) == hash(other)
+
+
+@pytest.mark.parametrize("backend,base,n", CASES)
+def test_intersection_matches_the_scalar_route(backend, base, n):
+    ring = RingDescriptor(backend, base, n)
+    gen = Inputs(ring, f"intersect-{backend}-{base}-{n}")
+    for dim in (1, 2, 3):
+        lats = gen.lattices(dim, 4)
+        for L in lats:
+            for M in (gen.rng.choice(lats), gen.rng.choice(lats),
+                      L.scale_by_pi(1)):
+                assert outcome(L.intersect, M) == outcome(ref_intersect, L, M)
+        L = lats[-1]
+        assert outcome(L.intersect_with_standard) == \
+            outcome(ref_intersect, L, Lattice.standard(ring, dim))
+
+
+def matrix_variants(gen, A):
+    """Matrices to compare with A: itself rebuilt, its digits nudged at and
+    just inside the window, A with effectively-zero entries made (flagged)
+    zeros, pi * A, a random matrix of its shape and other shapes."""
+    ring, N = gen.ring, gen.ring.precision
+    rows, cols = A.rows, A.cols
+    cleared = [[(INFINITY, None, gen.rng.random() < 0.5) if x[0] >= N else x
+                for x in row] for row in A.raw]
+    return [MatrixV(ring, A.entries),
+            MatrixV(ring, nudged_triples(ring, A.raw,
+                                         lambda v: N - max(v, 0))),
+            MatrixV(ring, nudged_triples(ring, A.raw,
+                                         lambda v: N - max(v, 0) - 1)),
+            MatrixV(ring, cleared), A.scaled_by_pi(1),
+            MatrixV(ring, [[gen.entry() for _ in range(cols)]
+                           for _ in range(rows)]),
+            MatrixV.zero(ring, rows, cols + 1), MatrixV.zero(ring, rows + 1, 0),
+            MatrixV(ring, [row[::-1] for row in A.raw]), "A"]
+
+
+@pytest.mark.parametrize("backend,base,n", CASES)
+def test_matrix_and_scalar_equality_match(backend, base, n):
+    ring = RingDescriptor(backend, base, n)
+    gen = Inputs(ring, f"equal-{backend}-{base}-{n}")
+    edge = [[gen.unit(n), ring.zero(), gen.unit(0)]]  # v = N exactly
+    shapes = [(gen.rng.randint(1, 3), gen.rng.randint(0, 3))
+              for _ in range(8)]
+    for A in [MatrixV(ring, edge)] + [
+            MatrixV(ring, [[gen.entry() for _ in range(c)] for _ in range(r)])
+            for r, c in shapes]:
+        for B in matrix_variants(gen, A):
+            assert (A == B) is ref_matrix_eq(A, B)
+            if A == B:
+                assert hash(A) == hash(B)
+            if not isinstance(B, MatrixV) or B.cols != A.cols:
+                continue
+            for x, y in zip(sum(A.entries, ()), sum(B.entries, ())):
+                assert (x == y) is ref_scalar_eq(x, y)
+                assert hash(y) == ref_scalar_hash(y)
+                assert x._comparable_unit() == ref_comparable_unit(x)
+    zero = MatrixV(ring, [[ring.zero(), ring.zero(), ring.zero()]])
+    assert MatrixV(ring, edge) != zero
+    assert MatrixV(ring, [edge[0][:2]]) == MatrixV(ring, [[ring.zero()] * 2])
 
 
 def test_mismatches_raise_as_before():
@@ -311,3 +435,30 @@ def test_digits_above_the_window_compare_and_hash_equal():
     assert above.cols != L.cols and inside.cols != L.cols
     assert above == L and hash(above) == hash(L)
     assert inside != L
+
+
+def test_matrix_kernel_and_intersection_build_only_returned_scalars(
+        monkeypatch):
+    ring = RingDescriptor("eqchar", 9, 12)
+    gen = Inputs(ring, "no-scalars")
+    A = MatrixV(ring, [[gen.unit(gen.rng.randint(0, 2)) for _ in range(4)]
+                       for _ in range(4)])
+    L = Lattice.from_columns(ring, 3, [[gen.unit(0), gen.unit(1), ring.zero()],
+                                       [ring.zero(), gen.unit(0), gen.unit(2)]])
+    M = Lattice.standard(ring, 3).scale_by_pi(1)
+    built = []
+    init = ScalarElem.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(ScalarElem, "__init__", counting)
+    for fn, returned in ((lambda: A * A, 0), (A.inverse, 0),
+                         (lambda: snf(A), 0), (A.det, 1),
+                         (lambda: L.intersect(M), 0),
+                         (lambda: A == A.scaled_by_pi(0), 0),
+                         (lambda: hash(A), 0)):
+        built.clear()
+        fn()
+        assert len(built) == returned
+    assert L.intersect(M).rank == 2

@@ -367,3 +367,25 @@ def test_sympy_invariant_factors():
                                         domain=sympy.ZZ)
             expected = [sympy.multiplicity(p, d) for d in factors if d != 0]
             assert snf(A).diagonal_exponents == expected, ints
+
+
+@pytest.mark.parametrize("backend,base", [("padic", 5), ("eqchar", 9)])
+def test_each_pivot_is_inverted_at_most_once(backend, base, monkeypatch):
+    """``snf`` and ``det`` of a dense d x d matrix call ``ops.inv`` at most
+    d times: once per pivot, and never for a pivot that ``scale`` has
+    already made an exact power of pi (unit 1)."""
+    ring = RingDescriptor(backend, base, 40)
+    gen = Inputs(ring, f"inverses-{backend}")
+    inv, calls = ring.ops.inv, []
+
+    def counting(a):
+        calls.append(a)
+        return inv(a)
+    monkeypatch.setattr(ring.ops, "inv", counting)
+    for d in (2, 4, 6):
+        A = MatrixV(ring, [[gen.unit(gen.rng.randint(0, 2))
+                            for _ in range(d)] for _ in range(d)])
+        for fn in (snf, MatrixV.det):
+            calls.clear()
+            fn(A)
+            assert 0 < len(calls) <= d, (fn.__name__, d, len(calls))

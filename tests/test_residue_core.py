@@ -35,6 +35,7 @@ class Reference:
         # reduction mod x turns the product of two constants into a * b mod p
         self.modulus = field.modulus or (0, 1)
         self._products = {}
+        self._sums = {}
 
     def _digits(self, a):
         out = []
@@ -47,8 +48,12 @@ class Reference:
         return sum(c * self.p**j for j, c in enumerate(f))
 
     def gf_add(self, a, b):
-        return self._undigits((x + y) % self.p for x, y in
-                              zip(self._digits(a), self._digits(b)))
+        key = (a, b)
+        if key not in self._sums:
+            self._sums[key] = self._undigits(
+                (x + y) % self.p for x, y in zip(self._digits(a),
+                                                 self._digits(b)))
+        return self._sums[key]
 
     def gf_neg(self, a):
         return self._undigits((-x) % self.p for x in self._digits(a))
