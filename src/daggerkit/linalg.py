@@ -21,13 +21,13 @@ Its parts: a pivot search for the first entry of least valuation below N
 suffices and precision loss is minimised), one row update
 ``row - f*pivot_row`` and one ordered dot accumulation.
 
-Exactness contract: the kernel makes ScalarElem's residue operations for
-``a - f*b``, ``acc + a*b``, ``x / p``, ``pi^v / p`` and
-``split_at_pi_power`` in the same order, so each output entry has the
-valuation, unit residue and ``lossy`` flag ScalarElem would give (a sum
-that cancels digits is flagged, a full cancellation is a flagged zero).
-An entry with N <= v < inf counts as zero: Hermite and Smith forms store
-it as an unflagged zero, and ``snf`` sets ``SNFResult.flagged``.
+Exactness contract: the kernel computes every entry of ``a - f*b``,
+``acc + a*b``, ``c * x``, ``x / p`` and the quotient of
+``split_at_pi_power`` with the ring's scalar rules (``_scalar_rules`` in
+``ring.py``, which ScalarElem's arithmetic runs too), so which digits are
+known, and which sums are flagged, is decided there only.  An entry with
+N <= v < inf counts as zero: Hermite and Smith forms store it as an
+unflagged zero, and ``snf`` sets ``SNFResult.flagged``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from itertools import chain
 from .ring import INFINITY, PrecisionExhausted, RingDescriptor, ScalarElem
 
 _ZERO = (INFINITY, None, False)
-_LOST = (INFINITY, None, True)  # a sum that cancelled to zero
 
 
 def _raw(ring, xs):
@@ -61,16 +60,17 @@ def _eye(ring, n):
 
 class _Kernel:
     """Elimination on triples over one ring; a zero is (inf, None, lossy).
-    ``scale``, ``over``, ``update`` and ``dot`` give exactly what c * a,
-    a / b, [a - f * b for a, b in zip(row, prow)] and the sum of a * b
-    over the pairs without a zero factor give on ScalarElem."""
+    Its arithmetic is the ring's scalar rules: ``scale``, ``over``,
+    ``update`` and ``dot`` give c * a, a / b,
+    [a - f * b for a, b in zip(row, prow)] and the sum of a * b over the
+    pairs without a zero factor."""
 
     def __init__(self, ring: RingDescriptor):
         ops = ring.ops
-        self.N, self.one, self.inv, self.neg = (ring.precision, ops.one(),
-                                                ops.inv, ops.neg)
-        self.mul, self.add, self.val = ops.mul, ops.add, ops.val
-        self.up, self.down = ops.shift_up, ops.shift_down
+        self.N, self.one, self.inv, self.neg, self.mul = (
+            ring.precision, ops.one(), ops.inv, ops.neg, ops.mul)
+        self.plus, self.times, self._over, self.split = (
+            ring._plus, ring._times, ring._over, ring._split)
         self._last_inv = (None, None)
 
     def pivot(self, entries):
@@ -88,33 +88,23 @@ class _Kernel:
                 for r in rows]
 
     def over(self, a, b):
-        """a / b.  A unit of 1 (a pivot that ``scale`` made an exact power
-        of pi) is not inverted, and the last inverse is kept, so the rows
-        cleared against one pivot invert its unit once."""
-        if b[0] == INFINITY:
-            raise ZeroDivisionError("division by zero")
-        if a[0] == INFINITY:
-            return (INFINITY, None, a[2])
-        u = a[1]
-        if b[1] != self.one:
-            if self._last_inv[0] != b[1]:
-                self._last_inv = (b[1], self.inv(b[1]))
-            u = self.mul(u, self._last_inv[1])
-        return (a[0] - b[0], u, a[2] or b[2])
+        """a / b, keeping the last inverse: the rows cleared against one
+        pivot invert its unit once (the quotient rule skips a unit of 1)."""
+        return self._over(a, b, self._inverse)
 
-    def floor(self, x, e):
-        """The quotient of ``x.split_at_pi_power(e)``, x nonzero in V."""
-        q = self.down(self.up(x[1], x[0]), e)
-        w = self.val(q)
-        return (INFINITY, None, x[2]) if w >= self.N else \
-            (w, self.down(q, w), x[2])
+    def _inverse(self, u):
+        if self._last_inv[0] != u:
+            self._last_inv = (u, self.inv(u))
+        return self._last_inv[1]
 
     def scale(self, mats, k, c):
-        """Row k of every matrix in mats times c, which is nonzero."""
-        (cv, cu, cl), mul = c, self.mul
+        """Row k of every matrix in mats times c, which is nonzero; an
+        unflagged 1 (a pivot already a power of pi) changes nothing."""
+        if c == (0, self.one, False):
+            return
+        times = self.times
         for M in mats:
-            M[k] = [(v, u, cl or lossy) if v == INFINITY else
-                    (cv + v, mul(cu, u), cl or lossy) for v, u, lossy in M[k]]
+            M[k] = [times(c, x) for x in M[k]]
 
     def eliminate(self, mats, k, c, factor, start=0):
         """Clear column c of mats[0] against row k: each other row i >= start
@@ -130,42 +120,24 @@ class _Kernel:
 
     def update(self, row, f, prow):
         """row - f * prow entry by entry; f must be nonzero."""
-        mul, add, neg, val = self.mul, self.add, self.neg, self.val
-        up, down, N = self.up, self.down, self.N
+        plus, mul, neg = self.plus, self.mul, self.neg
         fv, fu, fl = f
         out = []
-        for (av, au, al), (bv, bu, bl) in zip(row, prow):
-            if bv == INFINITY:  # f * b is a zero carrying fl or bl
-                out.append((av, au, al or fl or bl))
-                continue
-            tv, tu, tl = fv + bv, neg(mul(fu, bu)), fl or bl
-            if av == INFINITY:
-                out.append((tv, tu, tl or al))
-                continue
-            v = av if av < tv else tv
-            s = add(up(au, av - v), up(tu, tv - v))
-            w = val(s)
-            out.append(_LOST if w >= N else
-                       (v + w, down(s, w), al or tl or w > 0))
+        for a, (bv, bu, bl) in zip(row, prow):
+            if bv != INFINITY:
+                a = plus(a, (fv + bv, neg(mul(fu, bu)), fl or bl))
+            elif fl or bl:  # f * b is a flagged zero, which flags a
+                a = plus(a, (INFINITY, None, True))
+            out.append(a)
         return out
 
     def dot(self, xs, ys):
-        mul, add, val = self.mul, self.add, self.val
-        up, down, N = self.up, self.down, self.N
-        av, au, al = _ZERO
-        for (xv, xu, xl), (yv, yu, yl) in zip(xs, ys):
-            if xv == INFINITY or yv == INFINITY:
-                continue
-            tv, tu, tl = xv + yv, mul(xu, yu), xl or yl
-            if av == INFINITY:
-                av, au, al = tv, tu, tl or al
-                continue
-            v = av if av < tv else tv
-            s = add(up(au, av - v), up(tu, tv - v))
-            w = val(s)
-            av, au, al = _LOST if w >= N else \
-                (v + w, down(s, w), al or tl or w > 0)
-        return (av, au, al)
+        plus, times, acc = self.plus, self.times, None
+        for x, y in zip(xs, ys):
+            if x[0] != INFINITY and y[0] != INFINITY:
+                # the first term starts the sum, as plus(_ZERO, term) would
+                acc = times(x, y) if acc is None else plus(acc, times(x, y))
+        return _ZERO if acc is None else acc
 
 
 class MatrixV:
@@ -195,7 +167,9 @@ class MatrixV:
 
     @classmethod
     def zero(cls, ring: RingDescriptor, rows: int, cols: int) -> "MatrixV":
-        return cls(ring, [(_ZERO,) * cols] * rows)
+        m = cls(ring, [(_ZERO,) * cols] * rows)
+        m.cols = cols  # no row records it when rows == 0
+        return m
 
     @property
     def entries(self):
@@ -242,6 +216,8 @@ class MatrixV:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
         self._shape_check(other)
+        if not (self.rows and self.cols):  # empty sums: the zero matrix
+            return MatrixV.zero(self.ring, self.rows, other.cols)
         dot, cols = _Kernel(self.ring).dot, list(zip(*other.raw))
         return MatrixV(self.ring, [[dot(row, col) for col in cols]
                                    for row in self.raw])
@@ -286,8 +262,7 @@ class MatrixV:
                 work[k], work[i0] = work[i0], work[k]
                 det = (det[0], kern.neg(det[1]), det[2])
             pivot = work[k][k]
-            det = (det[0] + pivot[0], kern.mul(det[1], pivot[1]),
-                   det[2] or pivot[2])
+            det = kern.times(det, pivot)
             kern.eliminate([work], k, k, lambda i, x: kern.over(x, pivot),
                            k + 1)
         return ScalarElem(self.ring, *det)
@@ -432,11 +407,9 @@ class ModulePresentation:
             raise PrecisionExhausted(
                 f"divisibility by pi^{m} is not decidable at precision "
                 f"{self.ring.precision}")
-        cols = list(zip(*self.relations.raw))
-        for i in range(self.ambient_rank):
-            col = [_ZERO] * self.ambient_rank
-            col[i] = (m, self.ring.ops.one(), False)
-            cols.append(col)
+        # the relations and the columns pi^m e_i
+        cols = [*zip(*self.relations.raw),
+                *_shifted(_eye(self.ring, self.ambient_rank), m)]
         return self._solve_membership(cols, v)
 
     def tensor(self, other: "ModulePresentation") -> "ModulePresentation":
@@ -703,7 +676,7 @@ def _column_hermite(ring, rank, cols):
         # an earlier pivot column is reduced modulo pi^piv_v only
         kern.eliminate([cols], n_pivots, row, lambda j, x: (
             kern.over(x, p[row]) if j > n_pivots or x[0] >= piv_v
-            else kern.floor(x, piv_v)))
+            else kern.split(x, piv_v)[0]))
         n_pivots += 1
     return [c for c in kern.cleared(cols[:n_pivots])
             if any(x[0] != INFINITY for x in c)]

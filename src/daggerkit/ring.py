@@ -27,7 +27,9 @@ A coarse ``lossy`` flag (deliberately not per-digit tracking) is set when
 an operation produces digits that are no longer determined by the inputs'
 stored digits -- cancellation in a sum, or a residue that is
 indistinguishable from zero at precision N.  Equality compares stored
-representatives; the flag is advisory metadata.
+representatives; the flag is advisory metadata.  One function,
+``_scalar_rules``, holds the rules that set it, and both ScalarElem and the
+elimination kernel of ``linalg`` run them.
 """
 
 from __future__ import annotations
@@ -181,9 +183,6 @@ class _PadicOps:
         self.precision = precision
         self.modulus = p**precision
 
-    def zero(self):
-        return 0
-
     def one(self):
         return 1
 
@@ -297,9 +296,6 @@ class _EqcharOps:
         quot |= ((s >> b & even) * mu >> b & even) << b
         return s - self.p * quot
 
-    def zero(self):
-        return 0
-
     def one(self):
         return 1
 
@@ -375,6 +371,68 @@ class _EqcharOps:
         return out
 
 
+def _scalar_rules(ops, N):
+    """The sum, product, quotient and split at a power of pi of
+    (v, u, lossy) triples at precision N, with the residue operations of
+    ``ops`` bound once; a zero is (inf, None, lossy).  This is the one place
+    that decides which digits of a result are known."""
+    add, mul, val, one = ops.add, ops.mul, ops.val, ops.one()
+    up, down, mod = ops.shift_up, ops.shift_down, ops.mod_pi_power
+
+    def plus(a, b):
+        """a + b.  A sum whose w > 0 leading digits cancel is flagged; one
+        that cancels all N digits is a flagged zero."""
+        av, au, al = a
+        bv, bu, bl = b
+        if av == INFINITY:
+            return (bv, bu, bl or al)
+        if bv == INFINITY:
+            return (av, au, al or bl)
+        v = av if av < bv else bv  # a shift by 0 is the identity
+        s = add(au if av == v else up(au, av - v),
+                bu if bv == v else up(bu, bv - v))
+        w = val(s)
+        if w >= N:
+            return (INFINITY, None, True)
+        return (v + w, down(s, w), al or bl or w > 0)
+
+    def times(a, b):
+        """a * b."""
+        av, au, al = a
+        bv, bu, bl = b
+        if av == INFINITY or bv == INFINITY:
+            return (INFINITY, None, al or bl)
+        return (av + bv, mul(au, bu), al or bl)
+
+    def over(a, b, inv):
+        """a / b, where ``inv`` inverts the unit of b unless it is 1; a zero
+        quotient keeps the flag of a only."""
+        if b[0] == INFINITY:
+            raise ZeroDivisionError("division by zero")
+        if a[0] == INFINITY:
+            return (INFINITY, None, a[2])
+        u = a[1] if b[1] == one else mul(a[1], inv(b[1]))
+        return (a[0] - b[0], u, a[2] or b[2])
+
+    def canonical(r, lossy):
+        """A residue of V/pi^N as pi^w * unit, or a zero."""
+        w = val(r)
+        return (INFINITY, None, lossy) if w >= N else (w, down(r, w), lossy)
+
+    def split(x, e):
+        """(quotient, remainder) with x = pi^e * quotient + remainder and
+        the remainder canonical modulo pi^e; x must lie in V."""
+        v, u, lossy = x
+        if v == INFINITY:
+            return x, x
+        if v < 0:
+            raise ValueError("split_at_pi_power needs an element of V")
+        full = up(u, v)
+        return canonical(down(full, e), lossy), canonical(mod(full, e), lossy)
+
+    return plus, times, over, split
+
+
 class RingDescriptor:
     """A complete discrete valuation ring fixed by backend, base and precision.
 
@@ -397,6 +455,8 @@ class RingDescriptor:
         self.backend = backend
         self.base = base
         self.precision = precision
+        self._plus, self._times, self._over, self._split = \
+            _scalar_rules(self.ops, precision)
 
     def __eq__(self, other):
         return (isinstance(other, RingDescriptor)
@@ -466,14 +526,6 @@ class RingDescriptor:
             raise ValueError("encoded residue is not a unit")
         return ScalarElem(self, v, u)
 
-    def _from_residue(self, r, extra_val: int = 0, lossy: bool = False):
-        """Canonicalise a raw residue of V/pi^N into pi^(extra_val+w) * unit."""
-        w = self.ops.val(r)
-        if w >= self.precision:
-            return ScalarElem(self, INFINITY, None, lossy=lossy)
-        return ScalarElem(self, extra_val + w, self.ops.shift_down(r, w),
-                          lossy=lossy)
-
 
 class ScalarElem:
     """An element pi^v * u of V or K at absolute precision N.
@@ -526,23 +578,9 @@ class ScalarElem:
 
     def __add__(self, other: "ScalarElem") -> "ScalarElem":
         self._check(other)
-        if self.is_zero:
-            return ScalarElem(other.ring, other.v, other.u,
-                              other.lossy or self.lossy)
-        if other.is_zero:
-            return ScalarElem(self.ring, self.v, self.u,
-                              self.lossy or other.lossy)
-        ops = self.ring.ops
-        v = min(self.v, other.v)
-        a = ops.shift_up(self.u, self.v - v)
-        b = ops.shift_up(other.u, other.v - v)
-        s = ops.add(a, b)
-        w = ops.val(s)
-        carried = self.lossy or other.lossy
-        if w >= self.ring.precision:
-            return ScalarElem(self.ring, INFINITY, None, lossy=True)
-        return ScalarElem(self.ring, v + w, ops.shift_down(s, w),
-                          lossy=carried or (w > 0))
+        v, u, lossy = self.ring._plus(
+            (self.v, self.u, self.lossy), (other.v, other.u, other.lossy))
+        return ScalarElem(self.ring, v, u, lossy)
 
     def __neg__(self) -> "ScalarElem":
         if self.is_zero:
@@ -555,22 +593,16 @@ class ScalarElem:
 
     def __mul__(self, other: "ScalarElem") -> "ScalarElem":
         self._check(other)
-        if self.is_zero or other.is_zero:
-            return ScalarElem(self.ring, INFINITY, None,
-                              self.lossy or other.lossy)
-        return ScalarElem(self.ring, self.v + other.v,
-                          self.ring.ops.mul(self.u, other.u),
-                          self.lossy or other.lossy)
+        v, u, lossy = self.ring._times(
+            (self.v, self.u, self.lossy), (other.v, other.u, other.lossy))
+        return ScalarElem(self.ring, v, u, lossy)
 
     def __truediv__(self, other: "ScalarElem") -> "ScalarElem":
         self._check(other)
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero")
-        if self.is_zero:
-            return ScalarElem(self.ring, INFINITY, None, self.lossy)
-        return ScalarElem(self.ring, self.v - other.v,
-                          self.ring.ops.mul(self.u, self.ring.ops.inv(other.u)),
-                          self.lossy or other.lossy)
+        v, u, lossy = self.ring._over(
+            (self.v, self.u, self.lossy), (other.v, other.u, other.lossy),
+            self.ring.ops.inv)
+        return ScalarElem(self.ring, v, u, lossy)
 
     def __pow__(self, e: int) -> "ScalarElem":
         if e == 0:
@@ -580,9 +612,7 @@ class ScalarElem:
                 raise ZeroDivisionError("negative power of zero")
             return self
         if e < 0:
-            inv = ScalarElem(self.ring, -self.v,
-                             self.ring.ops.inv(self.u), self.lossy)
-            return inv ** (-e)
+            return (self.ring.one() / self) ** (-e)
         return ScalarElem(self.ring, self.v * e,
                           self.ring.ops.pow(self.u, e), self.lossy)
 
@@ -595,16 +625,8 @@ class ScalarElem:
     def split_at_pi_power(self, e: int):
         """Write x = pi^e * quotient + remainder with remainder canonical
         modulo pi^e.  Requires nu(x) >= 0."""
-        if self.is_zero:
-            return self, self
-        if self.v < 0:
-            raise ValueError("split_at_pi_power needs an element of V")
-        ops = self.ring.ops
-        full = ops.shift_up(self.u, self.v)
-        rem = ops.mod_pi_power(full, e)
-        quo = ops.shift_down(full, e)
-        return (self.ring._from_residue(quo, lossy=self.lossy),
-                self.ring._from_residue(rem, lossy=self.lossy))
+        return tuple(ScalarElem(self.ring, *x) for x in
+                     self.ring._split((self.v, self.u, self.lossy), e))
 
     # -- comparison and display --
 

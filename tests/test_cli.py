@@ -240,6 +240,21 @@ class TestExitCodeContract:
         assert code == 0
         assert out["lattice"] == zero
 
+    def test_module_entry_point_keeps_the_contract(self):
+        # ``python -m daggerkit.cli`` used to define main() and exit 0
+        # without running it, printing nothing
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            daggerkit.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "daggerkit.cli", "snf", "--p", "5",
+             "--matrix", "[[true]]"], capture_output=True, text=True,
+            timeout=120, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "input"
+
     def test_membership_without_vector_is_schema_error(self):
         code, out = run_child(["lattice", *RING, "--op", "membership",
                                "--lattice", self.LATTICE])

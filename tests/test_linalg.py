@@ -309,6 +309,19 @@ class TestTensor:
         assert not P.tensor(Q).is_torsion_free()
 
 
+class TestEmptyShapes:
+    def test_matrices_without_rows_keep_their_columns(self, ring):
+        empty = MatrixV.zero(ring, 0, 3)
+        assert (empty.rows, empty.cols) == (0, 3)
+        assert empty != MatrixV.zero(ring, 0, 2)
+        # an empty inner dimension gives the zero matrix, not a 2 x 0 one
+        prod = MatrixV.zero(ring, 2, 0) * empty
+        assert (prod.rows, prod.cols) == (2, 3)
+        assert prod == MatrixV.zero(ring, 2, 3) and not prod.lossy
+        prod = empty * MatrixV.identity(ring, 3)
+        assert (prod.rows, prod.cols) == (0, 3)
+
+
 class TestDescriptorChecks:
     def test_equal_descriptors_combine(self):
         # distinct instances describing the same ring are interchangeable
