@@ -92,6 +92,8 @@ def cmd_scalar(args):
 def cmd_snf(args):
     ring = _ring_from_args(args)
     A = _matrix(ring, args.matrix)
+    if not A.cols:  # rows like [] parse, as for a zero lattice's generators
+        raise SchemaError("snf needs a matrix with at least one column")
     res = snf(A)
     payload = {
         "U": serialize.matrix_to_json(res.U),

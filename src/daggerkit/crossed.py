@@ -3,8 +3,10 @@
 The action generator is the substitution f(x) |-> f(a x + b); its n-th
 power is memoised through the affine pair (a^n, (a^(n-1) + ... + 1) b)
 computed by repeated squaring, so act(n, .) costs one substitution for any
-n.  Substitution never raises total degree, so no truncation occurs inside
-the action.
+n.  The powers of each substituted line are links of memoised chains the
+action keeps while it lives (``chains.link``), so repeated substitutions
+under one action multiply out each power once.  Substitution never raises
+total degree, so no truncation occurs inside the action.
 
 Crossed elements are finitely supported maps n -> series over N^k with a
 support cap |n| <= Dz; multiplication follows
@@ -16,6 +18,7 @@ Coefficients are summed only through ``series._add_term``, in ``act`` as in
 
 from __future__ import annotations
 
+from . import chains
 from .linalg import Lattice, MatrixV
 from .monoid import MonoidDescriptor
 from .ring import RingDescriptor
@@ -81,23 +84,23 @@ class AffineAction:
         return act(self, n, f)
 
 
-def _substitute(ring, monoid, f: DaggerSeries, matrix: MatrixV,
-                shift) -> DaggerSeries:
-    """f(matrix * x + shift), computed with exact series products."""
-    cap = f.degree_cap
-    k = monoid.rank
+def _substitute(alpha: AffineAction, n: int,
+                f: DaggerSeries) -> DaggerSeries:
+    """f(a x + b) for the affine pair (a, b) of alpha's n-th power, with
+    exact series products.  The powers of each substituted line are links
+    of chains alpha keeps while it lives, one per n, cap and coordinate."""
+    ring, monoid, k, cap = alpha.ring, alpha.monoid, alpha.k, f.degree_cap
+    matrix, shift = alpha.pair(n)
     # line j is shift_j + sum_i matrix[j, i] x_i (DaggerSeries drops zeros)
     basis = [monoid.identity(), *monoid.generators()]
     lines = [DaggerSeries(ring, monoid, dict(zip(
         basis, [shift[j]] + [matrix[j, i] for i in range(k)])), cap)
         for j in range(k)]
-    # memoised powers of each substituted coordinate
-    powers = [[DaggerSeries.unit(ring, monoid, cap)] for _ in range(k)]
 
     def power(j, e):
-        while len(powers[j]) <= e:
-            powers[j].append(series_mul(powers[j][-1], lines[j]))
-        return powers[j][e]
+        return chains.link(alpha, (n, cap, j), (),
+                           lambda: DaggerSeries.unit(ring, monoid, cap),
+                           lambda p: series_mul(p, lines[j]), e)
 
     acc = {}
     for s, x in f.terms.items():
@@ -127,8 +130,7 @@ def act(alpha: AffineAction, n: int, f: DaggerSeries) -> DaggerSeries:
         raise ValueError("ring descriptor mismatch")
     if n == 0 or f.is_zero:
         return f
-    matrix, shift = alpha.pair(n)
-    return _substitute(alpha.ring, alpha.monoid, f, matrix, shift)
+    return _substitute(alpha, n, f)
 
 
 class CrossedElem:

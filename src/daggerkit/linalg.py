@@ -32,7 +32,6 @@ unflagged zero, and ``snf`` sets ``SNFResult.flagged``.
 
 from __future__ import annotations
 
-import operator
 from itertools import chain
 
 from .ring import INFINITY, PrecisionExhausted, RingDescriptor, ScalarElem
@@ -167,8 +166,14 @@ class MatrixV:
 
     @classmethod
     def zero(cls, ring: RingDescriptor, rows: int, cols: int) -> "MatrixV":
-        m = cls(ring, [(_ZERO,) * cols] * rows)
-        m.cols = cols  # no row records it when rows == 0
+        return cls._of(ring, [(_ZERO,) * cols] * rows, cols)
+
+    @classmethod
+    def _of(cls, ring, rows, cols: int) -> "MatrixV":
+        """A matrix on rows of triples with cols columns; the count is kept
+        when there is no row to read it from."""
+        m = cls(ring, rows)
+        m.cols = cols
         return m
 
     @property
@@ -199,18 +204,20 @@ class MatrixV:
         return f"MatrixV[{body}]"
 
     def __add__(self, other: "MatrixV") -> "MatrixV":
-        return self._entrywise(operator.add, other)
+        return self._entrywise(self.ring._plus, other)
 
     def __sub__(self, other: "MatrixV") -> "MatrixV":
-        return self._entrywise(operator.sub, other)
+        plus, minus = self.ring._plus, self.ring._minus
+        return self._entrywise(lambda a, b: plus(a, minus(b)), other)
 
-    def _entrywise(self, op, other):
+    def _entrywise(self, rule, other):
         self._shape_check(other, same=True)
-        return MatrixV(self.ring, [list(map(op, r1, r2)) for r1, r2
-                                   in zip(self.entries, other.entries)])
+        return MatrixV._of(self.ring, [list(map(rule, r1, r2)) for r1, r2
+                                       in zip(self.raw, other.raw)], self.cols)
 
     def __neg__(self) -> "MatrixV":
-        return MatrixV(self.ring, [[-a for a in row] for row in self.entries])
+        return MatrixV._of(self.ring, [list(map(self.ring._minus, row))
+                                       for row in self.raw], self.cols)
 
     def __mul__(self, other: "MatrixV") -> "MatrixV":
         if self.cols != other.rows:
@@ -229,10 +236,12 @@ class MatrixV:
             raise ValueError("shape mismatch")
 
     def scale(self, s: ScalarElem) -> "MatrixV":
-        return MatrixV(self.ring, [[a * s for a in row] for row in self.entries])
+        (c,), times = _raw(self.ring, [s]), self.ring._times
+        return MatrixV._of(self.ring, [[times(a, c) for a in row]
+                                       for row in self.raw], self.cols)
 
     def scaled_by_pi(self, e: int) -> "MatrixV":
-        return MatrixV(self.ring, _shifted(self.raw, e))
+        return MatrixV._of(self.ring, _shifted(self.raw, e), self.cols)
 
     def column(self, j: int):
         return [ScalarElem(self.ring, *row[j]) for row in self.raw]
@@ -286,9 +295,11 @@ class MatrixV:
 
     def kronecker(self, other: "MatrixV") -> "MatrixV":
         self._shape_check(other)
-        return MatrixV(self.ring, [[a * b for a in r1 for b in r2]
-                                   for r1 in self.entries
-                                   for r2 in other.entries])
+        times = self.ring._times
+        return MatrixV._of(self.ring, [[times(a, b) for a in r1 for b in r2]
+                                       for r1 in self.raw
+                                       for r2 in other.raw],
+                           self.cols * other.cols)
 
     @property
     def lossy(self) -> bool:
@@ -349,8 +360,8 @@ def snf(A: MatrixV) -> SNFResult:
     D = kern.cleared(work)
     # clearing an effectively-zero entry flags the form, as does any flag
     flagged = flagged or D != work or any(x[2] for row in D for x in row)
-    return SNFResult(MatrixV(ring, U), MatrixV(ring, D), MatrixV(ring, W),
-                     flagged)
+    return SNFResult(MatrixV(ring, U), MatrixV._of(ring, D, n),
+                     MatrixV(ring, W), flagged)
 
 
 class ModulePresentation:
@@ -426,13 +437,10 @@ class ModulePresentation:
             blocks.append(eye_m.kronecker(other.relations))
         if not blocks:
             return ModulePresentation(self.ring, m * n, None)
-        rows = []
-        for i in range(m * n):
-            row = []
-            for b in blocks:
-                row.extend(b.raw[i])
-            rows.append(row)
-        return ModulePresentation(self.ring, m * n, MatrixV(self.ring, rows))
+        rows = [list(chain.from_iterable(b.raw[i] for b in blocks))
+                for i in range(m * n)]
+        return ModulePresentation(self.ring, m * n, MatrixV._of(
+            self.ring, rows, sum(b.cols for b in blocks)))
 
 
 def is_torsion_free(P: ModulePresentation) -> bool:

@@ -372,11 +372,11 @@ class _EqcharOps:
 
 
 def _scalar_rules(ops, N):
-    """The sum, product, quotient and split at a power of pi of
+    """The sum, negation, product, quotient and split at a power of pi of
     (v, u, lossy) triples at precision N, with the residue operations of
     ``ops`` bound once; a zero is (inf, None, lossy).  This is the one place
     that decides which digits of a result are known."""
-    add, mul, val, one = ops.add, ops.mul, ops.val, ops.one()
+    add, neg, mul, val, one = ops.add, ops.neg, ops.mul, ops.val, ops.one()
     up, down, mod = ops.shift_up, ops.shift_down, ops.mod_pi_power
 
     def plus(a, b):
@@ -395,6 +395,10 @@ def _scalar_rules(ops, N):
         if w >= N:
             return (INFINITY, None, True)
         return (v + w, down(s, w), al or bl or w > 0)
+
+    def minus(a):
+        """-a; a zero stays as it is, flag included."""
+        return a if a[0] == INFINITY else (a[0], neg(a[1]), a[2])
 
     def times(a, b):
         """a * b."""
@@ -430,7 +434,7 @@ def _scalar_rules(ops, N):
         full = up(u, v)
         return canonical(down(full, e), lossy), canonical(mod(full, e), lossy)
 
-    return plus, times, over, split
+    return plus, minus, times, over, split
 
 
 class RingDescriptor:
@@ -455,7 +459,7 @@ class RingDescriptor:
         self.backend = backend
         self.base = base
         self.precision = precision
-        self._plus, self._times, self._over, self._split = \
+        self._plus, self._minus, self._times, self._over, self._split = \
             _scalar_rules(self.ops, precision)
 
     def __eq__(self, other):
@@ -585,8 +589,8 @@ class ScalarElem:
     def __neg__(self) -> "ScalarElem":
         if self.is_zero:
             return self
-        return ScalarElem(self.ring, self.v, self.ring.ops.neg(self.u),
-                          self.lossy)
+        return ScalarElem(self.ring,
+                          *self.ring._minus((self.v, self.u, self.lossy)))
 
     def __sub__(self, other: "ScalarElem") -> "ScalarElem":
         return self + (-other)

@@ -12,12 +12,17 @@ Everything is scoped to the truncation (D, N): products drop terms above
 the cap and set a truncation flag instead of failing.
 ``_add_term`` is the one place where coefficients of a series or crossed
 product are summed, so a coefficient whose summands cancelled is ``lossy``.
+``series_pow`` and ``torus_monomial`` read powers off memoised
+left-to-right chains 1, 1 * x, (1 * x) * x, ... that the series or the
+cocycle keeps while it lives (``chains.link``); the products are the ones
+repeated multiplication makes, so the results are the same.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from . import chains
 from .monoid import Cocycle, MonoidDescriptor, MonoidElem, TrivialCocycle, compose
 from .ring import RingDescriptor, ScalarElem
 
@@ -91,7 +96,7 @@ class DaggerSeries:
     """Finitely supported map MonoidElem -> ScalarElem at truncation (D, N)."""
 
     __slots__ = ("ring", "monoid", "terms", "degree_cap", "certificate",
-                 "truncated")
+                 "truncated", "__weakref__")
 
     def __init__(self, ring: RingDescriptor, monoid: MonoidDescriptor,
                  terms, degree_cap: int,
@@ -293,15 +298,17 @@ def membership_filtration(a: DaggerSeries, n: int) -> bool:
 
 def series_pow(x: DaggerSeries, n: int, cocycle: Cocycle | None = None,
                inverse: DaggerSeries | None = None) -> DaggerSeries:
-    """n-th twisted power; negative n needs an explicit inverse element."""
+    """n-th twisted power, link n of the chain 1, 1 * x, (1 * x) * x, ...
+    that x keeps for this cocycle while it lives (``chains.link``);
+    negative n needs an explicit inverse element."""
     if n < 0:
         if inverse is None:
             raise ValueError("negative power needs an inverse element")
         return series_pow(inverse, -n, cocycle)
-    out = DaggerSeries.unit(x.ring, x.monoid, x.degree_cap)
-    for _ in range(n):
-        out = mul(out, x, cocycle)
-    return out
+    return chains.link(
+        x, None, (cocycle,),
+        lambda: DaggerSeries.unit(x.ring, x.monoid, x.degree_cap),
+        lambda p: mul(p, x, cocycle), n)
 
 
 def nc_torus(ring: RingDescriptor, lam: ScalarElem, degree_cap: int):
@@ -321,12 +328,19 @@ def nc_torus(ring: RingDescriptor, lam: ScalarElem, degree_cap: int):
 
 def torus_monomial(ring, monoid, cocycle, s1: int, s2: int,
                    degree_cap: int) -> DaggerSeries:
-    """U1^s1 * U2^s2 built by repeated twisted multiplication; each factor
-    is series_pow of U_i or of its inverse, whichever the sign asks for."""
-    def power(i, n):
+    """U1^s1 * U2^s2, where each factor is a left-to-right power of U_i or
+    of its inverse, whichever the sign asks for.  The powers are links of
+    chains the cocycle keeps while it lives, one per cap, generator and
+    sign, so a table of monomials makes one product per monomial plus one
+    per new link; a cocycle of None keeps none."""
+    def power(axis, n):
         e = [0, 0]
-        e[i] = 1 if n >= 0 else -1
-        step = DaggerSeries.delta(ring, monoid, monoid.element(e), degree_cap)
-        return series_pow(step, abs(n), cocycle)
+        e[axis] = 1 if n >= 0 else -1
+        return chains.link(
+            cocycle, (degree_cap, axis, e[axis]), (ring, monoid),
+            lambda: DaggerSeries.unit(ring, monoid, degree_cap),
+            lambda p: mul(p, DaggerSeries.delta(
+                ring, monoid, monoid.element(e), degree_cap), cocycle),
+            abs(n))
 
     return mul(power(0, s1), power(1, s2), cocycle)

@@ -10,17 +10,17 @@ Hermite reduction at every step, which keeps generator counts small and is
 exact at precision N.  Generators travel as coordinate vectors of
 (v, u, lossy) triples: each algebra context's ``_products`` multiplies two
 lists of them, and ``Lattice.from_columns`` reduces the result.
-``rho1_estimate``, ``lgb_closure`` and ``semi_dagger_probe`` share one
-chain S, S^2, ... per lattice (``_power``), so a query that asks all three
-builds each power once.
+``rho1_estimate``, ``lgb_closure`` and ``semi_dagger_probe`` read S^n off
+one memoised chain S, S^2, ... kept on S while it lives (``chains.link``),
+so a query that asks all three builds each power once.
 """
 
 from __future__ import annotations
 
 import operator
-import weakref
 from fractions import Fraction
 
+from . import chains
 from .linalg import Lattice, MatrixV, _Kernel
 from .monoid import MonoidDescriptor
 from .ring import INFINITY, PrecisionExhausted, RingDescriptor, ScalarElem
@@ -133,29 +133,14 @@ def lattice_product(ctx, L1: Lattice, L2: Lattice) -> Lattice:
         _generators(ctx, L1), _generators(ctx, L2)))
 
 
-# id(S) -> (weak reference to S, ctx, [S^2, S^3, ...]) for every lattice
-# S that still has a chain; an entry goes when its lattice is collected
-_CHAINS: dict = {}
-
-
-def _power(S: Lattice, ctx, n: int) -> Lattice:
-    """S^n for n >= 1; each new link is lattice_product(ctx, S^(k-1), S).
-
-    The chain S^2, S^3, ... is kept for the last context asked, and only
-    while S is alive: until then it holds every power up to the largest n
-    asked for (``rho1_estimate(S, ctx, n_max)`` keeps n_max - 1 lattices).
-    """
-    if n == 1:
-        return S
-    key = id(S)
-    entry = _CHAINS.get(key)
-    if entry is None or entry[0]() is not S or entry[1] is not ctx:
-        entry = _CHAINS[key] = (
-            weakref.ref(S, lambda _, key=key: _CHAINS.pop(key, None)), ctx, [])
-    chain = entry[2]
-    while len(chain) < n - 1:
-        chain.append(lattice_product(ctx, chain[-1] if chain else S, S))
-    return chain[n - 2]
+def _lattice_power(S: Lattice, ctx, n: int) -> Lattice:
+    """S^n for n >= 1: link n - 1 of S's chain S, S^2, ... under ctx, each
+    new power lattice_product(ctx, S^(k-1), S).  The chain lives on S
+    (``chains.link``) for the last context asked; until S is collected it
+    holds every power up to the largest n asked for
+    (``rho1_estimate(S, ctx, n_max)`` keeps n_max - 1 lattices)."""
+    return chains.link(S, None, (ctx,), lambda: S,
+                       lambda P: lattice_product(ctx, P, S), n - 1)
 
 
 def star_scale(t, L: Lattice) -> Lattice:
@@ -213,7 +198,7 @@ def rho1_estimate(S: Lattice, ctx, n_max: int) -> RadiusReport:
     nus = {}
     best = None
     for n in range(1, n_max + 1):
-        nu = _power(S, ctx, n).gauge_exponent()
+        nu = _lattice_power(S, ctx, n).gauge_exponent()
         if nu == INFINITY:
             # S^n = 0: nilpotent at the cap, radius exponent +inf
             return RadiusReport(estimates, INFINITY, "converged")
@@ -304,7 +289,7 @@ def lgb_closure(S: Lattice, ctx, i_max: int):
     chain = [S]
     stabilized_at = None
     for i in range(1, i_max + 1):
-        term = _power(S, ctx, i + 1).scale_by_pi(i)
+        term = _lattice_power(S, ctx, i + 1).scale_by_pi(i)
         if not term.is_zero and term.gauge_exponent() < -ring.precision:
             raise PrecisionExhausted("closure term has gauge below -N")
         nxt = chain[-1].sum(term)
@@ -349,7 +334,7 @@ def semi_dagger_probe(S: Lattice, ctx, m: int, j_list, l_max: int = 8):
     reports = {}
     decrease_window = -(-l_max // 2)
     for j in j_list:
-        base = _power(S, ctx, j).scale_by_pi(m)
+        base = _lattice_power(S, ctx, j).scale_by_pi(m)
         power = base
         chain = base
         gauges = [power.gauge_exponent()]

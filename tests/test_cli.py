@@ -255,6 +255,21 @@ class TestExitCodeContract:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "input"
 
+    def test_snf_of_a_matrix_without_columns_is_schema_error(self, capsys):
+        # [[]] parses as a 1 x 0 matrix, which snf used to accept (exit 0)
+        for blob in ("[[]]", "[[], []]"):
+            code, out = run(capsys, ["snf", *RING, "--matrix", blob])
+            assert code == 2, blob
+            assert "at least one column" in out["detail"]
+        code, out = run_child(["snf", *RING, "--matrix", "[[]]"])
+        assert code == 2
+        assert out["error"] == "input"
+        # rows like [] still parse: a relation matrix without columns
+        # presents a free module
+        code, out = run(capsys, ["torsion", *RING, "--relations", "[[]]"])
+        assert code == 0
+        assert out["free_rank"] == 1
+
     def test_membership_without_vector_is_schema_error(self):
         code, out = run_child(["lattice", *RING, "--op", "membership",
                                "--lattice", self.LATTICE])

@@ -321,6 +321,31 @@ class TestEmptyShapes:
         prod = empty * MatrixV.identity(ring, 3)
         assert (prod.rows, prod.cols) == (0, 3)
 
+    def test_every_operation_keeps_the_shape_of_a_rowless_matrix(self, ring):
+        Z = MatrixV.zero(ring, 0, 3)
+        for m in (Z + Z, Z - Z, -Z, Z.scale(ring.scalar(2)),
+                  Z.scaled_by_pi(1)):
+            assert (m.rows, m.cols) == (0, 3)
+            assert m == Z
+        kron = MatrixV.zero(ring, 0, 2).kronecker(MatrixV.identity(ring, 2))
+        assert (kron.rows, kron.cols) == (0, 4)
+        kron = MatrixV.identity(ring, 2).kronecker(MatrixV.zero(ring, 0, 3))
+        assert (kron.rows, kron.cols) == (0, 6)
+        res = snf(Z)
+        assert [(m.rows, m.cols) for m in (res.U, res.D, res.W)] == \
+            [(0, 0), (0, 3), (3, 3)]
+        assert res.U * Z * res.W == res.D
+        res = snf(MatrixV.zero(ring, 2, 0))
+        assert [(m.rows, m.cols) for m in (res.U, res.D, res.W)] == \
+            [(2, 2), (2, 0), (0, 0)]
+
+    def test_tensor_with_a_rank_zero_module(self, ring):
+        P = ModulePresentation(ring, 0, MatrixV.zero(ring, 0, 2))
+        Q = ModulePresentation(ring, 2, MatrixV.identity(ring, 2))
+        rel = P.tensor(Q).relations
+        assert (rel.rows, rel.cols) == (0, 4)
+        assert P.tensor(Q).cokernel_invariants() == ([], 0)
+
 
 class TestDescriptorChecks:
     def test_equal_descriptors_combine(self):

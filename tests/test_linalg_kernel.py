@@ -2,8 +2,10 @@
 
 The ScalarElem loops that the kernel replaced are kept here as the
 reference.  For matmul, ``apply``, ``det``, ``inverse``, ``snf``, the
-column Hermite form of ``Lattice.from_columns`` and ``membership`` the
-kernel must give identical outputs, not just equal ones: the same
+column Hermite form of ``Lattice.from_columns`` and ``membership``, and for
+``+``, ``-``, unary ``-``, ``scale``, ``kronecker`` and
+``ModulePresentation.tensor`` (which now run on triples too), the kernel
+must give identical outputs, not just equal ones: the same
 valuation, unit residue and ``lossy`` flag in every entry, the same
 ``SNFResult.flagged`` and the same exceptions.  Inputs mix zeros, flagged
 zeros, effectively-zero entries (N <= v < inf), entries of K, flagged
@@ -16,7 +18,7 @@ import random
 
 import pytest
 
-from daggerkit.linalg import Lattice, MatrixV, snf
+from daggerkit.linalg import Lattice, MatrixV, ModulePresentation, snf
 from daggerkit.ring import INFINITY, RingDescriptor, ScalarElem
 
 RINGS = [("padic", 2), ("padic", 5), ("eqchar", 4), ("eqchar", 5),
@@ -223,6 +225,27 @@ def ref_membership(L, vec):
 
 # -- comparison and inputs --
 
+def ref_entrywise(op, A, B):
+    return [list(map(op, r1, r2)) for r1, r2 in zip(A.entries, B.entries)]
+
+
+def ref_kronecker(A, B):
+    return [[a * b for a in r1 for b in r2]
+            for r1 in A.entries for r2 in B.entries]
+
+
+def ref_tensor_relations(P, Q):
+    m, n = P.ambient_rank, Q.ambient_rank
+    blocks = []
+    if P.relations.cols:
+        blocks.append(ref_kronecker(P.relations,
+                                    MatrixV.identity(P.ring, n)))
+    if Q.relations.cols:
+        blocks.append(ref_kronecker(MatrixV.identity(P.ring, m),
+                                    Q.relations))
+    return [[x for b in blocks for x in b[i]] for i in range(m * n)]
+
+
 def sig(x):
     return (x.v, x.u, x.lossy)
 
@@ -326,6 +349,31 @@ def test_snf(backend, base, n):
         assert sigs(ours.D.entries) == sigs(D)
         assert sigs(ours.W.entries) == sigs(W)
         assert ours.flagged is flagged
+
+
+@pytest.mark.parametrize("backend,base,n", CASES)
+def test_entrywise_scale_kronecker_and_tensor(backend, base, n):
+    for gen, rows, cols, t in matrices(backend, base, n, 6):
+        A, B = gen.matrix(rows, cols, in_v=False), \
+            gen.matrix(rows, cols, in_v=False)
+        assert sigs((A + B).entries) == \
+            sigs(ref_entrywise(lambda a, b: a + b, A, B))
+        assert sigs((A - B).entries) == \
+            sigs(ref_entrywise(lambda a, b: a - b, A, B))
+        assert sigs((A - A).entries) == \
+            sigs(ref_entrywise(lambda a, b: a - b, A, A))
+        assert sigs((-A).entries) == sigs([[-a for a in row]
+                                           for row in A.entries])
+        c = gen.entry(in_v=False)
+        assert sigs(A.scale(c).entries) == \
+            sigs([[a * c for a in row] for row in A.entries])
+        C = gen.matrix(gen.rng.randint(1, 3), gen.rng.randint(1, 3))
+        assert sigs(A.kronecker(C).entries) == sigs(ref_kronecker(A, C))
+        if A.min_valuation() >= 0 and t % 2 == 0:
+            P = ModulePresentation(gen.ring, rows, A)
+            Q = ModulePresentation(gen.ring, C.rows, C if t % 4 else None)
+            assert sigs(P.tensor(Q).relations.entries) == \
+                sigs(ref_tensor_relations(P, Q))
 
 
 @pytest.mark.parametrize("backend,base,n", CASES)

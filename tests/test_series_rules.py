@@ -439,6 +439,46 @@ def test_powers_and_torus_monomials(backend, base, n):
 
 
 @pytest.mark.parametrize("backend,base,n", CASES)
+def test_chains_shared_across_calls(backend, base, n):
+    """Powers come from chains kept on the series, the cocycle and the
+    action, so later calls reuse links that earlier calls built.  Calls
+    that reuse one cocycle or action while alternating caps, equal but
+    distinct rings and the cocycle None still give the reference's
+    series, in the ring they were asked for."""
+    ring = make_ring(backend, base, n)
+    twin = make_ring(backend, base, n)  # equal to ring, not the same object
+    rng = random.Random(f"chains {backend} {base} {n}")
+    xs = pool(ring, rng)
+    for cocycle in cocycles(ring, Z2, rng):
+        steps = [(r, cap, s1, s2) for r in (ring, twin, ring)
+                 for cap in (3, 2, 4, 3)
+                 for s1, s2 in ((2, -1), (-3, 0), (0, 2), (1, 1))]
+        rng.shuffle(steps)
+        for r, cap, s1, s2 in steps:
+            got = torus_monomial(r, Z2, cocycle, s1, s2, cap)
+            assert got.ring is r
+            assert_same_series(got, ref_torus_monomial(r, Z2, cocycle,
+                                                       s1, s2, cap))
+    for monoid in (N2, Z2, FREE2):
+        x = series(ring, monoid, 3, rng, xs, 3, True)
+        flagged = DaggerSeries(ring, monoid, {
+            s: ScalarElem(ring, y.v, y.u, True) for s, y in x.terms.items()},
+            3)
+        for cocycle in cocycles(ring, monoid, rng) * 2:
+            for e in (3, 1, 4, 0, 2):
+                for y in (x, flagged):
+                    assert_same_series(series_pow(y, e, cocycle),
+                                       ref_series_pow(y, e, cocycle))
+    for k in (1, 2):
+        monoid = MonoidDescriptor("N", k)
+        alpha = action(ring, k, rng)
+        for cap in (3, 2, 4, 2, 3):
+            f = series(ring, monoid, cap, rng, xs, 5)
+            for m in (1, -1, 2, 1):
+                assert_same_series(act(alpha, m, f), ref_act(alpha, m, f))
+
+
+@pytest.mark.parametrize("backend,base,n", CASES)
 def test_act(backend, base, n):
     ring = make_ring(backend, base, n)
     rng = random.Random(f"act {backend} {base} {n}")

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from daggerkit import spectral
+from daggerkit import chains, spectral
 from daggerkit.linalg import Lattice, MatrixV
 from daggerkit.monoid import MonoidDescriptor
 from daggerkit.ring import INFINITY, RingDescriptor, _PadicOps
@@ -441,15 +441,17 @@ class TestLatticePowers:
         S = singleton(ctx, mat(ring, [[1, 2], [3, 4]]))
         rho1_estimate(S, ctx, 4)
         key = id(S)
-        assert len(spectral._CHAINS[key][2]) == 3
+        # S's one chain: (context, [S^2, S^3, S^4])
+        assert len(chains._CHAINS[key][1][None][1]) == 3
         # a new context starts a new chain instead of keeping both
         other = MatrixAlgebraContext(ring, 2)
         lgb_closure(S, other, 1)
-        assert spectral._CHAINS[key][1] is other
-        assert len(spectral._CHAINS[key][2]) == 1
+        assert list(chains._CHAINS[key][1]) == [None]
+        assert chains._CHAINS[key][1][None][0][0] is other
+        assert len(chains._CHAINS[key][1][None][1]) == 1
         del S
         gc.collect()
-        assert key not in spectral._CHAINS
+        assert key not in chains._CHAINS
 
     def test_two_generator_product(self, ring, ctx):
         e12 = mat(ring, [[0, 1], [0, 0]])
