@@ -463,8 +463,8 @@ class Lattice:
     columns, each a tuple of (v, u, lossy) triples.
     """
 
-    __slots__ = ("ring", "ambient_rank", "pi_exponent", "cols",
-                 "__weakref__")
+    # _chains: the power chains of ``chains.link`` kept on this lattice
+    __slots__ = ("ring", "ambient_rank", "pi_exponent", "cols", "_chains")
 
     def __init__(self, ring, ambient_rank, pi_exponent, cols):
         self.ring = ring

@@ -9,6 +9,7 @@ the free monoid on a finite alphabet (length = word length).
 from __future__ import annotations
 
 import random
+from types import MappingProxyType
 
 from .ring import ScalarElem
 
@@ -145,7 +146,11 @@ def length_ge1(s: MonoidElem) -> int:
 
 
 class Cocycle:
-    """Base class; value(s, t) must return a unit of V."""
+    """Base class; value(s, t) must return a unit of V.
+
+    ``torus_monomial`` keeps the powers it makes on the cocycle, so a
+    cocycle must not change once it has been used.
+    """
 
     def value(self, s: MonoidElem, t: MonoidElem) -> ScalarElem:
         raise NotImplementedError
@@ -197,12 +202,12 @@ class TableCocycle(Cocycle):
     """An explicit finite table (s, t) -> unit; defaults to 1 off the table.
 
     Used to express hand-built candidate cocycles, valid or not, so that
-    cocycle_check has something to reject.
+    cocycle_check has something to reject.  The table is a read-only copy.
     """
 
     def __init__(self, ring, table):
         self.ring = ring
-        self.table = dict(table)
+        self.table = MappingProxyType(dict(table))
         for value in self.table.values():
             if value.valuation != 0:
                 raise ValueError("cocycle values must be units of V")

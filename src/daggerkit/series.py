@@ -12,10 +12,11 @@ Everything is scoped to the truncation (D, N): products drop terms above
 the cap and set a truncation flag instead of failing.
 ``_add_term`` is the one place where coefficients of a series or crossed
 product are summed, so a coefficient whose summands cancelled is ``lossy``.
-``series_pow`` and ``torus_monomial`` read powers off memoised
-left-to-right chains 1, 1 * x, (1 * x) * x, ... that the series or the
-cocycle keeps while it lives (``chains.link``); the products are the ones
-repeated multiplication makes, so the results are the same.
+Powers are left-to-right chains 1, 1 * x, (1 * x) * x, ... (``chains.link``).
+``torus_monomial`` reads the powers of U1 and U2 off chains the cocycle
+keeps while it lives; the products are the ones repeated multiplication
+makes, so the results are the same, but a cocycle must not change once it
+has been used.  ``series_pow`` keeps nothing.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class DaggerSeries:
     """Finitely supported map MonoidElem -> ScalarElem at truncation (D, N)."""
 
     __slots__ = ("ring", "monoid", "terms", "degree_cap", "certificate",
-                 "truncated", "__weakref__")
+                 "truncated")
 
     def __init__(self, ring: RingDescriptor, monoid: MonoidDescriptor,
                  terms, degree_cap: int,
@@ -298,15 +299,14 @@ def membership_filtration(a: DaggerSeries, n: int) -> bool:
 
 def series_pow(x: DaggerSeries, n: int, cocycle: Cocycle | None = None,
                inverse: DaggerSeries | None = None) -> DaggerSeries:
-    """n-th twisted power, link n of the chain 1, 1 * x, (1 * x) * x, ...
-    that x keeps for this cocycle while it lives (``chains.link``);
+    """n-th twisted power ((1 * x) * x) * ..., made afresh on every call;
     negative n needs an explicit inverse element."""
     if n < 0:
         if inverse is None:
             raise ValueError("negative power needs an inverse element")
         return series_pow(inverse, -n, cocycle)
     return chains.link(
-        x, None, (cocycle,),
+        None, None, (),
         lambda: DaggerSeries.unit(x.ring, x.monoid, x.degree_cap),
         lambda p: mul(p, x, cocycle), n)
 
@@ -332,7 +332,8 @@ def torus_monomial(ring, monoid, cocycle, s1: int, s2: int,
     of its inverse, whichever the sign asks for.  The powers are links of
     chains the cocycle keeps while it lives, one per cap, generator and
     sign, so a table of monomials makes one product per monomial plus one
-    per new link; a cocycle of None keeps none."""
+    per new link; a cocycle of None keeps none.  The chains are read, not
+    rebuilt, so a cocycle must not change once it has been used."""
     def power(axis, n):
         e = [0, 0]
         e[axis] = 1 if n >= 0 else -1

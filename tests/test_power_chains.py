@@ -1,13 +1,13 @@
 """The memoised power chains of ``daggerkit.chains``.
 
-A chain lives on its owner: the lattice S for S^n, the series x for
-``series_pow``, the cocycle for the powers of U1 and U2 in
-``torus_monomial`` and the affine action for the powers of each
-substituted line in ``act``.  These tests check what the chains save (the
+A chain lives on its owner, in the owner's ``_chains``: the lattice S for
+S^n, the cocycle for the powers of U1 and U2 in ``torus_monomial`` and the
+affine action for the powers of each substituted line in ``act``;
+``series_pow`` keeps nothing.  These tests check what the chains save (the
 products a torus table and a repeated substitution make), that owners are
-matched by identity and contexts too (equal lattices, series and rings can
-carry different flags or descriptors), and that every chain goes when its
-owner is collected, so nothing grows across queries.
+matched by identity and contexts too (equal lattices and rings can carry
+different flags or descriptors), and that every chain goes when its owner
+is collected, so nothing grows across queries.
 """
 
 import gc
@@ -15,11 +15,11 @@ import weakref
 
 import pytest
 
-from daggerkit import chains, crossed, series, spectral
+from daggerkit import crossed, series, spectral
 from daggerkit.crossed import AffineAction, act, shift_action
 from daggerkit.linalg import Lattice, MatrixV
 from daggerkit.monoid import BicharacterCocycle, MonoidDescriptor
-from daggerkit.ring import INFINITY, RingDescriptor, ScalarElem
+from daggerkit.ring import INFINITY, RingDescriptor
 from daggerkit.series import DaggerSeries, nc_torus, series_pow, \
     torus_monomial
 from daggerkit.spectral import (MatrixAlgebraContext, lattice_from_elements,
@@ -48,14 +48,7 @@ def counting(monkeypatch, module, name):
 
 
 def chain_names(owner):
-    return set(chains._CHAINS[id(owner)][1])
-
-
-def flagged_copy(ring, a):
-    """a with every nonzero coefficient flagged lossy; a == copy."""
-    return DaggerSeries(ring, a.monoid, {
-        s: ScalarElem(ring, x.v, x.u, True) for s, x in a.terms.items()},
-        a.degree_cap)
+    return set(owner._chains)
 
 
 class TestWhatChainsSave:
@@ -77,16 +70,16 @@ class TestWhatChainsSave:
             torus_monomial(ring, monoid, cocycle, *s.data, D)
         assert len(calls) == len(table)
 
-    def test_series_pow_extends_the_chain_it_has(self, ring, monkeypatch):
+    def test_series_pow_keeps_nothing(self, ring, monkeypatch):
         x = DaggerSeries(ring, N2, {N2.element((1, 0)): ring.scalar(2),
                                     N2.identity(): ring.one()}, 8)
         calls = counting(monkeypatch, series, "mul")
-        series_pow(x, 4)
+        fourth = series_pow(x, 4)
         assert len(calls) == 4
+        assert series_pow(x, 4) == fourth
+        assert len(calls) == 8
         series_pow(x, 2)
-        assert len(calls) == 4
-        series_pow(x, 6)
-        assert len(calls) == 6
+        assert len(calls) == 10
 
     def test_repeated_substitution_reuses_line_powers(self, ring,
                                                       monkeypatch):
@@ -122,16 +115,6 @@ class TestIdentity:
         assert not any(x[2] for c in spectral._lattice_power(S, ctx, 2).cols
                        for x in c)
 
-    def test_equal_series_keep_their_own_flags(self, ring):
-        x = DaggerSeries(ring, N2, {N2.element((1, 0)): ring.scalar(2),
-                                    N2.identity(): ring.one()}, 6)
-        y = flagged_copy(ring, x)
-        assert x == y
-        series_pow(x, 3)
-        cube = series_pow(y, 3)
-        assert all(c.lossy for c in cube.terms.values())
-        assert not any(c.lossy for c in series_pow(x, 3).terms.values())
-
     def test_equal_rings_get_their_own_torus_chains(self, ring):
         twin = RingDescriptor("padic", 5, 20)
         cocycle = BicharacterCocycle(ring.scalar(7), [[0, 0], [1, 0]])
@@ -154,59 +137,48 @@ class TestIdentity:
 
 
 class TestLifetime:
-    def test_chain_goes_with_its_cocycle(self, ring):
+    def test_chain_goes_with_its_cocycle(self):
+        # nothing but the cocycle and its chains holds this ring
+        ring = RingDescriptor("padic", 5, 20)
+        held = weakref.ref(ring)
         cocycle = BicharacterCocycle(ring.scalar(7), [[0, 0], [1, 0]])
         torus_monomial(ring, Z2, cocycle, 2, -1, 4)
-        key = id(cocycle)
         assert chain_names(cocycle) == {(4, 0, 1), (4, 1, -1)}
         # U1^0 is the unit, which starts no chain
         torus_monomial(ring, Z2, cocycle, 0, 3, 5)
         assert chain_names(cocycle) == {(4, 0, 1), (4, 1, -1), (5, 1, 1)}
+        del ring
+        gc.collect()
+        assert held() is not None
         del cocycle
         gc.collect()
-        assert key not in chains._CHAINS
+        assert held() is None
 
-    def test_none_cocycle_keeps_nothing(self, ring):
-        before = set(chains._CHAINS)
-        assert torus_monomial(ring, Z2, None, 2, -2, 4) == \
-            DaggerSeries.delta(ring, Z2, Z2.element((2, -2)), 4)
-        assert set(chains._CHAINS) == before
+    def test_none_cocycle_keeps_nothing(self, ring, monkeypatch):
+        calls = counting(monkeypatch, series, "mul")
+        for _ in range(2):
+            assert torus_monomial(ring, Z2, None, 2, -2, 4) == \
+                DaggerSeries.delta(ring, Z2, Z2.element((2, -2)), 4)
+        # U1^2 and U2^-2 from the unit, and their product, each time
+        assert len(calls) == 2 * 5
 
-    def test_chain_goes_with_its_action(self, ring):
+    def test_chain_goes_with_its_action(self):
+        ring = RingDescriptor("padic", 5, 20)
+        held = weakref.ref(ring)
         alpha = shift_action(ring, 2)
         f = DaggerSeries(ring, N2, {N2.element((2, 1)): ring.one()}, 4)
         act(alpha, 1, f)
         act(alpha, -1, f)
-        key = id(alpha)
         assert chain_names(alpha) == {(1, 4, 0), (1, 4, 1), (-1, 4, 0),
                                       (-1, 4, 1)}
-        del alpha
-        gc.collect()
-        assert key not in chains._CHAINS
-
-    def test_chain_goes_with_its_series(self, ring):
-        cocycle = BicharacterCocycle(ring.scalar(7), [[0, 0], [1, 0]])
-        x = DaggerSeries.delta(ring, Z2, Z2.element((1, -1)), 6)
-        series_pow(x, 3, cocycle)
-        key = id(x)
-        context, links = chains._CHAINS[key][1][None]
-        assert context[0] is cocycle and len(links) == 3
-        # a new cocycle starts a new chain instead of keeping both
-        other = BicharacterCocycle(ring.scalar(2), [[0, 1], [0, 0]])
-        series_pow(x, 1, other)
-        context, links = chains._CHAINS[key][1][None]
-        assert context[0] is other and len(links) == 1
-        # the chain holds its cocycle only while x lives
-        held = weakref.ref(other)
-        del other, context, links
+        del ring, f
         gc.collect()
         assert held() is not None
-        del x
+        del alpha
         gc.collect()
-        assert key not in chains._CHAINS
         assert held() is None
 
-    def test_nothing_grows_across_queries(self, ring):
+    def test_nothing_outlives_its_query(self, ring):
         def query(seed):
             u1, u2, cocycle, monoid = nc_torus(ring, ring.scalar(5 * seed + 2), 5)
             for s in monoid.elements_up_to_length(5):
@@ -215,11 +187,8 @@ class TestLifetime:
                                  [ring.scalar(seed), ring.one()])
             f = DaggerSeries(ring, N2, {N2.element((2, 2)): ring.one()}, 4)
             series_pow(act(alpha, 1, f), 2)
+            return weakref.ref(cocycle), weakref.ref(alpha)
 
-        query(7)
+        owners = [query(seed) for seed in range(7, 27)]
         gc.collect()
-        before = len(chains._CHAINS)
-        for seed in range(8, 28):
-            query(seed)
-        gc.collect()
-        assert len(chains._CHAINS) == before
+        assert not any(owner() for pair in owners for owner in pair)

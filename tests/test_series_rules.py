@@ -440,11 +440,11 @@ def test_powers_and_torus_monomials(backend, base, n):
 
 @pytest.mark.parametrize("backend,base,n", CASES)
 def test_chains_shared_across_calls(backend, base, n):
-    """Powers come from chains kept on the series, the cocycle and the
-    action, so later calls reuse links that earlier calls built.  Calls
-    that reuse one cocycle or action while alternating caps, equal but
-    distinct rings and the cocycle None still give the reference's
-    series, in the ring they were asked for."""
+    """Powers come from chains kept on the cocycle and the action, so
+    later calls reuse links that earlier calls built.  Calls that reuse
+    one cocycle or action while alternating caps, equal but distinct rings
+    and the cocycle None still give the reference's series, in the ring
+    they were asked for; so do repeated ``series_pow`` calls."""
     ring = make_ring(backend, base, n)
     twin = make_ring(backend, base, n)  # equal to ring, not the same object
     rng = random.Random(f"chains {backend} {base} {n}")

@@ -2,11 +2,12 @@
 
 import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from daggerkit import chains, spectral
+from daggerkit import spectral
 from daggerkit.linalg import Lattice, MatrixV
 from daggerkit.monoid import MonoidDescriptor
 from daggerkit.ring import INFINITY, RingDescriptor, _PadicOps
@@ -440,18 +441,22 @@ class TestLatticePowers:
     def test_chain_goes_with_its_lattice(self, ring, ctx):
         S = singleton(ctx, mat(ring, [[1, 2], [3, 4]]))
         rho1_estimate(S, ctx, 4)
-        key = id(S)
         # S's one chain: (context, [S^2, S^3, S^4])
-        assert len(chains._CHAINS[key][1][None][1]) == 3
+        assert len(S._chains[None][1]) == 3
         # a new context starts a new chain instead of keeping both
         other = MatrixAlgebraContext(ring, 2)
         lgb_closure(S, other, 1)
-        assert list(chains._CHAINS[key][1]) == [None]
-        assert chains._CHAINS[key][1][None][0][0] is other
-        assert len(chains._CHAINS[key][1][None][1]) == 1
+        assert list(S._chains) == [None]
+        assert S._chains[None][0][0] is other
+        assert len(S._chains[None][1]) == 1
+        # the chain, and the context it holds, go with S
+        held = weakref.ref(other)
+        del other
+        gc.collect()
+        assert held() is not None
         del S
         gc.collect()
-        assert key not in chains._CHAINS
+        assert held() is None
 
     def test_two_generator_product(self, ring, ctx):
         e12 = mat(ring, [[0, 1], [0, 0]])
