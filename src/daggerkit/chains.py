@@ -10,12 +10,12 @@ so ``((1 * x) * x) * x`` is never regrouped.
 a cocycle or an affine action), in the owner's ``_chains`` attribute
 (name -> (context, [x_1, x_2, ...])), so they are matched by the owner's
 identity and go when the owner is collected.  An owner keeps one chain per
-name.  A name holds plain
-integers (caps, exponents, coordinates) and is matched by value.  The
-context holds the objects the chain is built with (an algebra context, a
-ring, a monoid) and is matched by identity, because equal lattices and
-descriptors can differ in their flags or in the descriptor their results
-carry; a new context replaces the owner's chain of that name.
+name.  A name holds plain integers (caps, exponents, coordinates) and is
+matched by value.  The context holds the objects the chain is built with
+(an algebra context, a ring, a monoid) and is matched by identity, because
+equal lattices and descriptors can differ in their flags or in the
+descriptor their results carry; a new context replaces the owner's chain
+of that name.
 
 A chain is read, never rebuilt, once it has a link: an owner whose values
 change after it was used (a cocycle, say) gets the powers made under the
