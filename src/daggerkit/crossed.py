@@ -2,24 +2,31 @@
 
 The action generator is the substitution f(x) |-> f(a x + b); its n-th
 power is memoised through the affine pair (a^n, (a^(n-1) + ... + 1) b)
-computed by repeated squaring, so act(n, .) costs one substitution for any
-n.  The powers of each substituted line are links of memoised chains the
-action keeps while it lives (``chains.link``), so repeated substitutions
-under one action multiply out each power once.  Substitution never raises
-total degree, so no truncation occurs inside the action.
+computed by repeated squaring on (v, u, lossy) triples, so act(n, .) costs
+one substitution for any n.  Substitution never raises total degree, so no
+truncation occurs inside the action.
+
+What a substitution makes is kept on the action while it lives, for each
+n and degree cap: the powers of each substituted line are links of chains
+(``chains.link``, in the action's ``_chains``), and the image of each
+monomial, the left-to-right product of the powers of its lines, is kept in
+``_images`` by the monomial's key.  Repeated substitutions under one
+action therefore multiply each power and each monomial out once, and an
+action must not change once it has been used.
 
 Crossed elements are finitely supported maps n -> series over N^k with a
 support cap |n| <= Dz; multiplication follows
 (a_p delta_p)(b_q delta_q) = a_p alpha_p(b_q) delta_(p+q) and certificates
 over the combined length |n| + |m| compose as (min c, k1 + k2 + 1).
-Coefficients are summed only through ``series._add_term``, in ``act`` as in
-``crossed_mul``, and certificates use the rules of ``series``.
+Coefficients are summed only through ``series._add_term`` on the series'
+raw triples, in ``act`` as in ``crossed_mul``, and certificates use the
+rules of ``series``.
 """
 
 from __future__ import annotations
 
 from . import chains
-from .linalg import Lattice, MatrixV
+from .linalg import Lattice, MatrixV, _Kernel, _raw
 from .monoid import MonoidDescriptor
 from .ring import RingDescriptor
 from .series import (DaggerSeries, GrowthCertificate, _add_term,
@@ -56,21 +63,26 @@ class AffineAction:
         # pair for the inverse map x |-> a^(-1) x - a^(-1) b
         self.b_inv = [-x for x in self.a_inv.apply(self.b)]
         self.monoid = MonoidDescriptor("N", self.k)
-        self._pairs: dict[int, tuple[MatrixV, list]] = {
+        self._pairs: dict[int, tuple[MatrixV, tuple]] = {
             0: (MatrixV.identity(self.ring, self.k),
-                [self.ring.zero()] * self.k),
-            1: (self.a, self.b),
-            -1: (self.a_inv, self.b_inv),
+                _raw(self.ring, [self.ring.zero()] * self.k)),
+            1: (self.a, _raw(self.ring, self.b)),
+            -1: (self.a_inv, _raw(self.ring, self.b_inv)),
         }
+        # (n, cap) -> {monomial key: its image}
+        self._images: dict[tuple[int, int], dict] = {}
 
     def _compose(self, first, second):
         """Affine pair of x |-> second(first(x))."""
         m1, v1 = first
         m2, v2 = second
-        return m2 * m1, [x + y for x, y in zip(m2.apply(v1), v2)]
+        dot, plus = _Kernel(self.ring).dot, self.ring._plus
+        return m2 * m1, tuple(plus(dot(row, v1), y)
+                              for row, y in zip(m2.raw, v2))
 
     def pair(self, n: int):
-        """Memoised affine pair of the n-th power, by binary decomposition."""
+        """Memoised affine pair of the n-th power, by binary decomposition:
+        the matrix and the translation as (v, u, lossy) triples."""
         if n in self._pairs:
             return self._pairs[n]
         half = self.pair(n // 2) if n > 0 else self.pair(-((-n) // 2))
@@ -84,38 +96,51 @@ class AffineAction:
         return act(self, n, f)
 
 
+def _image(alpha: AffineAction, n: int, cap: int, data) -> DaggerSeries:
+    """x^data substituted by alpha's n-th power at cap: the powers of each
+    line in turn, multiplied left to right.  Line j is shift_j +
+    sum_i matrix[j, i] x_i; its powers are links of a chain alpha keeps
+    per n, cap and coordinate."""
+    ring, monoid, packing = alpha.ring, alpha.monoid, alpha.monoid.packing(cap)
+
+    def line(j):
+        matrix, shift = alpha.pair(n)
+        basis = [packing.identity] + [
+            packing.key([int(i == c) for c in range(alpha.k)])
+            for i in range(alpha.k)]
+        return DaggerSeries._of(ring, monoid, dict(zip(
+            basis, (shift[j], *matrix.raw[j]))), cap)
+
+    term = None
+    for j, e in enumerate(data):
+        if e == 0:
+            continue
+        p = chains.link(alpha, (n, cap, j), (),
+                        lambda: DaggerSeries.unit(ring, monoid, cap),
+                        lambda p: series_mul(p, line(j)), e)
+        term = p if term is None else series_mul(term, p)
+    return term
+
+
 def _substitute(alpha: AffineAction, n: int,
                 f: DaggerSeries) -> DaggerSeries:
     """f(a x + b) for the affine pair (a, b) of alpha's n-th power, with
-    exact series products.  The powers of each substituted line are links
-    of chains alpha keeps while it lives, one per n, cap and coordinate."""
-    ring, monoid, k, cap = alpha.ring, alpha.monoid, alpha.k, f.degree_cap
-    matrix, shift = alpha.pair(n)
-    # line j is shift_j + sum_i matrix[j, i] x_i (DaggerSeries drops zeros)
-    basis = [monoid.identity(), *monoid.generators()]
-    lines = [DaggerSeries(ring, monoid, dict(zip(
-        basis, [shift[j]] + [matrix[j, i] for i in range(k)])), cap)
-        for j in range(k)]
-
-    def power(j, e):
-        return chains.link(alpha, (n, cap, j), (),
-                           lambda: DaggerSeries.unit(ring, monoid, cap),
-                           lambda p: series_mul(p, lines[j]), e)
-
-    acc = {}
-    for s, x in f.terms.items():
-        term = None
-        for j, e in enumerate(s.data):
-            if e == 0:
-                continue
-            p = power(j, e)
-            term = p if term is None else series_mul(term, p)
-        if term is None:
-            _add_term(acc, monoid.identity(), x)
-        else:
-            for t, y in term.terms.items():
-                _add_term(acc, t, x * y)
-    return DaggerSeries(ring, monoid, acc, cap)
+    exact series products.  The image of each monomial of f is made once
+    per n and cap and kept on alpha."""
+    ring, cap, packing = alpha.ring, f.degree_cap, f.packing
+    images = alpha._images.setdefault((n, cap), {})
+    plus, times = ring._plus, ring._times
+    acc: dict = {}
+    for s, x in f.raw.items():
+        if s == packing.identity:
+            _add_term(acc, s, x, plus)
+            continue
+        image = images.get(s)
+        if image is None:
+            image = images[s] = _image(alpha, n, cap, packing.data(s))
+        for t, y in image.raw.items():
+            _add_term(acc, t, times(x, y), plus)
+    return DaggerSeries._of(ring, alpha.monoid, acc, cap)
 
 
 def act(alpha: AffineAction, n: int, f: DaggerSeries) -> DaggerSeries:
@@ -195,9 +220,8 @@ class CrossedElem:
 
     def _points(self):
         """(|n| + |m|, nu(a_{n,m})) for every stored coefficient."""
-        return ((abs(n) + s.length, x.valuation)
-                for n, series in self.terms.items()
-                for s, x in series.terms.items())
+        return ((abs(n) + length, v) for n, series in self.terms.items()
+                for length, v in series._points())
 
     def __eq__(self, other):
         """Coefficientwise equality; certificates and flags are metadata."""
@@ -230,6 +254,7 @@ def crossed_mul(u: CrossedElem, v: CrossedElem, alpha: AffineAction,
     sums: dict[int, dict] = {}
     truncated_at = set()
     dropped = False
+    plus = u.ring._plus
     for p, a_p in u.terms.items():
         for q, b_q in v.terms.items():
             n = p + q
@@ -238,12 +263,12 @@ def crossed_mul(u: CrossedElem, v: CrossedElem, alpha: AffineAction,
                 continue
             coefficient = series_mul(a_p, act(alpha, p, b_q))
             terms = sums.setdefault(n, {})
-            for s, x in coefficient.terms.items():
-                _add_term(terms, s, x)
+            for s, x in coefficient.raw.items():
+                _add_term(terms, s, x, plus)
             if coefficient.truncated:
                 truncated_at.add(n)
-    out = {n: DaggerSeries(u.ring, u.monoid, terms, u.degree_cap,
-                           truncated=n in truncated_at)
+    out = {n: DaggerSeries._of(u.ring, u.monoid, terms, u.degree_cap,
+                               truncated=n in truncated_at)
            for n, terms in sums.items()}
     return CrossedElem(u.ring, u.monoid, out, cap, u.degree_cap,
                        _product_certificate(u.certificate, v.certificate),

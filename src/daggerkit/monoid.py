@@ -4,10 +4,20 @@ Three monoid kinds are supported, each with its canonical generating set
 and the word length it induces: N^k (generators e_i, length = sum of
 exponents), Z^k (generators +-e_i, length = sum of absolute exponents) and
 the free monoid on a finite alphabet (length = word length).
+
+Twisted series index their terms by keys, not by ``MonoidElem``: a
+``Packing`` (one per descriptor and degree cap, kept on the descriptor)
+packs an exponent vector into one int of fixed-width fields, and a word is
+its own key, so ``compose`` of two keys is one addition.  The cocycles here
+take keys as well as elements and keep what they compute on themselves:
+``BicharacterCocycle`` its powers of lambda, ``TableCocycle`` its table
+re-keyed per packing, ``TrivialCocycle`` its one.  A cocycle must
+therefore not change once it has been used.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from types import MappingProxyType
 
@@ -17,7 +27,7 @@ from .ring import ScalarElem
 class MonoidDescriptor:
     """Kind ("N", "Z" or "free") plus rank (or alphabet size)."""
 
-    __slots__ = ("kind", "rank")
+    __slots__ = ("kind", "rank", "_packings")
 
     _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -28,6 +38,7 @@ class MonoidDescriptor:
             raise ValueError("rank out of range")
         self.kind = kind
         self.rank = rank
+        self._packings: dict[int, Packing] = {}
 
     def __eq__(self, other):
         return (isinstance(other, MonoidDescriptor)
@@ -38,6 +49,27 @@ class MonoidDescriptor:
 
     def __repr__(self):
         return f"MonoidDescriptor({self.kind}, rank={self.rank})"
+
+    def packing(self, cap: int) -> "Packing":
+        """The keys of the elements of length <= cap, made once per cap."""
+        packing = self._packings.get(cap)
+        if packing is None:
+            packing = self._packings[cap] = Packing(self.kind, self.rank, cap)
+        return packing
+
+    def normal(self, data):
+        """(data, length) of a valid element: exponents as a tuple of ints
+        of the right rank (nonnegative for N^k), or a word."""
+        if self.kind == "free":
+            if not isinstance(data, str):
+                raise ValueError("free monoid elements are words")
+            return data, len(data)
+        data = tuple(int(c) for c in data)
+        if len(data) != self.rank:
+            raise ValueError("exponent vector has wrong rank")
+        if self.kind == "N" and any(c < 0 for c in data):
+            raise ValueError("N^k exponents must be nonnegative")
+        return data, sum(map(abs, data))
 
     def identity(self) -> "MonoidElem":
         if self.kind == "free":
@@ -70,7 +102,8 @@ class MonoidDescriptor:
 
         def rec(prefix, remaining):
             if len(prefix) == self.rank:
-                out.append(MonoidElem(self, tuple(prefix)))
+                out.append(MonoidElem._of(self, tuple(prefix),
+                                          bound - remaining))
                 return
             lo = -remaining if self.kind == "Z" else 0
             for c in range(lo, remaining + 1):
@@ -93,6 +126,63 @@ class MonoidDescriptor:
         return MonoidElem(self, tuple(data))
 
 
+class Packing:
+    """Keys for the elements of length <= cap of one monoid.
+
+    After Monagan and Pearce, *Polynomial division using dynamic arrays,
+    heaps, and packed exponent vectors* (CASC 2007), an exponent vector is
+    one int: exponent i, plus a bias B, in bits [w i, w i + w).  The width
+    w = bitlen(2D) + 1 comes from the cap D: two elements of length <= D
+    compose to exponents in [-2D, 2D], which every field holds, so a sum of
+    keys never carries from one field into the next.  B is 2^(w-1) > 2D on
+    Z^k and 0 on N^k.  A sum of two keys holds the bias twice, so
+    ``compose(lead(s), t)``, with ``lead`` taking one bias off, is the key
+    of s t.  A word of a free monoid is its own key, and its ``lead`` is
+    itself.  ``additive`` says that the length of s t is the sum of the
+    lengths.
+    """
+
+    __slots__ = ("kind", "rank", "cap", "identity", "additive", "key", "data",
+                 "length", "lead")
+
+    def __init__(self, kind: str, rank: int, cap: int):
+        if cap < 0:
+            raise ValueError("degree cap must be nonnegative")
+        self.kind, self.rank, self.cap = kind, rank, cap
+        self.additive = kind != "Z"
+        if kind == "free":
+            self.identity = ""
+            self.key = self.data = self.lead = str
+            self.length = len
+            return
+        w = (2 * cap).bit_length() + 1
+        bias = 1 << (w - 1) if kind == "Z" else 0
+        shifts = tuple(range(0, w * rank, w))
+        mask = (1 << w) - 1
+        offset = sum(bias << s for s in shifts)
+
+        def key(data):
+            k = offset
+            for e, s in zip(data, shifts):
+                k += e << s
+            return k
+
+        def data(key):
+            return tuple([(key >> s & mask) - bias for s in shifts])
+
+        def length(key):
+            n = 0
+            for s in shifts:
+                n += abs((key >> s & mask) - bias)
+            return n
+
+        def lead(key):
+            return key - offset
+
+        self.key, self.data, self.length, self.lead = key, data, length, lead
+        self.identity = offset
+
+
 class MonoidElem:
     """An exponent vector (N^k, Z^k) or word (free), with cached length."""
 
@@ -100,19 +190,14 @@ class MonoidElem:
 
     def __init__(self, descriptor: MonoidDescriptor, data):
         self.descriptor = descriptor
-        if descriptor.kind == "free":
-            if not isinstance(data, str):
-                raise ValueError("free monoid elements are words")
-            self.data = data
-            self.length = len(data)
-        else:
-            data = tuple(int(c) for c in data)
-            if len(data) != descriptor.rank:
-                raise ValueError("exponent vector has wrong rank")
-            if descriptor.kind == "N" and any(c < 0 for c in data):
-                raise ValueError("N^k exponents must be nonnegative")
-            self.data = data
-            self.length = sum(abs(c) for c in data)
+        self.data, self.length = descriptor.normal(data)
+
+    @classmethod
+    def _of(cls, descriptor, data, length: int) -> "MonoidElem":
+        """An element from data already known to be valid."""
+        s = object.__new__(cls)
+        s.descriptor, s.data, s.length = descriptor, data, length
+        return s
 
     @property
     def is_identity(self) -> bool:
@@ -124,20 +209,28 @@ class MonoidElem:
                 and self.data == other.data)
 
     def __hash__(self):
-        return hash((self.descriptor, self.data))
+        # equal elements have equal data; __eq__ compares the descriptors
+        return hash(self.data)
 
     def __repr__(self):
         return f"<{self.data!r}>"
 
 
-def compose(s: MonoidElem, t: MonoidElem) -> MonoidElem:
-    """Monoid product; for exponent vectors this is componentwise addition."""
-    if s.descriptor != t.descriptor:
+def compose(s, t):
+    """Monoid product.  Of two elements it is an element: componentwise
+    addition of exponent vectors, concatenation of words.  Of two keys of
+    one ``Packing``, the left one passed through ``lead``, it is the key
+    of the product, one addition."""
+    if not isinstance(s, MonoidElem):
+        return s + t
+    d = s.descriptor
+    if d is not t.descriptor and d != t.descriptor:
         raise ValueError("monoid descriptor mismatch")
-    if s.descriptor.kind == "free":
-        return MonoidElem(s.descriptor, s.data + t.data)
-    return MonoidElem(s.descriptor,
-                      tuple(a + b for a, b in zip(s.data, t.data)))
+    if d.kind == "free":
+        return MonoidElem._of(d, s.data + t.data, s.length + t.length)
+    data = tuple(map(operator.add, s.data, t.data))
+    return MonoidElem._of(d, data, s.length + t.length if d.kind == "N"
+                          else sum(map(abs, data)))
 
 
 def length_ge1(s: MonoidElem) -> int:
@@ -148,51 +241,87 @@ def length_ge1(s: MonoidElem) -> int:
 class Cocycle:
     """Base class; value(s, t) must return a unit of V.
 
-    ``torus_monomial`` keeps the powers it makes on the cocycle, so a
-    cocycle must not change once it has been used.
+    The cocycles of this module also take keys: ``value(s, t, packing)``
+    with s and t keys of ``packing`` (``keyed`` is True).  A subclass whose
+    ``value`` takes elements only leaves ``keyed`` False, and series
+    products hand it elements.  ``torus_monomial`` keeps the powers it makes
+    on the cocycle, so a cocycle must not change once it has been used.
     """
+
+    keyed = False
+    _unit = None
 
     def value(self, s: MonoidElem, t: MonoidElem) -> ScalarElem:
         raise NotImplementedError
 
+    def _one(self) -> ScalarElem:
+        """The ring's one, made on first use and kept."""
+        if self._unit is None:
+            self._unit = self.ring.one()
+        return self._unit
+
 
 class TrivialCocycle(Cocycle):
+    keyed = True
+
     def __init__(self, ring):
         self.ring = ring
 
-    def value(self, s, t):
-        return self.ring.one()
+    def value(self, s, t, packing=None):
+        return self._unit or self._one()
 
     def __repr__(self):
         return "TrivialCocycle()"
 
 
 class BicharacterCocycle(Cocycle):
-    """c(s, t) = lambda^(s . Q t) on Z^k for an integer matrix Q.
+    """c(s, t) = lambda^(s . Q t) on Z^k for a square integer matrix Q.
 
     Bilinearity of the exponent makes the cocycle identity automatic, and
-    c(s, 1) = c(1, s) = 1 since the exponent vanishes.
+    c(s, 1) = c(1, s) = 1 since the exponent vanishes.  Each power of
+    lambda is computed once and kept on the cocycle.
     """
+
+    keyed = True
 
     def __init__(self, lam: ScalarElem, Q):
         if lam.valuation != 0:
             raise ValueError("cocycle values must be units of V")
+        try:
+            rows = [list(row) for row in Q]
+            ok = rows and all(len(row) == len(rows) for row in rows) and \
+                not any(isinstance(x, bool) for row in rows for x in row)
+            Q = tuple(tuple(map(operator.index, row)) for row in rows)
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError("Q must be a nonempty square matrix of integers")
         self.lam = lam
         self.ring = lam.ring
-        self.Q = tuple(tuple(int(x) for x in row) for row in Q)
+        self.Q = Q
+        # the exponent s . Q t is the sum of s_i q t_j over these (i, j, q)
+        self._entries = [(i, j, q) for i, row in enumerate(Q)
+                         for j, q in enumerate(row) if q]
+        self._powers: dict[int, ScalarElem] = {}
 
-    def value(self, s, t):
-        if s.descriptor.kind != "Z" or s.descriptor != t.descriptor:
+    def value(self, s, t, packing=None):
+        if packing is None:
+            if s.descriptor.kind != "Z" or s.descriptor != t.descriptor:
+                raise ValueError("bicharacter cocycles live on Z^k")
+            s, t = s.data, t.data
+        elif packing.kind != "Z":
             raise ValueError("bicharacter cocycles live on Z^k")
-        k = s.descriptor.rank
-        if len(self.Q) != k:
+        else:
+            s, t = packing.data(s), packing.data(t)
+        if len(self.Q) != len(s):
             raise ValueError("Q has wrong size")
         exp = 0
-        for i in range(k):
-            if s.data[i]:
-                for j in range(k):
-                    exp += s.data[i] * self.Q[i][j] * t.data[j]
-        return self.lam ** exp
+        for i, j, q in self._entries:
+            exp += s[i] * q * t[j]
+        power = self._powers.get(exp)
+        if power is None:
+            power = self._powers[exp] = self.lam ** exp
+        return power
 
     def __repr__(self):
         return f"BicharacterCocycle(lambda={self.lam!r}, Q={self.Q})"
@@ -202,8 +331,11 @@ class TableCocycle(Cocycle):
     """An explicit finite table (s, t) -> unit; defaults to 1 off the table.
 
     Used to express hand-built candidate cocycles, valid or not, so that
-    cocycle_check has something to reject.  The table is a read-only copy.
+    cocycle_check has something to reject.  The table is a read-only copy;
+    the cocycle keeps one copy keyed by the keys of each packing it meets.
     """
+
+    keyed = True
 
     def __init__(self, ring, table):
         self.ring = ring
@@ -211,9 +343,27 @@ class TableCocycle(Cocycle):
         for value in self.table.values():
             if value.valuation != 0:
                 raise ValueError("cocycle values must be units of V")
+        self._keyed: dict[Packing, dict] = {}
 
-    def value(self, s, t):
-        return self.table.get((s, t), self.ring.one())
+    def value(self, s, t, packing=None):
+        if packing is None:
+            return self.table.get((s, t)) or self._one()
+        table = self._keyed.get(packing)
+        if table is None:
+            table = self._keyed[packing] = self._by_key(packing)
+        return table.get((s, t)) or self._one()
+
+    def _by_key(self, packing):
+        """The entries that can meet keys of packing, keyed by them: pairs
+        of elements of its monoid of length <= its cap."""
+        def fits(s):
+            return (isinstance(s, MonoidElem) and s.length <= packing.cap
+                    and (s.descriptor.kind, s.descriptor.rank)
+                    == (packing.kind, packing.rank))
+
+        key = packing.key
+        return {(key(s.data), key(t.data)): x
+                for (s, t), x in self.table.items() if fits(s) and fits(t)}
 
 
 def cocycle_check(c: Cocycle, descriptor: MonoidDescriptor,

@@ -10,8 +10,18 @@ inequality preserves the bound under coefficient summation.
 
 Everything is scoped to the truncation (D, N): products drop terms above
 the cap and set a truncation flag instead of failing.
+
+Stored form: ``DaggerSeries.raw`` maps the key of each term's index (its
+monoid's ``Packing`` at the cap D: an int of fixed-width exponent fields,
+or the word of a free monoid) to the coefficient's (v, u, lossy) triple,
+and holds no zero.  ``terms`` (MonoidElem -> ScalarElem) is a view built on
+first read.  ``mul``, ``add_scale``, ``certify`` and the rest run on the
+keys and triples, with the ring's scalar rules (``ring._scalar_rules``);
 ``_add_term`` is the one place where coefficients of a series or crossed
 product are summed, so a coefficient whose summands cancelled is ``lossy``.
+A product of keys is ``monoid.compose`` and each term pair's cocycle value
+is the cocycle's ``value`` on the keys; a value of exactly 1 is not
+multiplied in.
 Powers are left-to-right chains 1, 1 * x, (1 * x) * x, ... (``chains.link``).
 ``torus_monomial`` reads the powers of U1 and U2 off chains the cocycle
 keeps while it lives; the products are the ones repeated multiplication
@@ -24,15 +34,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import chains
-from .monoid import Cocycle, MonoidDescriptor, MonoidElem, TrivialCocycle, compose
-from .ring import RingDescriptor, ScalarElem
+from .monoid import (Cocycle, MonoidDescriptor, MonoidElem, TrivialCocycle,
+                     compose)
+from .ring import INFINITY, RingDescriptor, ScalarElem
 
 
-def _add_term(terms: dict, key, x: ScalarElem) -> None:
-    """terms[key] += x, an absent key read as zero.  A cancelled sum stays
-    as a flagged zero for the next summand; ``DaggerSeries`` prunes it."""
+def _add_term(terms: dict, key, x, plus) -> None:
+    """terms[key] += x on (v, u, lossy) triples, an absent key read as
+    zero, by the ring rule ``plus``.  A cancelled sum stays as a flagged
+    zero for the next summand; ``DaggerSeries._of`` prunes it."""
     acc = terms.get(key)
-    terms[key] = x if acc is None else acc + x
+    terms[key] = x if acc is None else plus(acc, x)
 
 
 def _minimal_offset(c, points) -> int:
@@ -94,10 +106,12 @@ def _product_certificate(a, b) -> GrowthCertificate | None:
 
 
 class DaggerSeries:
-    """Finitely supported map MonoidElem -> ScalarElem at truncation (D, N)."""
+    """Finitely supported map MonoidElem -> ScalarElem at truncation (D, N),
+    stored as ``raw``: key -> (v, u, lossy) under ``packing``, the keys of
+    the monoid at the cap D."""
 
-    __slots__ = ("ring", "monoid", "terms", "degree_cap", "certificate",
-                 "truncated")
+    __slots__ = ("ring", "monoid", "packing", "raw", "degree_cap",
+                 "certificate", "truncated", "_terms")
 
     def __init__(self, ring: RingDescriptor, monoid: MonoidDescriptor,
                  terms, degree_cap: int,
@@ -105,7 +119,9 @@ class DaggerSeries:
                  truncated: bool = False):
         if degree_cap < 0:
             raise ValueError("degree cap must be nonnegative")
-        clean = {}
+        packing = monoid.packing(degree_cap)
+        key = packing.key
+        clean, raw = {}, {}
         for s, x in terms.items():
             if x.is_zero:
                 continue
@@ -118,19 +134,40 @@ class DaggerSeries:
                     f"term of length {s.length} above the degree cap "
                     f"{degree_cap}")
             clean[s] = x
+            raw[key(s.data)] = (x.v, x.u, x.lossy)
+        self._set(ring, monoid, packing, raw, degree_cap, certificate,
+                  truncated)
+        self._terms = clean
+
+    def _set(self, ring, monoid, packing, raw, degree_cap, certificate,
+             truncated):
         self.ring = ring
         self.monoid = monoid
-        self.terms = clean
+        self.packing = packing
+        self.raw = raw
         self.degree_cap = degree_cap
         self.truncated = truncated
-        if certificate is not None:
-            bad = [s for s, x in clean.items()
+        self._terms = None
+        if certificate is not None and \
+                _minimal_offset(certificate.c, self._points()) > certificate.k:
+            bad = [s for s, x in self.terms.items()
                    if not certificate.admits(s.length, x.valuation)]
-            if bad:
-                raise ValueError(
-                    f"certificate {certificate!r} fails on stored terms "
-                    f"{bad}")
+            raise ValueError(
+                f"certificate {certificate!r} fails on stored terms {bad}")
         self.certificate = certificate
+
+    @classmethod
+    def _of(cls, ring, monoid, raw: dict, degree_cap: int,
+            certificate: GrowthCertificate | None = None,
+            truncated: bool = False) -> "DaggerSeries":
+        """A series on raw, a dict of triples keyed by the monoid's packing
+        at degree_cap; its zeros (v = inf) are removed in place."""
+        for key in [key for key, x in raw.items() if x[0] == INFINITY]:
+            del raw[key]
+        a = object.__new__(cls)
+        a._set(ring, monoid, monoid.packing(degree_cap), raw, degree_cap,
+               certificate, truncated)
+        return a
 
     # -- constructors --
 
@@ -148,13 +185,41 @@ class DaggerSeries:
 
     @classmethod
     def unit(cls, ring, monoid, degree_cap) -> "DaggerSeries":
-        return cls.delta(ring, monoid, monoid.identity(), degree_cap)
+        return cls._basis(ring, monoid, "" if monoid.kind == "free"
+                          else (0,) * monoid.rank, degree_cap)
+
+    @classmethod
+    def _basis(cls, ring, monoid, e, degree_cap) -> "DaggerSeries":
+        """delta_s for the element s with data e, made without building s
+        or a scalar."""
+        key = monoid.packing(degree_cap).key
+        data, length = monoid.normal(e)
+        if length > degree_cap:
+            raise ValueError(f"term of length {length} above the degree cap "
+                             f"{degree_cap}")
+        return cls._of(ring, monoid, {key(data): (0, ring.ops.one(), False)},
+                       degree_cap)
 
     # -- queries --
 
     @property
+    def terms(self) -> dict:
+        """The terms as MonoidElem -> ScalarElem, built on first read."""
+        if self._terms is None:
+            ring, monoid, p = self.ring, self.monoid, self.packing
+            self._terms = {
+                MonoidElem._of(monoid, p.data(key), p.length(key)):
+                ScalarElem(ring, *x) for key, x in self.raw.items()}
+        return self._terms
+
+    def _points(self):
+        """(l(s), nu(x_s)) for every stored term."""
+        length = self.packing.length
+        return ((length(key), x[0]) for key, x in self.raw.items())
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.raw
 
     def coefficient(self, s: MonoidElem) -> ScalarElem:
         return self.terms.get(s, self.ring.zero())
@@ -163,18 +228,26 @@ class DaggerSeries:
         return sorted(self.terms, key=lambda s: (s.length, s.data))
 
     def max_length(self) -> int:
-        return max((s.length for s in self.terms), default=0)
+        return max(map(self.packing.length, self.raw), default=0)
 
     def __eq__(self, other):
-        """Coefficientwise equality at the truncation; certificates and
-        flags are metadata and do not participate."""
+        """Coefficientwise equality at the truncation (``RingDescriptor.seen``
+        on the triples); certificates and flags are metadata and do not
+        participate."""
         if not isinstance(other, DaggerSeries):
             return NotImplemented
         if (self.ring, self.monoid, self.degree_cap) != \
                 (other.ring, other.monoid, other.degree_cap):
             return False
-        keys = set(self.terms) | set(other.terms)
-        return all(self.coefficient(s) == other.coefficient(s) for s in keys)
+        seen, mine, theirs = self.ring.seen, self.raw, other.raw
+        for key, x in mine.items():
+            y = theirs.get(key, _ZERO)
+            if x[:2] != y[:2] and seen(x) != seen(y):
+                return False
+        for key, y in theirs.items():
+            if key not in mine and seen(y) is not None:
+                return False
+        return True
 
     def __repr__(self):
         if self.is_zero:
@@ -193,6 +266,21 @@ class DaggerSeries:
             raise ValueError("degree cap mismatch")
 
 
+_ZERO = (INFINITY, None, False)
+
+
+def _keyed(cocycle: Cocycle, monoid: MonoidDescriptor):
+    """The cocycle's value as a function of two keys and their packing:
+    its own ``value`` when it takes keys, else ``value`` on elements."""
+    if cocycle.keyed:
+        return cocycle.value
+
+    def value(s, t, p):
+        return cocycle.value(MonoidElem._of(monoid, p.data(s), p.length(s)),
+                             MonoidElem._of(monoid, p.data(t), p.length(t)))
+    return value
+
+
 def mul(a: DaggerSeries, b: DaggerSeries,
         cocycle: Cocycle | None = None) -> DaggerSeries:
     """Twisted convolution: coefficient of u is the sum over s t = u of
@@ -200,18 +288,30 @@ def mul(a: DaggerSeries, b: DaggerSeries,
     a._compat(b)
     if cocycle is None:
         cocycle = TrivialCocycle(a.ring)
-    out: dict[MonoidElem, ScalarElem] = {}
+    value = _keyed(cocycle, a.monoid)
+    ring, cap, packing = a.ring, a.degree_cap, a.packing
+    plus, times, one = ring._plus, ring._times, ring.ops.one()
+    length, additive = packing.length, packing.additive
+    right = [(t, y, length(t)) for t, y in b.raw.items()]
+    out: dict = {}
     dropped = False
-    for s, x in a.terms.items():
-        for t, y in b.terms.items():
-            u = compose(s, t)
-            if u.length > a.degree_cap:
+    for s, x in a.raw.items():
+        ls, lead = length(s), packing.lead(s)
+        for t, y, lt in right:
+            u = compose(lead, t)
+            # l(s t) <= l(s) + l(t), with equality unless on Z^k
+            if ls + lt > cap and (additive or length(u) > cap):
                 dropped = True
                 continue
-            _add_term(out, u, x * y * cocycle.value(s, t))
-    return DaggerSeries(a.ring, a.monoid, out, a.degree_cap,
-                        _product_certificate(a.certificate, b.certificate),
-                        truncated=dropped or a.truncated or b.truncated)
+            xy = times(x, y)
+            c = value(s, t, packing)
+            if c.v or c.u != one or c.lossy:
+                xy = times(xy, (c.v, c.u, c.lossy))
+            _add_term(out, u, xy, plus)
+    return DaggerSeries._of(ring, a.monoid, out, cap,
+                            _product_certificate(a.certificate,
+                                                 b.certificate),
+                            truncated=dropped or a.truncated or b.truncated)
 
 
 def add_scale(a: DaggerSeries, b: DaggerSeries,
@@ -221,13 +321,14 @@ def add_scale(a: DaggerSeries, b: DaggerSeries,
     a._compat(b)
     if s.ring != a.ring:
         raise ValueError("scalar from the wrong ring")
-    out = dict(a.terms)
+    out = dict(a.raw)
     if not s.is_zero:
-        for t, y in b.terms.items():
-            _add_term(out, t, s * y)
+        plus, times, scale = a.ring._plus, a.ring._times, (s.v, s.u, s.lossy)
+        for t, y in b.raw.items():
+            _add_term(out, t, times(scale, y), plus)
     cert = _sum_certificate(a, b, s)
-    return DaggerSeries(a.ring, a.monoid, out, a.degree_cap, cert,
-                        truncated=a.truncated or b.truncated)
+    return DaggerSeries._of(a.ring, a.monoid, out, a.degree_cap, cert,
+                            truncated=a.truncated or b.truncated)
 
 
 def _sum_certificate(a, b, s):
@@ -249,8 +350,7 @@ def certify(a: DaggerSeries, c) -> tuple[bool, int]:
     """Minimal offset k with nu(x_s) + 1 + k >= c * l(s) over all stored
     terms, and whether the paper-style condition (k = 0) holds.  Scoped to
     the truncation (D, N)."""
-    k = _minimal_offset(c, ((s.length, x.valuation)
-                            for s, x in a.terms.items()))
+    k = _minimal_offset(c, a._points())
     return k == 0, k
 
 
@@ -282,10 +382,10 @@ def best_certificate(a: DaggerSeries) -> CertificateEnvelope:
     if a.is_zero:
         raise ValueError("the zero series has no certificate envelope")
     by_length: dict[int, int] = {}
-    for s, x in a.terms.items():
-        m = by_length.get(s.length)
-        if m is None or x.valuation + 1 < m:
-            by_length[s.length] = x.valuation + 1
+    for length, v in a._points():
+        m = by_length.get(length)
+        if m is None or v + 1 < m:
+            by_length[length] = v + 1
     return CertificateEnvelope(_lower_hull(sorted(by_length.items())))
 
 
@@ -293,8 +393,7 @@ def membership_filtration(a: DaggerSeries, n: int) -> bool:
     """Does every stored term satisfy nu(x_s) + 1 >= l(s) / n?"""
     if n < 1:
         raise ValueError("filtration index must be positive")
-    return all((x.valuation + 1) * n >= s.length
-               for s, x in a.terms.items())
+    return all((v + 1) * n >= length for length, v in a._points())
 
 
 def series_pow(x: DaggerSeries, n: int, cocycle: Cocycle | None = None,
@@ -340,8 +439,8 @@ def torus_monomial(ring, monoid, cocycle, s1: int, s2: int,
         return chains.link(
             cocycle, (degree_cap, axis, e[axis]), (ring, monoid),
             lambda: DaggerSeries.unit(ring, monoid, degree_cap),
-            lambda p: mul(p, DaggerSeries.delta(
-                ring, monoid, monoid.element(e), degree_cap), cocycle),
+            lambda p: mul(p, DaggerSeries._basis(ring, monoid, e, degree_cap),
+                          cocycle),
             abs(n))
 
     return mul(power(0, s1), power(1, s2), cocycle)

@@ -21,7 +21,7 @@ import operator
 from fractions import Fraction
 
 from . import chains
-from .linalg import Lattice, MatrixV, _Kernel
+from .linalg import Lattice, MatrixV, _Kernel, _raw
 from .monoid import MonoidDescriptor
 from .ring import INFINITY, PrecisionExhausted, RingDescriptor, ScalarElem
 from .series import DaggerSeries, _lower_hull, mul as series_mul
@@ -75,34 +75,44 @@ class SeriesAlgebraContext:
         self.degree_cap = degree_cap
         self.cocycle = cocycle
         self.basis = monoid.elements_up_to_length(degree_cap)
-        self.index = {s: i for i, s in enumerate(self.basis)}
         self.dim = len(self.basis)
+        key = monoid.packing(degree_cap).key
+        self._keys = [key(s.data) for s in self.basis]
+        self._slots = {k: i for i, k in enumerate(self._keys)}
 
-    def to_vector(self, a: DaggerSeries):
+    def _vector(self, a: DaggerSeries) -> list:
+        """The coordinates of a as (v, u, lossy) triples."""
         if a.ring != self.ring or a.monoid != self.monoid or \
                 a.max_length() > self.degree_cap:
             raise ValueError(f"series outside {self!r} over {self.ring!r}")
-        vec = [self.ring.zero()] * self.dim
-        for s, x in a.terms.items():
-            vec[self.index[s]] = x
+        vec = [(INFINITY, None, False)] * self.dim
+        slots, raw = self._slots, a.raw
+        if a.degree_cap != self.degree_cap:
+            # a's keys have fields of another width
+            key, data = self.monoid.packing(self.degree_cap).key, \
+                a.packing.data
+            raw = {key(data(s)): x for s, x in raw.items()}
+        for s, x in raw.items():
+            vec[slots[s]] = x
         return vec
 
+    def to_vector(self, a: DaggerSeries):
+        return [ScalarElem(self.ring, *x) for x in self._vector(a)]
+
     def from_vector(self, vec) -> DaggerSeries:
-        terms = {s: x for s, x in zip(self.basis, vec) if not x.is_zero}
-        return DaggerSeries(self.ring, self.monoid, terms, self.degree_cap)
+        """The series with coordinates vec, of ScalarElem or triples."""
+        return DaggerSeries._of(self.ring, self.monoid, dict(zip(
+            self._keys, _raw(self.ring, vec))), self.degree_cap)
 
     def product(self, a: DaggerSeries, b: DaggerSeries) -> DaggerSeries:
         return series_mul(a, b, self.cocycle)
 
     def _products(self, xs, ys):
         """Vectors of a * b for a in xs, then b in ys, all vectors of
-        triples; the products are taken on DaggerSeries."""
-        def series(vec):
-            return self.from_vector([ScalarElem(self.ring, *x) for x in vec])
-        left, right = [series(x) for x in xs], [series(y) for y in ys]
-        return [[(c.v, c.u, c.lossy) for c in
-                 self.to_vector(self.product(a, b))]
-                for a in left for b in right]
+        triples; the products are taken on the series' raw triples."""
+        left = [self.from_vector(x) for x in xs]
+        right = [self.from_vector(y) for y in ys]
+        return [self._vector(self.product(a, b)) for a in left for b in right]
 
     def __repr__(self):
         return (f"SeriesAlgebraContext({self.monoid!r}, "
@@ -115,7 +125,7 @@ def lattice_from_elements(ctx, elements) -> Lattice:
 
 
 def lattice_elements(ctx, L: Lattice):
-    return [ctx.from_vector(v) for v in L.generator_vectors()]
+    return [ctx.from_vector(v) for v in L.generator_triples()]
 
 
 def _generators(ctx, L: Lattice):

@@ -304,6 +304,40 @@ class TestExitCodeContract:
                 assert code == 2
                 assert "JSON object" in out["detail"]
 
+    def test_bicharacter_q_that_is_not_square_is_schema_error(self, capsys):
+        # [[1], [2]] used to end in an IndexError traceback (exit 1), and
+        # [[1, 0, 0], [2, 1, 0]] used to drop a column and exit 0
+        z2 = '{"kind":"Z","rank":2}'
+        a = json.dumps({"monoid": json.loads(z2), "D": 3,
+                        "terms": [{"s": [1, 0], "x": "1"}]})
+        b = json.dumps({"monoid": json.loads(z2), "D": 3,
+                        "terms": [{"s": [0, 1], "x": "1"}]})
+        for Q in ([[1], [2]], [[1, 0, 0], [2, 1, 0]]):
+            cocycle = json.dumps({"kind": "bicharacter", "lambda": "2",
+                                  "Q": Q})
+            for argv in (["series-mul", *RING, "--a", a, "--b", b,
+                          "--cocycle", cocycle],
+                         ["cocycle-check", *RING, "--monoid", z2,
+                          "--cocycle", cocycle]):
+                code, out = run(capsys, argv)
+                assert code == 2, argv
+                assert "square matrix of integers" in out["detail"]
+        code, out = run_child(["series-mul", "--p", "5", "--a", a, "--b", b,
+                               "--cocycle", '{"kind":"bicharacter",'
+                               '"lambda":"2","Q":[[1],[2]]}'])
+        assert code == 2
+        assert out["error"] == "input"
+
+    def test_negative_degree_cap_is_input_error(self, capsys):
+        # an empty lattice under --D -1 used to give a zero-dimensional
+        # context and exit 0
+        for lattice in ("[]", f"[{TestSeriesCommands.SERIES}]"):
+            code, out = run(capsys, ["ubprobe", *RING, "--action",
+                                     '{"a":[["1"]],"b":["1"]}',
+                                     "--lattice", lattice, "--D", "-1"])
+            assert code == 2, lattice
+            assert out["error"] == "input"
+
     def test_monoid_compose_without_t_is_schema_error(self, capsys):
         code, out = run(capsys, ["monoid", "--monoid", '{"kind":"N","rank":1}',
                                  "--op", "compose", "--s", "[1]"])
@@ -332,7 +366,8 @@ class TestExitCodeContract:
         probe = ["probe", *RING, "--d", "2", "--lattice", lattice]
         closure = ["closure", *RING, "--d", "2", "--lattice", lattice]
         for argv in (ubprobe + ["--depth", "-1"], ubprobe + ["--depth", "0"],
-                     probe + ["--lmax", "0"], closure + ["--imax", "0"]):
+                     probe + ["--lmax", "0"], closure + ["--imax", "0"],
+                     probe + ["--lmax", "-1"], closure + ["--imax", "-1"]):
             code, out = run(capsys, argv)
             assert code == 2, argv
             assert "at least 1" in out["detail"]

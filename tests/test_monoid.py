@@ -86,6 +86,27 @@ class TestCocycles:
         with pytest.raises(ValueError):
             BicharacterCocycle(ring.pi(), [[0, 0], [1, 0]])
 
+    def test_q_must_be_a_square_integer_matrix(self, ring):
+        # [[1], [2]] on Z^2 used to fail with an IndexError inside value,
+        # and [[1, 0, 0], [2, 1, 0]] used to drop its last column silently
+        for Q in ([[1], [2]], [[1, 0, 0], [2, 1, 0]], [], [[1, 0], [0]],
+                  [[1.5, 0], [0, 1]], [["1", 0], [0, 1]], [[True, 0], [0, 1]],
+                  5, [[1, 0], 7]):
+            with pytest.raises(ValueError, match="square matrix of integers"):
+                BicharacterCocycle(ring.scalar(2), Q)
+        c = BicharacterCocycle(ring.scalar(2), ((1, -2), (0, 3)))
+        assert c.Q == ((1, -2), (0, 3))
+
+    def test_q_of_another_rank_is_rejected_by_value(self, ring):
+        c = BicharacterCocycle(ring.scalar(2), [[0, 1], [1, 0]])
+        z3 = MonoidDescriptor("Z", 3)
+        s = z3.element((1, 0, 2))
+        with pytest.raises(ValueError, match="wrong size"):
+            c.value(s, s)
+        key = z3.packing(4).key(s.data)
+        with pytest.raises(ValueError, match="wrong size"):
+            c.value(key, key, z3.packing(4))
+
     def test_cocycle_check_accepts_bicharacters(self, ring):
         rng = random.Random(17)
         for _ in range(5):

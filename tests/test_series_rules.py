@@ -1,29 +1,28 @@
-"""Differential tests of the rules shared by twisted series and crossed
-products.
+"""Differential tests of the twisted series and crossed products on their
+packed store.
 
-Each rule has one implementation in ``daggerkit.series``: ``_add_term``
-sums every coefficient (in ``mul``, ``add_scale``, ``act`` and
-``crossed_mul``), ``_product_certificate`` combines the certificates of a
-product, ``_minimal_offset`` computes the least certificate offset (for
+A ``DaggerSeries`` keeps its terms as packed keys mapped to (v, u, lossy)
+triples, and ``mul``, ``add_scale``, ``series_pow``, ``torus_monomial``,
+``act``, ``crossed_mul`` and ``==`` run on them.  The versions that ran on
+``MonoidElem`` and ``ScalarElem`` are kept here as the reference: their
+bodies as they were, with the monoid product, the affine pairs of an
+action and the series unit written out as they were too, and with every
+power made afresh (``chains.link`` without an owner), so that no chain is
+shared with the code under test.  The outputs must be identical: the index,
+length and (v, u, lossy) triple of every coefficient in dict order, the
+``truncated`` flags and the certificates, and equality must give the same
+verdict.
+
+The shared rules are checked the same way: ``_minimal_offset`` (for
 ``certify``, ``crossed_certify`` and the check in ``CrossedElem``) and
-``_lower_hull`` scans the certificate envelope and the Newton polygon.
-The versions that each call site used to carry are kept here as the
-reference, and the outputs must be identical: the (v, u, lossy) triple of
-every coefficient in dict order, the ``truncated`` flags, the
-certificates, the offsets, the envelope vertices and the Newton slopes.
-
-The one intended difference is the cancellation flag of ``crossed_mul``.
-The reference rebuilt a pruned ``DaggerSeries`` after every (p, q) pair,
-so a coefficient whose running sum cancelled to zero lost its ``lossy``
-flag when the next summand arrived; ``crossed_mul`` now keeps it, as
-``mul`` always has.  The sweep allows exactly that difference, at the
-positions where the reference's running sum cancelled, and
-``test_crossed_mul_keeps_cancellation_flag`` asserts it.
+``_lower_hull`` (the certificate envelope and the Newton polygon) against
+the loops each call site used to carry.
 
 Inputs run over padic p in {2, 5} and eqchar q in {4, 9} at N in
 {1, 3, 40}, over N^2, Z^2 and the free monoid on two letters, under
-trivial, bicharacter and table cocycles.  Coefficients come from a small
-pool holding each value and its negative, so running sums cancel, and
+trivial, bicharacter and table cocycles; some tables break the cocycle
+identity, so regrouping a product changes it.  Coefficients come from a
+small pool holding each value and its negative, so running sums cancel, and
 degree and support caps are small, so products drop terms; each sweep
 asserts that it met both.
 """
@@ -34,11 +33,13 @@ from fractions import Fraction
 
 import pytest
 
+from daggerkit import chains, monoid as monoid_module, ring as ring_module
 from daggerkit.crossed import (AffineAction, CrossedElem, act,
                                crossed_certify, crossed_mul)
 from daggerkit.linalg import MatrixV
-from daggerkit.monoid import (BicharacterCocycle, MonoidDescriptor,
-                              TableCocycle, TrivialCocycle, compose)
+from daggerkit.monoid import (BicharacterCocycle, Cocycle, MonoidDescriptor,
+                              MonoidElem, TableCocycle, TrivialCocycle,
+                              cocycle_check, compose)
 from daggerkit.ring import INFINITY, RingDescriptor, ScalarElem
 from daggerkit.series import (DaggerSeries, GrowthCertificate, add_scale,
                               best_certificate, certify, mul, series_pow,
@@ -57,19 +58,36 @@ CONSTANTS = (Fraction(1, 3), Fraction(1, 2), 1, 2, Fraction(5, 2))
 SEEN = Counter()
 
 
-# -- the reference: each call site as it was before the shared helpers --
+# -- the reference: the code on MonoidElem and ScalarElem --
 
 def _ceil(x):
     return -((-x.numerator) // x.denominator)
 
 
-def _reference_sum(out, key, x, cancelled=None):
-    acc = out.get(key)
-    out[key] = x if acc is None else acc + x
-    if out[key].is_zero:
+def ref_compose(s, t):
+    if s.descriptor != t.descriptor:
+        raise ValueError("monoid descriptor mismatch")
+    if s.descriptor.kind == "free":
+        return MonoidElem(s.descriptor, s.data + t.data)
+    return MonoidElem(s.descriptor,
+                      tuple(a + b for a, b in zip(s.data, t.data)))
+
+
+def ref_unit(ring, monoid, cap):
+    return DaggerSeries.delta(ring, monoid, monoid.identity(), cap)
+
+
+def ref_add_term(terms, key, x):
+    acc = terms.get(key)
+    terms[key] = x if acc is None else acc + x
+    if terms[key].is_zero:
         SEEN["cancelled"] += 1
-        if cancelled is not None:
-            cancelled.add(key)
+
+
+def ref_product_certificate(a, b):
+    if a is None or b is None:
+        return None
+    return GrowthCertificate(min(a.c, b.c), a.k + b.k + 1)
 
 
 def ref_mul(a, b, cocycle=None):
@@ -80,17 +98,14 @@ def ref_mul(a, b, cocycle=None):
     dropped = False
     for s, x in a.terms.items():
         for t, y in b.terms.items():
-            u = compose(s, t)
+            u = ref_compose(s, t)
             if u.length > a.degree_cap:
                 dropped = True
                 SEEN["dropped"] += 1
                 continue
-            _reference_sum(out, u, x * y * cocycle.value(s, t))
-    cert = None
-    if a.certificate is not None and b.certificate is not None:
-        cert = GrowthCertificate(min(a.certificate.c, b.certificate.c),
-                                 a.certificate.k + b.certificate.k + 1)
-    return DaggerSeries(a.ring, a.monoid, out, a.degree_cap, cert,
+            ref_add_term(out, u, x * y * cocycle.value(s, t))
+    return DaggerSeries(a.ring, a.monoid, out, a.degree_cap,
+                        ref_product_certificate(a.certificate, b.certificate),
                         truncated=dropped or a.truncated or b.truncated)
 
 
@@ -116,52 +131,79 @@ def ref_add_scale(a, b, s):
     out = dict(a.terms)
     if not s.is_zero:
         for t, y in b.terms.items():
-            _reference_sum(out, t, s * y)
-    return DaggerSeries(a.ring, a.monoid, out, a.degree_cap,
-                        _ref_sum_certificate(a, b, s),
+            ref_add_term(out, t, s * y)
+    cert = _ref_sum_certificate(a, b, s)
+    return DaggerSeries(a.ring, a.monoid, out, a.degree_cap, cert,
                         truncated=a.truncated or b.truncated)
 
 
 def ref_series_pow(x, n, cocycle=None, inverse=None):
     if n < 0:
+        if inverse is None:
+            raise ValueError("negative power needs an inverse element")
         return ref_series_pow(inverse, -n, cocycle)
-    out = DaggerSeries.unit(x.ring, x.monoid, x.degree_cap)
-    for _ in range(n):
-        out = ref_mul(out, x, cocycle)
-    return out
+    return chains.link(
+        None, None, (),
+        lambda: ref_unit(x.ring, x.monoid, x.degree_cap),
+        lambda p: ref_mul(p, x, cocycle), n)
 
 
 def ref_torus_monomial(ring, monoid, cocycle, s1, s2, degree_cap):
-    def delta(e):
-        return DaggerSeries.delta(ring, monoid, monoid.element(e), degree_cap)
+    def power(axis, n):
+        e = [0, 0]
+        e[axis] = 1 if n >= 0 else -1
+        return chains.link(
+            None, (degree_cap, axis, e[axis]), (ring, monoid),
+            lambda: ref_unit(ring, monoid, degree_cap),
+            lambda p: ref_mul(p, DaggerSeries.delta(
+                ring, monoid, monoid.element(e), degree_cap), cocycle),
+            abs(n))
 
-    out = ref_series_pow(delta((1, 0)), s1, cocycle, inverse=delta((-1, 0)))
-    second = ref_series_pow(delta((0, 1)), s2, cocycle,
-                            inverse=delta((0, -1)))
-    return ref_mul(out, second, cocycle)
+    return ref_mul(power(0, s1), power(1, s2), cocycle)
 
 
-def ref_substitute(ring, monoid, f, matrix, shift):
-    cap = f.degree_cap
-    k = monoid.rank
-    lines = []
-    for j in range(k):
-        terms = {}
-        if not shift[j].is_zero:
-            terms[monoid.identity()] = shift[j]
-        for i in range(k):
-            c = matrix[j, i]
-            if not c.is_zero:
-                e = [0] * k
-                e[i] = 1
-                terms[monoid.element(tuple(e))] = c
-        lines.append(DaggerSeries(ring, monoid, terms, cap))
-    powers = [[DaggerSeries.unit(ring, monoid, cap)] for _ in range(k)]
+def ref_eq(a, b):
+    if (a.ring, a.monoid, a.degree_cap) != \
+            (b.ring, b.monoid, b.degree_cap):
+        return False
+    keys = set(a.terms) | set(b.terms)
+    return all(a.terms.get(s, a.ring.zero()) == b.terms.get(s, b.ring.zero())
+               for s in keys)
+
+
+def _ref_compose_pairs(first, second):
+    m1, v1 = first
+    m2, v2 = second
+    return m2 * m1, [x + y for x, y in zip(m2.apply(v1), v2)]
+
+
+def ref_pair(alpha, n):
+    """The affine pair of alpha's n-th power, on ScalarElem translations."""
+    if n == 0:
+        return MatrixV.identity(alpha.ring, alpha.k), \
+            [alpha.ring.zero()] * alpha.k
+    if n in (1, -1):
+        return (alpha.a, alpha.b) if n == 1 else (alpha.a_inv, alpha.b_inv)
+    half = ref_pair(alpha, n // 2) if n > 0 else ref_pair(alpha, -((-n) // 2))
+    out = _ref_compose_pairs(half, half)
+    if n % 2:
+        out = _ref_compose_pairs(out, ref_pair(alpha, 1 if n > 0 else -1))
+    return out
+
+
+def ref_substitute(alpha, n, f):
+    ring, monoid, k, cap = alpha.ring, alpha.monoid, alpha.k, f.degree_cap
+    matrix, shift = ref_pair(alpha, n)
+    # line j is shift_j + sum_i matrix[j, i] x_i (DaggerSeries drops zeros)
+    basis = [monoid.identity(), *monoid.generators()]
+    lines = [DaggerSeries(ring, monoid, dict(zip(
+        basis, [shift[j]] + [matrix[j, i] for i in range(k)])), cap)
+        for j in range(k)]
 
     def power(j, e):
-        while len(powers[j]) <= e:
-            powers[j].append(ref_mul(powers[j][-1], lines[j]))
-        return powers[j][e]
+        return chains.link(None, (n, cap, j), (),
+                           lambda: ref_unit(ring, monoid, cap),
+                           lambda p: ref_mul(p, lines[j]), e)
 
     acc = {}
     for s, x in f.terms.items():
@@ -172,30 +214,34 @@ def ref_substitute(ring, monoid, f, matrix, shift):
             p = power(j, e)
             term = p if term is None else ref_mul(term, p)
         if term is None:
-            contrib = {monoid.identity(): x}
+            ref_add_term(acc, monoid.identity(), x)
         else:
-            contrib = {t: x * y for t, y in term.terms.items()}
-        for t, y in contrib.items():
-            _reference_sum(acc, t, y)
+            for t, y in term.terms.items():
+                ref_add_term(acc, t, x * y)
     return DaggerSeries(ring, monoid, acc, cap)
 
 
 def ref_act(alpha, n, f):
     if f.monoid != alpha.monoid:
         raise ValueError("series monoid does not match the action")
+    if f.ring != alpha.ring:
+        raise ValueError("ring descriptor mismatch")
     if n == 0 or f.is_zero:
         return f
-    matrix, shift = alpha.pair(n)
-    return ref_substitute(alpha.ring, alpha.monoid, f, matrix, shift)
+    return ref_substitute(alpha, n, f)
 
 
-def ref_crossed_mul(u, v, alpha, z_cap=None, cancelled=None):
-    """The reference product; ``cancelled`` collects the (n, s) whose
-    running sum cancelled to zero."""
+def ref_crossed_mul(u, v, alpha, z_cap=None):
+    if (u.ring, u.monoid, u.z_cap, u.degree_cap) != \
+            (v.ring, v.monoid, v.z_cap, v.degree_cap):
+        raise ValueError("crossed element descriptor mismatch")
     cap = u.z_cap if z_cap is None else z_cap
-    out = {}
+    if cap < 0:
+        raise ValueError("support cap must be at least 0")
+    # one term dict per support point, and the points whose sum truncated
+    sums = {}
+    truncated_at = set()
     dropped = False
-    zero = DaggerSeries.zero(u.ring, u.monoid, u.degree_cap)
     for p, a_p in u.terms.items():
         for q, b_q in v.terms.items():
             n = p + q
@@ -204,22 +250,35 @@ def ref_crossed_mul(u, v, alpha, z_cap=None, cancelled=None):
                 SEEN["dropped"] += 1
                 continue
             coefficient = ref_mul(a_p, ref_act(alpha, p, b_q))
+            terms = sums.setdefault(n, {})
+            for s, x in coefficient.terms.items():
+                ref_add_term(terms, s, x)
+            if coefficient.truncated:
+                truncated_at.add(n)
+    out = {n: DaggerSeries(u.ring, u.monoid, terms, u.degree_cap,
+                           truncated=n in truncated_at)
+           for n, terms in sums.items()}
+    return CrossedElem(u.ring, u.monoid, out, cap, u.degree_cap,
+                       ref_product_certificate(u.certificate, v.certificate),
+                       truncated=dropped or u.truncated or v.truncated)
+
+
+def pruned_crossed_mul(u, v, alpha):
+    """``crossed_mul`` before it kept one term dict per support point: it
+    rebuilt a pruned ``DaggerSeries`` after every (p, q) pair, so a running
+    sum that cancelled to zero lost its ``lossy`` flag."""
+    out = {}
+    zero = DaggerSeries.zero(u.ring, u.monoid, u.degree_cap)
+    for p, a_p in u.terms.items():
+        for q, b_q in v.terms.items():
+            n = p + q
+            coefficient = ref_mul(a_p, ref_act(alpha, p, b_q))
             acc = out.get(n, zero)
             merged = dict(acc.terms)
-            hit = set()
             for s, x in coefficient.terms.items():
-                _reference_sum(merged, s, x, hit)
-            if cancelled is not None:
-                cancelled.update((n, s) for s in hit)
-            out[n] = DaggerSeries(u.ring, u.monoid, merged, u.degree_cap,
-                                  truncated=acc.truncated
-                                  or coefficient.truncated)
-    cert = None
-    if u.certificate is not None and v.certificate is not None:
-        cert = GrowthCertificate(min(u.certificate.c, v.certificate.c),
-                                 u.certificate.k + v.certificate.k + 1)
-    return CrossedElem(u.ring, u.monoid, out, cap, u.degree_cap, cert,
-                       truncated=dropped or u.truncated or v.truncated)
+                ref_add_term(merged, s, x)
+            out[n] = DaggerSeries(u.ring, u.monoid, merged, u.degree_cap)
+    return CrossedElem(u.ring, u.monoid, out, u.z_cap, u.degree_cap)
 
 
 def ref_certify(a, c):
@@ -364,7 +423,7 @@ def crossed(ring, monoid, z_cap, cap, rng, xs, certified=False):
 # -- comparisons --
 
 def triples(a):
-    return [(s.data, x.v, x.u, x.lossy) for s, x in a.terms.items()]
+    return [(s.data, s.length, x.v, x.u, x.lossy) for s, x in a.terms.items()]
 
 
 def assert_same_series(new, ref):
@@ -373,23 +432,12 @@ def assert_same_series(new, ref):
         (ref.truncated, ref.certificate, ref.degree_cap)
 
 
-def assert_same_crossed(new, ref, cancelled):
-    """Identical, except that a coefficient whose running sum cancelled in
-    the reference may keep the flag that the reference lost."""
+def assert_same_crossed(new, ref):
     assert (new.z_cap, new.truncated, new.certificate) == \
         (ref.z_cap, ref.truncated, ref.certificate)
     assert list(new.terms) == list(ref.terms)
     for n, b in ref.terms.items():
-        a = new.terms[n]
-        assert (a.truncated, a.certificate) == (b.truncated, b.certificate)
-        if not any(m == n for m, _ in cancelled):
-            assert triples(a) == triples(b)
-            continue
-        assert {s: (x.v, x.u) for s, x in a.terms.items()} == \
-            {s: (x.v, x.u) for s, x in b.terms.items()}
-        for s, x in a.terms.items():
-            assert x.lossy == b.terms[s].lossy or \
-                (x.lossy and (n, s) in cancelled)
+        assert_same_series(new.terms[n], b)
 
 
 @pytest.fixture(autouse=True)
@@ -424,6 +472,9 @@ def test_powers_and_torus_monomials(backend, base, n):
     for monoid in (N2, Z2, FREE2):
         xs = pool(ring, rng)
         for cocycle in cocycles(ring, monoid, rng):
+            if isinstance(cocycle, TableCocycle) and \
+                    not cocycle_check(cocycle, monoid, sample_count=20):
+                SEEN["identity broken"] += 1
             x = series(ring, monoid, 3, rng, xs, 3, rng.random() < 0.5)
             for e in range(4):
                 assert_same_series(series_pow(x, e, cocycle),
@@ -436,6 +487,67 @@ def test_powers_and_torus_monomials(backend, base, n):
                         torus_monomial(ring, Z2, cocycle, s1, s2, 3),
                         ref_torus_monomial(ring, Z2, cocycle, s1, s2, 3))
     assert SEEN["dropped"]
+    # some table breaks the identity unless every unit is 1 (over Z/2)
+    assert SEEN["identity broken"] or (base, n) == (2, 1)
+
+
+@pytest.mark.parametrize("backend,base,n", CASES)
+def test_equality(backend, base, n):
+    """``==`` on the triples agrees with coefficientwise ScalarElem
+    equality: on random pairs, on copies that differ only in flags or in
+    digits above the window, and against terms with N <= v < inf."""
+    ring = make_ring(backend, base, n)
+    rng = random.Random(f"eq {backend} {base} {n}")
+    met = Counter()
+    for monoid in (N2, Z2, FREE2):
+        xs = pool(ring, rng)
+        for _ in range(6):
+            cap = rng.randint(1, 3)
+            a = series(ring, monoid, cap, rng, xs, 4)
+            b = series(ring, monoid, cap, rng, xs, 4)
+            flagged = DaggerSeries(ring, monoid, {
+                s: ScalarElem(ring, x.v, x.u, True)
+                for s, x in a.terms.items()}, cap)
+            # a digit above the window: pi^v (u + pi^(N - v)) equals pi^v u
+            nudged = DaggerSeries(ring, monoid, {
+                s: ScalarElem(ring, x.v, ring.ops.add(
+                    x.u, ring.ops.shift_up(ring.ops.one(), n - x.v))
+                    if 0 <= x.v < n else x.u)
+                for s, x in a.terms.items()}, cap)
+            tiny = add_scale(a, DaggerSeries.delta(
+                ring, monoid, monoid.random_element(rng, cap), cap),
+                ring.pi(n))
+            others = (a, b, flagged, nudged, tiny, mul(a, b),
+                      DaggerSeries.zero(ring, monoid, cap),
+                      DaggerSeries(ring, monoid, a.terms, cap + 1))
+            for x in (a, b, tiny):
+                for y in others:
+                    assert (x == y) == ref_eq(x, y)
+                    assert (y == x) == ref_eq(y, x)
+                    met[x == y] += 1
+            assert a == flagged and a == nudged and a == tiny
+    assert met[True] and met[False]
+
+
+def test_cocycles_on_elements_only():
+    """A cocycle whose ``value`` takes elements only (``keyed`` False) is
+    handed elements built from the keys."""
+    class Shifted(Cocycle):
+        def __init__(self, ring):
+            self.ring = ring
+
+        def value(self, s, t):
+            return self.ring.scalar(1 + 5 * (s.length + 2 * t.length))
+
+    ring = make_ring("padic", 2, 12)
+    rng = random.Random("elements only")
+    for monoid in (N2, Z2, FREE2):
+        xs = pool(ring, rng)
+        for _ in range(5):
+            a = series(ring, monoid, 3, rng, xs, 5)
+            b = series(ring, monoid, 3, rng, xs, 5)
+            assert_same_series(mul(a, b, Shifted(ring)),
+                               ref_mul(a, b, Shifted(ring)))
 
 
 @pytest.mark.parametrize("backend,base,n", CASES)
@@ -505,10 +617,8 @@ def test_crossed_mul(backend, base, n):
             u = crossed(ring, monoid, 2, 3, rng, xs, rng.random() < 0.7)
             v = crossed(ring, monoid, 2, 3, rng, xs, rng.random() < 0.7)
             for z_cap in (None, 1, 3):
-                cancelled = set()
-                ref = ref_crossed_mul(u, v, alpha, z_cap, cancelled)
-                assert_same_crossed(crossed_mul(u, v, alpha, z_cap), ref,
-                                    cancelled)
+                assert_same_crossed(crossed_mul(u, v, alpha, z_cap),
+                                    ref_crossed_mul(u, v, alpha, z_cap))
     assert SEEN["cancelled"] and SEEN["dropped"]
 
 
@@ -598,7 +708,7 @@ def test_crossed_mul_keeps_cancellation_flag():
     x = crossed_mul(u, v, trivial).coefficient(0).coefficient(n1.identity())
     assert x == ring.scalar(3)
     assert x.lossy
-    y = ref_crossed_mul(u, v, trivial).coefficient(0).coefficient(
+    y = pruned_crossed_mul(u, v, trivial).coefficient(0).coefficient(
         n1.identity())
     assert y == ring.scalar(3) and not y.lossy
     # the same three summands, in the same order, inside one series product
@@ -611,3 +721,126 @@ def test_crossed_mul_keeps_cancellation_flag():
     z = mul(poly({0: 1, 1: 1, 2: 3}), poly({1: 1, 0: -1, -1: 1})).coefficient(
         z1.element((1,)))
     assert z == ring.scalar(3) and z.lossy
+
+
+# -- the packed store: its keys at extreme caps, and what it builds --
+
+def test_packing_at_extreme_caps():
+    """Z^3 and N^3 at degree cap 2^70 with coordinates of size 2^69 and
+    2^70 (two elements of length D compose to coordinates as far as -2D,
+    the most a field must hold), and the free monoid on 26 letters: keys
+    compose, measure and truncate as the elements do."""
+    ring = make_ring("padic", 5, 12)
+    rng = random.Random("extreme")
+    xs = pool(ring, rng)
+    big = 2 ** 69
+    for kind in ("Z", "N"):
+        monoid = MonoidDescriptor(kind, 3)
+        cap = 2 * big
+        coords = (big, big - 1, 1, 0) if kind == "N" else \
+            (big, -big, big - 1, 1 - big, 1, -1, 0)
+        sign = 1 if kind == "N" else -1
+        elems = [monoid.element((sign * cap, 0, 0)),
+                 monoid.element((0, 0, cap)),
+                 monoid.element((0, sign * cap, 0))]
+        while len(elems) < 14:
+            data = tuple(rng.choice(coords) for _ in range(3))
+            if sum(map(abs, data)) <= cap:
+                elems.append(monoid.element(data))
+        packing = monoid.packing(cap)
+        for s in elems:
+            for t in elems:
+                key = compose(packing.lead(packing.key(s.data)),
+                              packing.key(t.data))
+                product = ref_compose(s, t)
+                assert packing.data(key) == product.data
+                assert packing.length(key) == product.length
+        a = DaggerSeries(ring, monoid, {s: rng.choice(xs)
+                                        for s in elems[:7]}, cap)
+        b = DaggerSeries(ring, monoid, {s: rng.choice(xs)
+                                        for s in elems[7:]}, cap)
+        cocycle = BicharacterCocycle(unit(ring, rng), [[0, 1, 0], [0, 0, -1],
+                                                       [2, 0, 0]]) \
+            if kind == "Z" else None
+        assert_same_series(mul(a, b, cocycle), ref_mul(a, b, cocycle))
+        assert_same_series(mul(b, a, cocycle), ref_mul(b, a, cocycle))
+        assert a.max_length() == max(s.length for s in elems[:7])
+    free = MonoidDescriptor("free", 26)
+    words = ["".join(rng.choice(free._ALPHABET) for _ in range(
+        rng.randint(0, 15))) for _ in range(16)] + ["", "z", "az"]
+    for cap in (0, 15, 25):
+        packing = free.packing(cap)
+        for w1 in words:
+            for w2 in words:
+                key = compose(packing.lead(w1), w2)
+                assert (key, packing.length(key)) == (w1 + w2, len(w1 + w2))
+        kept = [free.element(w) for w in words if len(w) <= cap]
+        a = DaggerSeries(ring, free, {s: rng.choice(xs) for s in kept}, cap)
+        b = DaggerSeries(ring, free, {s: rng.choice(xs)
+                                      for s in reversed(kept)}, cap)
+        cocycle = TableCocycle(ring, {(s, t): unit(ring, rng)
+                                      for s in kept[:5] for t in kept[-5:]})
+        assert_same_series(mul(a, b, cocycle), ref_mul(a, b, cocycle))
+    assert SEEN["dropped"]
+
+
+def test_products_build_no_elements_or_scalars(monkeypatch):
+    """``mul``, ``series_pow``, ``torus_monomial`` and ``act`` build no
+    MonoidElem and no ScalarElem before ``terms`` is read, apart from the
+    values a cocycle makes inside ``value``."""
+    built = Counter()
+    inside = []
+
+    def counted(cls, name, kind):
+        real = getattr(cls, name)
+
+        def init(self, *args, **kwargs):
+            if not inside:
+                built[kind] += 1
+            real(self, *args, **kwargs)
+        monkeypatch.setattr(cls, name, init)
+
+    counted(ring_module.ScalarElem, "__init__", "scalar")
+    counted(monoid_module.MonoidElem, "__init__", "element")
+    real_of = MonoidElem._of.__func__
+
+    def of(cls, *args):
+        built["element"] += 1
+        return real_of(cls, *args)
+    monkeypatch.setattr(MonoidElem, "_of", classmethod(of))
+    for cls in (TrivialCocycle, BicharacterCocycle, TableCocycle):
+        def value(self, *args, _real=cls.value):
+            inside.append(1)
+            try:
+                return _real(self, *args)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(cls, "value", value)
+
+    for backend, base in (("padic", 5), ("eqchar", 9)):
+        ring = make_ring(backend, base, 6)
+        rng = random.Random(f"guard {backend}")
+        xs = pool(ring, rng)
+        made = [series(ring, monoid, 4, rng, xs, 5)
+                for monoid in (N2, Z2, FREE2) for _ in range(2)]
+        alpha = action(ring, 2, rng)
+        tables = [TableCocycle(ring, {
+            (m.random_element(rng, 2), m.random_element(rng, 2)):
+            unit(ring, rng) for _ in range(6)}) for m in (N2, Z2, FREE2)]
+        bichar = BicharacterCocycle(unit(ring, rng), [[0, 1], [-1, 2]])
+        torus = BicharacterCocycle(unit(ring, rng), [[0, 0], [1, 0]])
+        built.clear()
+        out = []
+        for a, b, table in zip(made[::2], made[1::2], tables):
+            for cocycle in (None, TrivialCocycle(ring), table) + (
+                    (bichar,) if a.monoid is Z2 else ()):
+                out += [mul(a, b, cocycle), series_pow(a, 3, cocycle)]
+        for s1, s2 in ((3, -2), (-1, 4), (0, 0), (2, 2)):
+            out += [torus_monomial(ring, Z2, torus, s1, s2, 4),
+                    torus_monomial(ring, Z2, None, s1, s2, 4)]
+        for m in (1, 2, -3, 1):
+            out.append(act(alpha, m, made[0]))
+        assert built == Counter()
+        for a in out:
+            a.terms
+        assert built["element"] and built["scalar"]
