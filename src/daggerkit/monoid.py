@@ -199,10 +199,6 @@ class MonoidElem:
         s.descriptor, s.data, s.length = descriptor, data, length
         return s
 
-    @property
-    def is_identity(self) -> bool:
-        return self.length == 0
-
     def __eq__(self, other):
         return (isinstance(other, MonoidElem)
                 and self.descriptor == other.descriptor

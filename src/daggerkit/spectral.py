@@ -12,12 +12,12 @@ exact at precision N.  Generators travel as coordinate vectors of
 lists of them, and ``Lattice.from_columns`` reduces the result.
 ``rho1_estimate``, ``lgb_closure`` and ``semi_dagger_probe`` read S^n off
 one memoised chain S, S^2, ... kept on S while it lives (``chains.link``),
-so a query that asks all three builds each power once.
+so a query that asks all three builds each power once; the probe reads
+(pi^m S^j)^l as pi^(ml) S^(jl) wherever the context is ``associative``.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 
 from . import chains
@@ -29,6 +29,8 @@ from .series import DaggerSeries, _lower_hull, mul as series_mul
 
 class MatrixAlgebraContext:
     """d x d matrices over K, coordinatised by their entries."""
+
+    associative = True
 
     def __init__(self, ring: RingDescriptor, d: int):
         self.ring = ring
@@ -43,9 +45,6 @@ class MatrixAlgebraContext:
         return MatrixV(self.ring,
                        [[next(it) for _ in range(self.d)]
                         for _ in range(self.d)])
-
-    def product(self, a: MatrixV, b: MatrixV) -> MatrixV:
-        return a * b
 
     def _products(self, xs, ys):
         """Vectors of a * b for a in xs, then b in ys, all vectors of
@@ -79,6 +78,12 @@ class SeriesAlgebraContext:
         key = monoid.packing(degree_cap).key
         self._keys = [key(s.data) for s in self.basis]
         self._slots = {k: i for i, k in enumerate(self._keys)}
+
+    @property
+    def associative(self) -> bool:
+        """No cocycle, and lengths add (N^k): overflow terms form an ideal."""
+        return (self.cocycle is None
+                and self.monoid.packing(self.degree_cap).additive)
 
     def _vector(self, a: DaggerSeries) -> list:
         """The coordinates of a as (v, u, lossy) triples."""
@@ -232,11 +237,6 @@ def rho1_estimate(S: Lattice, ctx, n_max: int) -> RadiusReport:
                         else "upper_bound_only")
 
 
-def _dot(ring, xs, ys):
-    """sum x*y over the pairs; stops at the end of the shorter operand."""
-    return sum(map(operator.mul, xs, ys), ring.zero())
-
-
 def characteristic_polynomial(a: MatrixV):
     """Coefficients of det(x*I - a), degree 0 first.
 
@@ -251,20 +251,21 @@ def characteristic_polynomial(a: MatrixV):
     ring = a.ring
     if a.rows != a.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    rows = [[a[i, j] for j in range(a.cols)] for i in range(a.rows)]
-    poly = [ring.one()]  # highest degree first while the block grows
+    dot, minus, rows = _Kernel(ring).dot, ring._minus, a.raw
+    one = (0, ring.ops.one(), False)
+    poly = [one]  # highest degree first while the block grows
     for r, row in enumerate(rows):
-        # col has length r, so _dot reads only the first r entries of row
+        # col has length r, so dot reads only the first r entries of row
         # (that is R) and of each row above (those of A_r)
         col = [above[r] for above in rows[:r]]
-        t = [ring.one(), -row[r]]
+        t = [one, minus(row[r])]
         for k in range(r):
             if k:
-                col = [_dot(ring, above, col) for above in rows[:r]]
-            t.append(-_dot(ring, row, col))
+                col = [dot(above, col) for above in rows[:r]]
+            t.append(minus(dot(row, col)))
         # the first r + 2 terms of the convolution of t and poly
-        poly = [_dot(ring, poly[:k + 1], t[k::-1]) for k in range(r + 2)]
-    return poly[::-1]
+        poly = [dot(poly[:k + 1], t[k::-1]) for k in range(r + 2)]
+    return [ScalarElem(ring, *x) for x in reversed(poly)]
 
 
 def newton_polygon_rho(a: MatrixV):
@@ -311,7 +312,8 @@ def lgb_closure(S: Lattice, ctx, i_max: int):
 
 def pi_multiplicative(ctx, U: Lattice) -> bool:
     """Does pi * U * U lie inside U?  (Generator products suffice, and
-    pi * a * b lies in U exactly when a * b lies in pi^-1 U.)"""
+    pi * a * b lies in U exactly when a * b lies in pi^-1 U.)  Products are
+    tested one by one: at precision N the reduced U * U can fail to fit."""
     gens = _generators(ctx, U)
     inside = U.scale_by_pi(-1)
     return all(inside.membership(p) for p in ctx._products(gens, gens))
@@ -334,14 +336,16 @@ class ProbeReport:
 
 def semi_dagger_probe(S: Lattice, ctx, m: int, j_list, l_max: int = 8):
     """For each j: iterate powers of pi^m S^j, reducing at every step and
-    tracking gauge exponents of the powers and of their partial sums."""
+    tracking gauge exponents of the powers and of their partial sums.
+    Where ctx is ``associative`` the l-th power is read as pi^(ml) S^(jl),
+    a link of S's chain, and elsewhere multiplied out left to right."""
     if m < 1:
         raise ValueError("m must be at least 1")
     if l_max < 1:
         raise ValueError("l_max must be at least 1")
     if any(j < 1 for j in j_list):
         raise ValueError("every j must be at least 1")
-    reports = {}
+    reports, N = {}, ctx.ring.precision
     decrease_window = -(-l_max // 2)
     for j in j_list:
         base = _lattice_power(S, ctx, j).scale_by_pi(m)
@@ -351,8 +355,11 @@ def semi_dagger_probe(S: Lattice, ctx, m: int, j_list, l_max: int = 8):
         verdict, stab = "inconclusive", None
         decreasing = 0
         for l in range(2, l_max + 1):
-            power = lattice_product(ctx, power, base)
-            gauges.append(power.gauge_exponent())
+            power = (_lattice_power(S, ctx, j * l).scale_by_pi(m * l)
+                     if ctx.associative else lattice_product(ctx, power, base))
+            # zero at precision N, as from_columns makes such a product
+            gauge = power.gauge_exponent()
+            gauges.append(gauge if gauge < N else INFINITY)
             if gauges[-1] < gauges[-2]:
                 decreasing += 1
             else:
@@ -365,8 +372,5 @@ def semi_dagger_probe(S: Lattice, ctx, m: int, j_list, l_max: int = 8):
             if decreasing >= decrease_window:
                 verdict = "diverging"
                 break
-        else:
-            if decreasing >= decrease_window:
-                verdict = "diverging"
         reports[j] = ProbeReport(j, verdict, gauges, stab)
     return reports
