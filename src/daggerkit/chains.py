@@ -8,47 +8,53 @@ so ``((1 * x) * x) * x`` is never regrouped.
 
 ``link`` keeps the links x_1, x_2, ... of a chain on its owner (a lattice,
 a cocycle or an affine action), in the owner's ``_chains`` attribute
-(name -> (context, [x_1, x_2, ...])), so they are matched by the owner's
-identity and go when the owner is collected.  An owner keeps one chain per
-name.  A name holds plain integers (caps, exponents, coordinates) and is
-matched by value.  The context holds the objects the chain is built with
-(an algebra context, a ring, a monoid) and is matched by identity, because
-equal lattices and descriptors can differ in their flags or in the
-descriptor their results carry; a new context replaces the owner's chain
-of that name.
-
-A chain is read, never rebuilt, once it has a link: an owner whose values
-change after it was used (a cocycle, say) gets the powers made under the
-old values.  Owners must not change once they have been used.
+(name -> (context, [x_1, x_2, ...], factor)), so they go when the owner is
+collected.  A name holds plain integers and is matched by value; the
+context holds the objects the chain is built with (an algebra context, a
+ring, a monoid) and is matched by identity, because equal lattices and
+descriptors can differ in their flags or in the descriptor their results
+carry, and a new context replaces the chain.  The factor a step multiplies
+by (a torus generator, a substituted line) is made once per chain; it must
+not refer to the owner, which would then outlive its last use.  A link
+already built costs one lookup (``held``).  A chain is read, never
+rebuilt, so owners must not change once they have been used.
 """
 
 from __future__ import annotations
 
 import operator
 
+_NONE: dict = {}
 
-def link(owner, name, context: tuple, start, step, n: int):
+
+def held(owner, name, context: tuple, n: int):
+    """x_n if owner keeps it under name for this context, else None."""
+    chain = getattr(owner, "_chains", _NONE).get(name)
+    if chain is None or not 0 < n <= len(chain[1]) or \
+            any(map(operator.is_not, chain[0], context)):
+        return None
+    return chain[1][n - 1]
+
+
+def link(owner, name, context: tuple, start, step, n: int, factor=None):
     """x_n for n >= 0 of the chain start(), step(start()), ... that owner
-    keeps under name for this context.
-
-    x_0 is not kept (it may be the owner itself), so ``start`` runs only
-    for n = 0 or when the chain is begun.  An owner of None keeps nothing
-    and makes the n products afresh, holding only the last.
-    """
-    if owner is None:
-        x = start()
-        for _ in range(n):
-            x = step(x)
+    keeps under name for this context; with a ``factor``, each step is
+    step(x, g) for the chain's g = factor().  x_0 is not kept (it may be
+    the owner), so ``start`` runs only for n = 0 or when the chain is
+    begun.  An owner of None keeps nothing."""
+    x = held(owner, name, context, n)
+    if x is not None:
         return x
     if n == 0:
         return start()
-    held = getattr(owner, "_chains", None)
-    if held is None:
-        held = owner._chains = {}
-    chain = held.get(name)
+    chains = {} if owner is None else getattr(owner, "_chains", None)
+    if chains is None:
+        chains = owner._chains = {}
+    chain = chains.get(name)
     if chain is None or any(map(operator.is_not, chain[0], context)):
-        chain = held[name] = (context, [])
-    links = chain[1]
+        chain = chains[name] = (context, [], factor and factor())
+    links, g = chain[1], chain[2]
     while len(links) < n:
-        links.append(step(links[-1] if links else start()))
+        x = links[-1] if links else start()
+        links.append(step(x) if factor is None else step(x, g))
     return links[n - 1]

@@ -100,7 +100,7 @@ def _image(alpha: AffineAction, n: int, cap: int, data) -> DaggerSeries:
     """x^data substituted by alpha's n-th power at cap: the powers of each
     line in turn, multiplied left to right.  Line j is shift_j +
     sum_i matrix[j, i] x_i; its powers are links of a chain alpha keeps
-    per n, cap and coordinate."""
+    per n, cap and coordinate, which keeps the line too."""
     ring, monoid, packing = alpha.ring, alpha.monoid, alpha.monoid.packing(cap)
 
     def line(j):
@@ -117,7 +117,7 @@ def _image(alpha: AffineAction, n: int, cap: int, data) -> DaggerSeries:
             continue
         p = chains.link(alpha, (n, cap, j), (),
                         lambda: DaggerSeries.unit(ring, monoid, cap),
-                        lambda p: series_mul(p, line(j)), e)
+                        series_mul, e, lambda: line(j))
         term = p if term is None else series_mul(term, p)
     return term
 

@@ -98,19 +98,12 @@ class MonoidDescriptor:
         """All elements s with word length l(s) <= bound (N^k and Z^k only)."""
         if self.kind == "free":
             raise ValueError("free monoids are enumerated by words")
-        out = []
-
-        def rec(prefix, remaining):
-            if len(prefix) == self.rank:
-                out.append(MonoidElem._of(self, tuple(prefix),
-                                          bound - remaining))
-                return
-            lo = -remaining if self.kind == "Z" else 0
-            for c in range(lo, remaining + 1):
-                rec(prefix + [c], remaining - abs(c))
-
-        rec([], bound)
-        return out
+        # prefixes p with what they leave r of the bound, one level a slot
+        level = [((), bound)]
+        for _ in range(self.rank):
+            level = [(p + (c,), r - abs(c)) for p, r in level
+                     for c in range(-r if self.kind == "Z" else 0, r + 1)]
+        return [MonoidElem._of(self, p, bound - r) for p, r in level]
 
     def random_element(self, rng: random.Random, max_length: int):
         if self.kind == "free":
@@ -143,7 +136,7 @@ class Packing:
     """
 
     __slots__ = ("kind", "rank", "cap", "identity", "additive", "key", "data",
-                 "length", "lead")
+                 "length", "lead", "fields")
 
     def __init__(self, kind: str, rank: int, cap: int):
         if cap < 0:
@@ -180,7 +173,8 @@ class Packing:
             return key - offset
 
         self.key, self.data, self.length, self.lead = key, data, length, lead
-        self.identity = offset
+        # exponent i of a key k is (k >> shifts[i] & mask) - bias
+        self.identity, self.fields = offset, (shifts, mask, bias)
 
 
 class MonoidElem:
@@ -295,29 +289,37 @@ class BicharacterCocycle(Cocycle):
         self.lam = lam
         self.ring = lam.ring
         self.Q = Q
-        # the exponent s . Q t is the sum of s_i q t_j over these (i, j, q)
-        self._entries = [(i, j, q) for i, row in enumerate(Q)
-                         for j, q in enumerate(row) if q]
         self._powers: dict[int, ScalarElem] = {}
+        # packing -> (mask, bias, [(shift of i, Q_ij, shift of j)])
+        self._fields: dict[Packing, tuple] = {}
 
     def value(self, s, t, packing=None):
         if packing is None:
             if s.descriptor.kind != "Z" or s.descriptor != t.descriptor:
                 raise ValueError("bicharacter cocycles live on Z^k")
-            s, t = s.data, t.data
-        elif packing.kind != "Z":
-            raise ValueError("bicharacter cocycles live on Z^k")
-        else:
-            s, t = packing.data(s), packing.data(t)
-        if len(self.Q) != len(s):
-            raise ValueError("Q has wrong size")
+            packing = s.descriptor.packing(max(s.length, t.length))
+            s, t = packing.key(s.data), packing.key(t.data)
+        # the exponent s . Q t, read off the fields that Q's entries use
+        mask, bias, entries = self._fields.get(packing) or self._on(packing)
         exp = 0
-        for i, j, q in self._entries:
-            exp += s[i] * q * t[j]
+        for i, q, j in entries:
+            exp += ((s >> i & mask) - bias) * q * ((t >> j & mask) - bias)
         power = self._powers.get(exp)
         if power is None:
             power = self._powers[exp] = self.lam ** exp
         return power
+
+    def _on(self, packing):
+        """The fields of keys of packing that the entries of Q read."""
+        if packing.kind != "Z":
+            raise ValueError("bicharacter cocycles live on Z^k")
+        if len(self.Q) != packing.rank:
+            raise ValueError("Q has wrong size")
+        shifts, mask, bias = packing.fields
+        fields = self._fields[packing] = (mask, bias, [
+            (shifts[i], q, shifts[j]) for i, row in enumerate(self.Q)
+            for j, q in enumerate(row) if q])
+        return fields
 
     def __repr__(self):
         return f"BicharacterCocycle(lambda={self.lam!r}, Q={self.Q})"

@@ -21,12 +21,14 @@ keys and triples, with the ring's scalar rules (``ring._scalar_rules``);
 product are summed, so a coefficient whose summands cancelled is ``lossy``.
 A product of keys is ``monoid.compose`` and each term pair's cocycle value
 is the cocycle's ``value`` on the keys; a value of exactly 1 is not
-multiplied in.
-Powers are left-to-right chains 1, 1 * x, (1 * x) * x, ... (``chains.link``).
-``torus_monomial`` reads the powers of U1 and U2 off chains the cocycle
-keeps while it lives; the products are the ones repeated multiplication
-makes, so the results are the same, but a cocycle must not change once it
-has been used.  ``series_pow`` keeps nothing.
+multiplied in.  Two one-term factors (most products: torus monomials and
+chain steps) skip the accumulator and test only the length of their one
+product.  Powers are left-to-right chains 1, 1 * x, (1 * x) * x, ...
+(``chains.link``).  ``torus_monomial`` reads the powers of U1 and U2 off
+chains the cocycle keeps while it lives, where a link already made costs
+one lookup; the products are the ones repeated multiplication makes, so
+the results are the same, but a cocycle must not change once it has been
+used.  ``series_pow`` keeps nothing.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import chains
-from .monoid import (Cocycle, MonoidDescriptor, MonoidElem, TrivialCocycle,
-                     compose)
+from .monoid import (BicharacterCocycle, Cocycle, MonoidDescriptor,
+                     MonoidElem, TrivialCocycle, compose)
 from .ring import INFINITY, RingDescriptor, ScalarElem
 
 
@@ -135,21 +137,16 @@ class DaggerSeries:
                     f"{degree_cap}")
             clean[s] = x
             raw[key(s.data)] = (x.v, x.u, x.lossy)
-        self._set(ring, monoid, packing, raw, degree_cap, certificate,
-                  truncated)
-        self._terms = clean
+        self.ring, self.monoid, self.packing, self.raw = \
+            ring, monoid, packing, raw
+        self.degree_cap, self.truncated, self.certificate, self._terms = \
+            degree_cap, truncated, None, clean
+        if certificate is not None:
+            self._certify(certificate)
 
-    def _set(self, ring, monoid, packing, raw, degree_cap, certificate,
-             truncated):
-        self.ring = ring
-        self.monoid = monoid
-        self.packing = packing
-        self.raw = raw
-        self.degree_cap = degree_cap
-        self.truncated = truncated
-        self._terms = None
-        if certificate is not None and \
-                _minimal_offset(certificate.c, self._points()) > certificate.k:
+    def _certify(self, certificate: GrowthCertificate) -> None:
+        """Keep certificate, which must hold on every stored term."""
+        if _minimal_offset(certificate.c, self._points()) > certificate.k:
             bad = [s for s, x in self.terms.items()
                    if not certificate.admits(s.length, x.valuation)]
             raise ValueError(
@@ -165,8 +162,12 @@ class DaggerSeries:
         for key in [key for key, x in raw.items() if x[0] == INFINITY]:
             del raw[key]
         a = object.__new__(cls)
-        a._set(ring, monoid, monoid.packing(degree_cap), raw, degree_cap,
-               certificate, truncated)
+        a.ring, a.monoid, a.packing, a.raw = \
+            ring, monoid, monoid.packing(degree_cap), raw
+        a.degree_cap, a.truncated, a.certificate, a._terms = \
+            degree_cap, truncated, None, None
+        if certificate is not None:
+            a._certify(certificate)
         return a
 
     # -- constructors --
@@ -179,21 +180,24 @@ class DaggerSeries:
     @classmethod
     def delta(cls, ring, monoid, s: MonoidElem, degree_cap,
               coefficient: ScalarElem | None = None) -> "DaggerSeries":
-        """The basis series delta_s, optionally scaled."""
+        """The basis series delta_s, optionally scaled; unscaled, it builds
+        no scalar (``_basis`` raises what ``__init__`` would)."""
+        if coefficient is None and (s.descriptor is monoid
+                                    or s.descriptor == monoid):
+            return cls._basis(ring, monoid, s.data, s.length, degree_cap)
         x = ring.one() if coefficient is None else coefficient
         return cls(ring, monoid, {s: x}, degree_cap)
 
     @classmethod
     def unit(cls, ring, monoid, degree_cap) -> "DaggerSeries":
-        return cls._basis(ring, monoid, "" if monoid.kind == "free"
-                          else (0,) * monoid.rank, degree_cap)
+        return cls._of(ring, monoid, {monoid.packing(degree_cap).identity:
+                                      (0, ring.ops.one(), False)}, degree_cap)
 
     @classmethod
-    def _basis(cls, ring, monoid, e, degree_cap) -> "DaggerSeries":
-        """delta_s for the element s with data e, made without building s
-        or a scalar."""
+    def _basis(cls, ring, monoid, data, length, degree_cap) -> "DaggerSeries":
+        """delta_s for the element s of monoid with valid data and length,
+        keyed through the packing with no element or scalar built."""
         key = monoid.packing(degree_cap).key
-        data, length = monoid.normal(e)
         if length > degree_cap:
             raise ValueError(f"term of length {length} above the degree cap "
                              f"{degree_cap}")
@@ -269,12 +273,9 @@ class DaggerSeries:
 _ZERO = (INFINITY, None, False)
 
 
-def _keyed(cocycle: Cocycle, monoid: MonoidDescriptor):
-    """The cocycle's value as a function of two keys and their packing:
-    its own ``value`` when it takes keys, else ``value`` on elements."""
-    if cocycle.keyed:
-        return cocycle.value
-
+def _by_elements(cocycle: Cocycle, monoid: MonoidDescriptor):
+    """The value of a cocycle that takes elements only (``keyed`` False) as
+    a function of two keys and their packing."""
     def value(s, t, p):
         return cocycle.value(MonoidElem._of(monoid, p.data(s), p.length(s)),
                              MonoidElem._of(monoid, p.data(t), p.length(t)))
@@ -284,30 +285,48 @@ def _keyed(cocycle: Cocycle, monoid: MonoidDescriptor):
 def mul(a: DaggerSeries, b: DaggerSeries,
         cocycle: Cocycle | None = None) -> DaggerSeries:
     """Twisted convolution: coefficient of u is the sum over s t = u of
-    x_s y_t c(s, t), truncated to lengths <= D with a flag on drops."""
+    x_s y_t c(s, t), truncated to lengths <= D with a flag on drops.  Two
+    one-term factors make their one term with no accumulator."""
     a._compat(b)
-    if cocycle is None:
-        cocycle = TrivialCocycle(a.ring)
-    value = _keyed(cocycle, a.monoid)
     ring, cap, packing = a.ring, a.degree_cap, a.packing
-    plus, times, one = ring._plus, ring._times, ring.ops.one()
-    length, additive = packing.length, packing.additive
-    right = [(t, y, length(t)) for t, y in b.raw.items()]
+    if cocycle is None:
+        # kept on the ring: a module-level cache would keep rings alive
+        cocycle = getattr(ring, "_trivial", None)
+        if cocycle is None:
+            cocycle = ring._trivial = TrivialCocycle(ring)
+    value = cocycle.value if cocycle.keyed else \
+        _by_elements(cocycle, a.monoid)
+    times, one, length = ring._times, ring.ops.one(), packing.length
     out: dict = {}
-    dropped = False
-    for s, x in a.raw.items():
-        ls, lead = length(s), packing.lead(s)
-        for t, y, lt in right:
-            u = compose(lead, t)
-            # l(s t) <= l(s) + l(t), with equality unless on Z^k
-            if ls + lt > cap and (additive or length(u) > cap):
-                dropped = True
-                continue
+    if len(a.raw) == 1 == len(b.raw):
+        (s, x), = a.raw.items()
+        (t, y), = b.raw.items()
+        u = compose(packing.lead(s), t)
+        # the test the loop below short-cuts: l(s t) <= l(s) + l(t)
+        dropped = length(u) > cap
+        if not dropped:
             xy = times(x, y)
             c = value(s, t, packing)
             if c.v or c.u != one or c.lossy:
                 xy = times(xy, (c.v, c.u, c.lossy))
-            _add_term(out, u, xy, plus)
+            out[u] = xy
+    else:
+        plus, additive = ring._plus, packing.additive
+        right = [(t, y, length(t)) for t, y in b.raw.items()]
+        dropped = False
+        for s, x in a.raw.items():
+            ls, lead = length(s), packing.lead(s)
+            for t, y, lt in right:
+                u = compose(lead, t)
+                # l(s t) <= l(s) + l(t), with equality unless on Z^k
+                if ls + lt > cap and (additive or length(u) > cap):
+                    dropped = True
+                    continue
+                xy = times(x, y)
+                c = value(s, t, packing)
+                if c.v or c.u != one or c.lossy:
+                    xy = times(xy, (c.v, c.u, c.lossy))
+                _add_term(out, u, xy, plus)
     return DaggerSeries._of(ring, a.monoid, out, cap,
                             _product_certificate(a.certificate,
                                                  b.certificate),
@@ -416,8 +435,6 @@ def nc_torus(ring: RingDescriptor, lam: ScalarElem, degree_cap: int):
     Returns (U1, U2, cocycle, monoid) where U1, U2 are the two generating
     basis series; they satisfy U2 U1 = lambda U1 U2.
     """
-    from .monoid import BicharacterCocycle
-
     monoid = MonoidDescriptor("Z", 2)
     cocycle = BicharacterCocycle(lam, [[0, 0], [1, 0]])
     u1 = DaggerSeries.delta(ring, monoid, monoid.element((1, 0)), degree_cap)
@@ -431,16 +448,24 @@ def torus_monomial(ring, monoid, cocycle, s1: int, s2: int,
     of its inverse, whichever the sign asks for.  The powers are links of
     chains the cocycle keeps while it lives, one per cap, generator and
     sign, so a table of monomials makes one product per monomial plus one
-    per new link; a cocycle of None keeps none.  The chains are read, not
-    rebuilt, so a cocycle must not change once it has been used."""
-    def power(axis, n):
-        e = [0, 0]
-        e[axis] = 1 if n >= 0 else -1
-        return chains.link(
-            cocycle, (degree_cap, axis, e[axis]), (ring, monoid),
-            lambda: DaggerSeries.unit(ring, monoid, degree_cap),
-            lambda p: mul(p, DaggerSeries._basis(ring, monoid, e, degree_cap),
-                          cocycle),
-            abs(n))
+    per new link, and reads a link already made in one lookup; a cocycle
+    of None keeps none.  The chains are read, not rebuilt, so a cocycle
+    must not change once it has been used."""
+    context = (ring, monoid)
+    return mul(_torus_power(context, cocycle, degree_cap, 0, s1),
+               _torus_power(context, cocycle, degree_cap, 1, s2), cocycle)
 
-    return mul(power(0, s1), power(1, s2), cocycle)
+
+def _torus_power(context, cocycle, cap: int, axis: int, n: int):
+    """U_axis^n: link |n| of the chain of U_axis, or of its inverse."""
+    sign = 1 if n >= 0 else -1
+    x = chains.held(cocycle, (cap, axis, sign), context, sign * n)
+    if x is not None:
+        return x
+    ring, monoid = context
+    return chains.link(
+        cocycle, (cap, axis, sign), context,
+        lambda: DaggerSeries.unit(ring, monoid, cap),
+        lambda p, g: mul(p, g, cocycle), sign * n,
+        lambda: DaggerSeries._basis(ring, monoid, *monoid.normal(
+            (sign, 0) if axis == 0 else (0, sign)), cap))

@@ -37,8 +37,14 @@ class MatrixAlgebraContext:
         self.d = d
         self.dim = d * d
 
+    def _vector(self, a: MatrixV) -> list:
+        """The entries of a, row by row, as (v, u, lossy) triples."""
+        if a.ring is not self.ring and a.ring != self.ring:
+            raise ValueError("ring descriptor mismatch")
+        return [x for row in a.raw[:self.d] for x in row[:self.d]]
+
     def to_vector(self, a: MatrixV):
-        return [a[i, j] for i in range(self.d) for j in range(self.d)]
+        return [ScalarElem(self.ring, *x) for x in self._vector(a)]
 
     def from_vector(self, vec) -> MatrixV:
         it = iter(vec)
@@ -126,7 +132,7 @@ class SeriesAlgebraContext:
 
 def lattice_from_elements(ctx, elements) -> Lattice:
     return Lattice.from_columns(ctx.ring, ctx.dim,
-                                [ctx.to_vector(a) for a in elements])
+                                [ctx._vector(a) for a in elements])
 
 
 def lattice_elements(ctx, L: Lattice):

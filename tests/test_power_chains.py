@@ -70,6 +70,31 @@ class TestWhatChainsSave:
             torus_monomial(ring, monoid, cocycle, *s.data, D)
         assert len(calls) == len(table)
 
+    def test_torus_table_counts_what_the_tracer_reads(self, ring,
+                                                      monkeypatch):
+        # the bench's tracer counts series.mul, series.compose and the
+        # cocycle's value; the one-term path of mul and the chain hits
+        # must leave each count where the general loop had it
+        D = 4
+        u1, u2, cocycle, monoid = nc_torus(ring, ring.scalar(7), D)
+        table = monoid.elements_up_to_length(D)
+        pairs = []
+        real_mul = series.mul
+
+        def mul(a, b, c=None):
+            pairs.append(len(a.raw) * len(b.raw))
+            return real_mul(a, b, c)
+
+        monkeypatch.setattr(series, "mul", mul)
+        composed = counting(monkeypatch, series, "compose")
+        values = counting(monkeypatch, cocycle, "value")
+        for s in table:
+            torus_monomial(ring, monoid, cocycle, *s.data, D)
+        # 41 monomials and the 4 D links of the four chains, each a
+        # product of two one-term series, none of them dropped
+        assert (len(table), len(pairs), sum(pairs)) == (41, 57, 57)
+        assert len(composed) == len(values) == sum(pairs)
+
     def test_series_pow_keeps_nothing(self, ring, monkeypatch):
         x = DaggerSeries(ring, N2, {N2.element((1, 0)): ring.scalar(2),
                                     N2.identity(): ring.one()}, 8)
@@ -175,6 +200,21 @@ class TestLifetime:
         gc.collect()
         assert held() is not None
         del alpha
+        gc.collect()
+        assert held() is None
+
+    def test_trivial_cocycle_goes_with_its_ring(self):
+        # mul with no cocycle keeps one TrivialCocycle on the ring, which
+        # must not keep the ring alive; no other test makes a ring equal
+        # to this one, which a cache keyed by value would find instead
+        ring = RingDescriptor("padic", 13, 19)
+        held = weakref.ref(ring)
+        a = DaggerSeries(ring, N2, {N2.element((1, 0)): ring.scalar(2)}, 4)
+        b = DaggerSeries(ring, N2, {N2.element((0, 1)): ring.one(),
+                                    N2.identity(): ring.scalar(3)}, 4)
+        product = series.mul(a, b)
+        assert series.mul(a, b) == product
+        del ring, a, b, product
         gc.collect()
         assert held() is None
 
