@@ -28,6 +28,9 @@ Exactness contract: the kernel computes every entry of ``a - f*b``,
 known, and which sums are flagged, is decided there only.  An entry with
 N <= v < inf counts as zero: Hermite and Smith forms store it as an
 unflagged zero, and ``snf`` sets ``SNFResult.flagged``.
+
+``cokernel_invariants`` builds no Smith transform and ``kernel_basis`` W
+only (``_smith_form``); D and the flag read neither, and W does not read U.
 """
 
 from __future__ import annotations
@@ -118,13 +121,14 @@ class _Kernel:
                         M[i] = self.update(M[i], f, M[k])
 
     def update(self, row, f, prow):
-        """row - f * prow entry by entry; f must be nonzero."""
-        plus, mul, neg = self.plus, self.mul, self.neg
+        """row - f * prow entry by entry; f must be nonzero.  f is negated
+        once: (-f) * b is the residue of -(f * b) on both backends."""
+        plus, mul = self.plus, self.mul
         fv, fu, fl = f
-        out = []
+        fu, out = self.neg(fu), []
         for a, (bv, bu, bl) in zip(row, prow):
             if bv != INFINITY:
-                a = plus(a, (fv + bv, neg(mul(fu, bu)), fl or bl))
+                a = plus(a, (fv + bv, mul(fu, bu), fl or bl))
             elif fl or bl:  # f * b is a flagged zero, which flags a
                 a = plus(a, (INFINITY, None, True))
             out.append(a)
@@ -334,11 +338,19 @@ def snf(A: MatrixV) -> SNFResult:
     precision N, nu(det U) = nu(det W) = 0, and the diagonal of D a
     divisibility chain pi^a1 | pi^a2 | ... followed by zeros.
     """
+    return _smith_form(A, True, True)
+
+
+def _smith_form(A, left, right):
+    """``snf`` with U built only when ``left`` and W only when ``right``;
+    a transform not built is None in the result."""
     ring = A.ring
     if A.min_valuation() < 0:
         raise ValueError("snf needs entries in V (nonnegative valuations)")
     m, n, kern = A.rows, A.cols, _Kernel(ring)
-    work, U, W = [list(row) for row in A.raw], _eye(ring, m), _eye(ring, n)
+    work = [list(row) for row in A.raw]
+    U, W = left and _eye(ring, m), right and _eye(ring, n)
+    rowed, colled = [work, U][:1 + left], [work, W][:1 + right]
     flagged = A.lossy
     for k in range(min(m, n)):
         piv, piv_v = kern.pivot(((i, j), work[i][j]) for i in range(k, m)
@@ -346,22 +358,24 @@ def snf(A: MatrixV) -> SNFResult:
         if piv is None:
             break
         i0, j0 = piv
-        work[k], work[i0], U[k], U[i0] = work[i0], work[k], U[i0], U[k]
-        for row in work + W:
+        for M in rowed:
+            M[k], M[i0] = M[i0], M[k]
+        for row in chain.from_iterable(colled):
             row[k], row[j0] = row[j0], row[k]
         # pivot to an exact power of pi; clear its row, then its column
-        kern.scale([work, U], k, kern.over((piv_v, kern.one, False),
-                                            work[k][k]))
+        kern.scale(rowed, k, kern.over((piv_v, kern.one, False), work[k][k]))
         pivot = work[k][k]
-        kern.eliminate([work, U], k, k, lambda i, x: kern.over(x, pivot))
-        cols, wcols = ([list(c) for c in zip(*M)] for M in (work, W))
-        kern.eliminate([cols, wcols], k, k, lambda j, x: kern.over(x, pivot))
-        work, W = ([list(r) for r in zip(*M)] for M in (cols, wcols))
+        kern.eliminate(rowed, k, k, lambda i, x: kern.over(x, pivot))
+        cols = [[list(c) for c in zip(*M)] for M in colled]
+        kern.eliminate(cols, k, k, lambda j, x: kern.over(x, pivot))
+        for M, C in zip(colled, cols):
+            M[:] = map(list, zip(*C))
     D = kern.cleared(work)
     # clearing an effectively-zero entry flags the form, as does any flag
     flagged = flagged or D != work or any(x[2] for row in D for x in row)
-    return SNFResult(MatrixV(ring, U), MatrixV._of(ring, D, n),
-                     MatrixV(ring, W), flagged)
+    return SNFResult(MatrixV(ring, U) if left else None,
+                     MatrixV._of(ring, D, n),
+                     MatrixV(ring, W) if right else None, flagged)
 
 
 class ModulePresentation:
@@ -382,7 +396,7 @@ class ModulePresentation:
 
     def _smith(self) -> SNFResult:
         if self._snf is None:
-            self._snf = snf(self.relations)
+            self._snf = _smith_form(self.relations, False, False)
         return self._snf
 
     def cokernel_invariants(self):
@@ -607,16 +621,16 @@ class Lattice:
         if self.is_zero or other.is_zero:
             return Lattice.zero(self.ring, self.ambient_rank)
         e = min(self.pi_exponent, other.pi_exponent)
-        neg, kern = self.ring.ops.neg, _Kernel(self.ring)
+        minus, kern = self.ring._minus, _Kernel(self.ring)
         g1 = _shifted(self.cols, self.pi_exponent - e)
-        g2 = [[x if x[0] == INFINITY else (x[0], neg(x[1]), x[2]) for x in c]
+        g2 = [list(map(minus, c))
               for c in _shifted(other.cols, other.pi_exponent - e)]
         gens = []
         for z in _kernel_triples(MatrixV(self.ring, zip(*g1, *g2))):
             vec = [_ZERO] * self.ambient_rank
             for x, col in zip(z, g1):
                 if x[0] != INFINITY:  # vec + x * col, as vec - (-x) * col
-                    vec = kern.update(vec, (x[0], neg(x[1]), x[2]), col)
+                    vec = kern.update(vec, minus(x), col)
             gens.append(vec)
         return Lattice.from_columns(self.ring, self.ambient_rank,
                                     _shifted(gens, e))
@@ -643,7 +657,7 @@ def kernel_basis(A: MatrixV):
 def _kernel_triples(A: MatrixV):
     """``kernel_basis`` as columns of (v, u, lossy) triples: the columns of
     W past the rank of the Smith form."""
-    res = snf(A)
+    res = _smith_form(A, False, True)
     return list(zip(*res.W.raw))[len(res.diagonal_exponents):]
 
 

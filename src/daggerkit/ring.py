@@ -254,7 +254,7 @@ class _EqcharOps:
 
     Lane width: a lane of a product holds at most N m (p-1)^2 before the
     fold and (1 + (m-1)(p-1)) times that after it; k is the bit length of
-    this bound, or of p^2 when that is larger (sums, and 2 - x in ``inv``).
+    this bound, or of p^2 when that is larger (sums and negations).
     The lane-wise quotient by p is exact for lanes below 2^k when
     2^b >= p 2^k, and the products x * mu of alternate lanes fit in 2b
     bits, so b = k + ceil(log2 p).
@@ -286,6 +286,12 @@ class _EqcharOps:
         # lane shift of every base-p digit of the base-q encoding, high first
         self._digits = [b * (i * w + j) for i in reversed(range(n))
                         for j in reversed(range(m))]
+        # the masks and shift of each Newton step of ``inv``, from
+        # ceil(k / 2) correct t-degrees to k = ..., ceil(N / 2), N
+        st, ks = self._stride, (-(-n >> i) for i in range(n.bit_length()))
+        self._newton = [((1 << st * k) - 1, st * (k - k // 2),
+                         (1 << st * (k // 2)) - 1) for k in ks if k > 1][::-1]
+        self._unit_inv = {}  # GF(q) inverses of constant terms, q - 1 at most
 
     def _normalise(self, r):
         s = r & self._low
@@ -317,15 +323,20 @@ class _EqcharOps:
         return self._normalise(a * b)
 
     def inv(self, a):
-        """Newton iteration g <- g (2 - a g) from the inverse of the
-        constant term, doubling the correct t-degrees at every step."""
+        """Newton iteration g <- g (2 - a g) at doubling precision (von zur
+        Gathen and Gerhard, 9.1) from the memoised inverse of the constant
+        term.  From j to k <= 2j correct t-degrees a step reads a and g
+        modulo t^k, where a g = 1 + t^j h: only g h mod t^(k - j) is new."""
         c0 = a & self._block
-        if not c0:
-            raise ZeroDivisionError("inverse of a non-unit power series")
-        g = self.pow(c0, self.q - 2)
-        for _ in range((self.precision - 1).bit_length()):
-            # lanes of 2 + (p - 1) a g stay below p^2 before normalising
-            g = self.mul(g, self._normalise(2 + (self.p - 1) * self.mul(a, g)))
+        g = self._unit_inv.get(c0)
+        if g is None:
+            if not c0:
+                raise ZeroDivisionError("inverse of a non-unit power series")
+            g = self._unit_inv[c0] = self.pow(c0, self.q - 2)
+        norm, p1 = self._normalise, self.p - 1
+        for mask, shift, high in self._newton:
+            h = norm((a & mask) * g & mask) >> shift
+            g |= norm(g * norm(p1 * h) & high) << shift
         return g
 
     def pow(self, a, e: int):

@@ -159,8 +159,11 @@ class DaggerSeries:
             truncated: bool = False) -> "DaggerSeries":
         """A series on raw, a dict of triples keyed by the monoid's packing
         at degree_cap; its zeros (v = inf) are removed in place."""
-        for key in [key for key, x in raw.items() if x[0] == INFINITY]:
-            del raw[key]
+        for x in raw.values():  # a list of keys only when there is a zero
+            if x[0] == INFINITY:
+                for key in [k for k, y in raw.items() if y[0] == INFINITY]:
+                    del raw[key]
+                break
         a = object.__new__(cls)
         a.ring, a.monoid, a.packing, a.raw = \
             ring, monoid, monoid.packing(degree_cap), raw

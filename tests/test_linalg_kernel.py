@@ -18,7 +18,8 @@ import random
 
 import pytest
 
-from daggerkit.linalg import Lattice, MatrixV, ModulePresentation, snf
+from daggerkit.linalg import (Lattice, MatrixV, ModulePresentation,
+                              _smith_form, kernel_basis, snf)
 from daggerkit.ring import INFINITY, RingDescriptor, ScalarElem
 
 RINGS = [("padic", 2), ("padic", 5), ("eqchar", 4), ("eqchar", 5),
@@ -349,6 +350,24 @@ def test_snf(backend, base, n):
         assert sigs(ours.D.entries) == sigs(D)
         assert sigs(ours.W.entries) == sigs(W)
         assert ours.flagged is flagged
+        # the Smith forms that build fewer transforms: same D, W and flag
+        for left, right in ((False, False), (False, True), (True, False)):
+            part = _smith_form(A, left, right)
+            assert (part.U is None) is not left
+            assert (part.W is None) is not right
+            assert sigs(part.D.entries) == sigs(D)
+            assert part.flagged is flagged
+            if right:
+                assert sigs(part.W.entries) == sigs(W)
+        exps = []
+        for i in range(min(rows, cols)):
+            if D[i][i].is_zero:
+                break
+            exps.append(D[i][i].valuation)
+        assert ModulePresentation(gen.ring, rows, A).cokernel_invariants() \
+            == (sorted(a for a in exps if a > 0), rows - len(exps))
+        assert [[sig(x) for x in z] for z in kernel_basis(A)] == \
+            [[sig(row[j]) for row in W] for j in range(len(exps), cols)]
 
 
 @pytest.mark.parametrize("backend,base,n", CASES)
@@ -419,21 +438,33 @@ def test_sympy_invariant_factors():
 
 @pytest.mark.parametrize("backend,base", [("padic", 5), ("eqchar", 9)])
 def test_each_pivot_is_inverted_at_most_once(backend, base, monkeypatch):
-    """``snf`` and ``det`` of a dense d x d matrix call ``ops.inv`` at most
-    d times: once per pivot, and never for a pivot that ``scale`` has
-    already made an exact power of pi (unit 1)."""
+    """``snf``, ``det``, ``cokernel_invariants`` and the Hermite form of
+    ``Lattice.from_columns`` of a dense d x d matrix call ``ops.inv`` at
+    most d times: once per pivot, and never for a pivot that ``scale`` has
+    already made an exact power of pi (unit 1).  ``inv`` raises a constant
+    term to the power q - 2 (``ops.pow``) at most once per ring."""
     ring = RingDescriptor(backend, base, 40)
     gen = Inputs(ring, f"inverses-{backend}")
-    inv, calls = ring.ops.inv, []
+    inv, calls, power, powers = ring.ops.inv, [], ring.ops.pow, []
 
     def counting(a):
         calls.append(a)
         return inv(a)
+
+    def counting_pow(a, e):
+        powers.append(a)
+        return power(a, e)
     monkeypatch.setattr(ring.ops, "inv", counting)
+    monkeypatch.setattr(ring.ops, "pow", counting_pow)
+    fns = (snf, MatrixV.det,
+           lambda A: ModulePresentation(ring, A.rows, A).cokernel_invariants(),
+           lambda A: Lattice.from_columns(ring, A.rows, zip(*A.raw)))
     for d in (2, 4, 6):
         A = MatrixV(ring, [[gen.unit(gen.rng.randint(0, 2))
                             for _ in range(d)] for _ in range(d)])
-        for fn in (snf, MatrixV.det):
+        for t, fn in enumerate(fns):
             calls.clear()
             fn(A)
-            assert 0 < len(calls) <= d, (fn.__name__, d, len(calls))
+            assert 0 < len(calls) <= d, (t, d, len(calls))
+    assert len(powers) == len(set(powers)) <= base - 1
+    assert bool(powers) is (backend == "eqchar")  # padic inverts by pow()

@@ -164,7 +164,10 @@ def test_arithmetic_matches_reference(q, n):
     check()
 
 
-@pytest.mark.parametrize("q,n", CASES)
+# 17 and 33 need one Newton step more than 16 and 32: the last doubles
+# from 9 (17) correct t-degrees to 17 (33)
+@pytest.mark.parametrize("q,n", CASES + [(q, n) for q in SMALL_Q
+                                         for n in (17, 33)])
 def test_inverse_matches_reference(q, n):
     ring, ops, ref = setup(q, n)
 
@@ -179,6 +182,19 @@ def test_inverse_matches_reference(q, n):
     check()
     with pytest.raises(ZeroDivisionError):
         ops.inv(ops.shift_up(ops.one(), 1))
+
+
+@pytest.mark.parametrize("q", SMALL_Q)
+def test_constant_term_inverses_are_memoised(q):
+    """``inv`` keeps the GF(q) inverse of each constant term it has seen:
+    q - 1 entries at most, each the inverse of its key."""
+    ring, ops, ref = setup(q, 5)
+    digits = [ref.encode([c, 1, 0, q - 1, 1]) for c in range(1, q)]
+    for n in digits * 2:
+        ops.inv(ops.decode(n))
+    assert len(ops._unit_inv) == q - 1
+    for c0, g in ops._unit_inv.items():
+        assert ops.mul(c0, g) == ops.one()
 
 
 @pytest.mark.parametrize("q,n", CASES)
