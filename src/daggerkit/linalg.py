@@ -12,14 +12,16 @@ Hermite columns in ``cols``; the ScalarElem values a caller reads
 built from them.  Equality of matrices and lattices is
 ``RingDescriptor.same`` on the triples, the rule ScalarElem's ``==`` uses.
 
-One elimination kernel, ``_Kernel``, does the arithmetic of matrix
-products, ``det``, ``inverse``, ``snf``, the Hermite form behind
-``Lattice.from_columns`` and ``Lattice.membership`` (after Storjohann,
-*Algorithms for Matrix Canonical Forms*, 2000) on these triples.
-Its parts: a pivot search for the first entry of least valuation below N
-(over a DVR it divides every entry in scope, so one pass per pivot
-suffices and precision loss is minimised), one row update
-``row - f*pivot_row`` and one ordered dot accumulation.
+One elimination kernel, ``_Kernel``, does the arithmetic of ``det``,
+``inverse``, ``snf``, the Hermite form behind ``Lattice.from_columns`` and
+``Lattice.membership`` (after Storjohann, *Algorithms for Matrix Canonical
+Forms*, 2000) and of matrix products on these triples.  Its parts: a pivot
+search for the first entry of least valuation below N (over a DVR it
+divides every entry in scope, so one pass per pivot suffices and precision
+loss is minimised), one row update ``row - f*pivot_row``, one ordered dot
+accumulation and one product over nonzero pairs only, in the dot's order.
+``Lattice.sum`` reduces only the residuals of the second lattice against
+the first (``_residual``); one adding nothing is the first, flags and all.
 
 Exactness contract: the kernel computes every entry of ``a - f*b``,
 ``acc + a*b``, ``c * x``, ``x / p`` and the quotient of
@@ -65,7 +67,7 @@ class _Kernel:
     Its arithmetic is the ring's scalar rules: ``scale``, ``over``,
     ``update`` and ``dot`` give c * a, a / b,
     [a - f * b for a, b in zip(row, prow)] and the sum of a * b over the
-    pairs without a zero factor."""
+    pairs without a zero factor, which ``product`` takes for each entry."""
 
     def __init__(self, ring: RingDescriptor):
         ops = ring.ops
@@ -141,6 +143,20 @@ class _Kernel:
                 # the first term starts the sum, as plus(_ZERO, term) would
                 acc = times(x, y) if acc is None else plus(acc, times(x, y))
         return _ZERO if acc is None else acc
+
+    def product(self, a, b, n):
+        """Rows of a * b (n columns) from ``_sparse`` rows: each entry sums
+        its pairs in increasing k, as ``dot`` (Gustavson, TOMS 1978)."""
+        plus, times, out = self.plus, self.times, []
+        for row in a:
+            acc = [_ZERO] * n  # the rules build new triples, never _ZERO
+            for k, x in row:
+                for j, y in b[k]:
+                    t = acc[j]
+                    acc[j] = times(x, y) if t is _ZERO else \
+                        plus(t, times(x, y))
+            out.append(acc)
+        return out
 
 
 class MatrixV:
@@ -227,11 +243,8 @@ class MatrixV:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
         self._shape_check(other)
-        if not (self.rows and self.cols):  # empty sums: the zero matrix
-            return MatrixV.zero(self.ring, self.rows, other.cols)
-        dot, cols = _Kernel(self.ring).dot, list(zip(*other.raw))
-        return MatrixV(self.ring, [[dot(row, col) for col in cols]
-                                   for row in self.raw])
+        return MatrixV._of(self.ring, _Kernel(self.ring).product(
+            _sparse(self.raw), _sparse(other.raw), other.cols), other.cols)
 
     def _shape_check(self, other, same=False):
         if self.ring is not other.ring and self.ring != other.ring:
@@ -556,18 +569,23 @@ class Lattice:
         vec holds ScalarElem or (v, u, lossy) triples."""
         if len(vec) != self.ambient_rank:
             raise ValueError("ambient rank mismatch")
-        kern, N = _Kernel(self.ring), self.ring.precision
-        residual = _shifted([_raw(self.ring, vec)], -self.pi_exponent)[0]
+        return self._residual(_Kernel(self.ring), _raw(self.ring, vec),
+                              True) is None
+
+    def _residual(self, kern, vec, stop):
+        """vec (triples) less its back-substitution against H, in H's frame,
+        or None if 0 mod pi^N; ``stop``: a row H cannot clear ends the walk."""
+        N, residual = kern.N, _shifted([vec], -self.pi_exponent)[0]
         for col in self.cols:
             # the pivot row of a Hermite column: its first entry below N
             row = next((i for i, x in enumerate(col) if x[0] < N), None)
-            if row is None or residual[row][0] >= N:
+            if row is None or (x := residual[row])[0] >= N:
                 continue
-            x = residual[row]
-            if x[0] < col[row][0]:
-                return False
-            residual = kern.update(residual, kern.over(x, col[row]), col)
-        return all(x[0] >= N for x in residual)
+            if x[0] >= col[row][0]:
+                residual = kern.update(residual, kern.over(x, col[row]), col)
+            elif stop:
+                return residual
+        return None if all(x[0] >= N for x in residual) else residual
 
     def contains(self, other: "Lattice") -> bool:
         self._compat(other)
@@ -597,10 +615,17 @@ class Lattice:
     # -- operations --
 
     def sum(self, other: "Lattice") -> "Lattice":
+        """L + M; L itself if M adds nothing and L has from_columns' form."""
         self._compat(other)
-        return Lattice.from_columns(
-            self.ring, self.ambient_rank,
-            [*self.generator_triples(), *other.generator_triples()])
+        kern, e, N = _Kernel(self.ring), self.pi_exponent, self.ring.precision
+        added = [r for g in other.generator_triples()
+                 if (r := self._residual(kern, g, False)) is not None]
+        if not added and all(e + _least_v(c) < N and next(
+                (x for x in c if x[0] < N), _ZERO)[1] == kern.one
+                for c in self.cols):
+            return self
+        return Lattice.from_columns(self.ring, self.ambient_rank, [
+            *self.generator_triples(), *_shifted(added, e)])
 
     def scale_by_pi(self, e: int) -> "Lattice":
         if self.is_zero:
@@ -659,6 +684,11 @@ def _kernel_triples(A: MatrixV):
     W past the rank of the Smith form."""
     res = _smith_form(A, False, True)
     return list(zip(*res.W.raw))[len(res.diagonal_exponents):]
+
+
+def _sparse(rows):
+    """Rows as lists of (k, triple) without the zeros, flagged or not."""
+    return [[(k, x) for k, x in enumerate(r) if x[0] < INFINITY] for r in rows]
 
 
 def _least_v(col):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import chains
-from .linalg import Lattice, MatrixV, _Kernel, _raw
+from .linalg import Lattice, MatrixV, _Kernel, _raw, _sparse
 from .monoid import MonoidDescriptor
 from .ring import INFINITY, PrecisionExhausted, RingDescriptor, ScalarElem
 from .series import DaggerSeries, _lower_hull, mul as series_mul
@@ -54,13 +54,13 @@ class MatrixAlgebraContext:
 
     def _products(self, xs, ys):
         """Vectors of a * b for a in xs, then b in ys, all vectors of
-        triples: each a is cut into rows and each b into columns once, and
-        entry (i, j) is the kernel's dot of row i and column j, as in
-        ``MatrixV.__mul__``."""
-        d, dot = self.d, _Kernel(self.ring).dot
-        rows = [[x[i:i + d] for i in range(0, self.dim, d)] for x in xs]
-        cols = [[y[j::d] for j in range(d)] for y in ys]
-        return [[dot(r, c) for r in a for c in b] for a in rows for b in cols]
+        triples; the product visits only the nonzero pairs of the factors,
+        each cut into sparse rows once per call."""
+        d, product = self.d, _Kernel(self.ring).product
+        left, right = ([_sparse(x[i:i + d] for i in range(0, self.dim, d))
+                        for x in vs] for vs in (xs, ys))
+        return [[x for row in product(a, b, d) for x in row]
+                for a in left for b in right]
 
     def __repr__(self):
         return f"MatrixAlgebraContext(d={self.d})"

@@ -10,11 +10,13 @@ kernel and ``a + z * b``, entrywise equality by the windowed rule that
 ``ScalarElem.__eq__`` and ``__hash__`` had, and back-substitution on
 ScalarElem.  Outputs must be identical: the same pi_exponent, the same
 valuation, unit residue and ``lossy`` flag in every Hermite entry, the
-same ``==`` (with a hash that agrees with it) and the same exceptions.  Inputs mix zero lattices, entries
-of K (negative pi_exponent), zeros, flagged zeros, effectively-zero
-entries (N <= v < inf), flagged entries and rank deficiency, over padic
-p in {2, 5} and eqchar q in {4, 5, 9} at N in {1, 3, 12, 40, 160}, in
-matrix contexts d <= 4 and one series context.
+same ``==`` (with a hash that agrees with it) and the same exceptions,
+except that a sum adding nothing to a normalised lattice returns that
+lattice, whose flags are a subset of the rebuild's.  Inputs mix zero
+lattices, entries of K (negative pi_exponent), zeros, flagged zeros,
+effectively-zero entries (N <= v < inf), flagged entries and rank
+deficiency, over padic p in {2, 5} and eqchar q in {4, 5, 9} at N in
+{1, 3, 12, 40, 160}, in matrix contexts d <= 4 and one series context.
 """
 
 import random
@@ -187,6 +189,47 @@ def form(L):
             [[sig(x) for x in row] for row in L.gens.entries])
 
 
+def unflagged(f):
+    """A form() or outcome() without the ``lossy`` flags."""
+    if f[0] == "zero" or isinstance(f[0], type):
+        return f
+    e, cols, rows = f
+    return (e, [[x[:2] for x in c] for c in cols],
+            [[x[:2] for x in r] for r in rows])
+
+
+def flagged_entries(L):
+    return {(j, i) for j, c in enumerate(L.cols)
+            for i, x in enumerate(c) if x[2]}
+
+
+def normalised(L):
+    """L is what from_columns makes of its generators: each column's least
+    valuation, pi_exponent folded in, lies below N, and its first entry
+    below N is an exact power of pi.  (from_columns can leave digits above
+    the window on a pivot, where an entry that was effectively zero was
+    added to it; the rebuild scales them away.)"""
+    N, one = L.ring.precision, L.ring.ops.one()
+    return all(L.pi_exponent + min(c)[0] < N
+               and next((x for x in c if x[0] < N), (0, None))[1] == one
+               for c in L.cols)
+
+
+def check_sum(L, M):
+    """L.sum(M) against the rebuild: the same pi_exponent and (v, u)
+    everywhere; where M adds nothing to a normalised L, L itself with its
+    own flags, which the rebuild can only add to; elsewhere the same flags.
+    Returns whether L came back."""
+    got, want = outcome(L.sum, M), outcome(ref_sum, L, M)
+    assert unflagged(got) == unflagged(want)
+    if ref_contains(L, M) and normalised(L):
+        assert L.sum(M) is L
+        assert flagged_entries(L) <= flagged_entries(ref_sum(L, M))
+        return True
+    assert got == want
+    return False
+
+
 def outcome(fn, *args):
     """form() of fn(*args) or its plain value, or what it raised."""
     try:
@@ -301,7 +344,7 @@ def test_sum_equality_and_membership_match(backend, base, n):
         lats += [L.sum(M) for L, M in zip(lats, lats[2:])]
         for L in lats:
             M = gen.rng.choice(lats)
-            assert outcome(L.sum, M) == outcome(ref_sum, L, M)
+            check_sum(L, M)
             assert L.contains(M) is ref_contains(L, M)
             probes = ref_generator_vectors(M)
             probes.append([gen.entry() for _ in range(dim)])
@@ -317,6 +360,50 @@ def test_sum_equality_and_membership_match(backend, base, n):
                 assert (L == other) is ref_eq(L, other)
                 if L == other:
                     assert hash(L) == hash(other)
+
+
+@pytest.mark.parametrize("backend,base", RINGS)
+def test_sum_adds_only_what_is_new(backend, base):
+    # pi^4 * span(1) is zero at N = 3: its sum with itself is the zero
+    # lattice that the rebuild makes, not the lattice itself
+    ring = RingDescriptor(backend, base, 3)
+    L = Lattice.standard(ring, 1).scale_by_pi(4)
+    assert not normalised(L) and not check_sum(L, L) and L.sum(L).is_zero
+    # from_columns leaves digits above the window on the pivot pi * 51 of
+    # this lattice over Z_5 at N = 3; the rebuild scales them away, and so
+    # must a sum that adds nothing
+    W = Lattice.from_columns(ring, 2, [
+        [ring.scalar(11).scaled_by_pi(2), ring.scalar(5).scaled_by_pi(-1)],
+        [ring.scalar(11), ring.pi(-1)]])
+    if (backend, base) != ("eqchar", 5):  # there 5 = 0 and W has rank 1
+        assert not normalised(W)
+    check_sum(W, W)
+    returned = grown = 0
+    for n in PRECISIONS:
+        ring = RingDescriptor(backend, base, n)
+        gen = Inputs(ring, f"contract-{backend}-{base}-{n}")
+        for dim in (1, 2, 3):
+            lats = gen.lattices(dim, 4)
+            lats += [L.scale_by_pi(-2) for L in lats[2:4]]  # entries in K
+            zero = lats[0]
+            for L in lats:
+                # inside L: itself, pi * L, and a V-combination of its
+                # generators; then the zero lattice on either side
+                gens = L.generator_vectors()
+                inner = Lattice.from_columns(ring, dim, [
+                    [sum((gen.unit(0) * g[i] for g in gens), ring.zero())
+                     for i in range(dim)]] if gens else [])
+                for M in (L, L.scale_by_pi(1), inner, zero,
+                          gen.rng.choice(lats)):
+                    if check_sum(L, M):
+                        returned += 1
+                    else:
+                        grown += 1
+                assert (L.sum(zero) is L) is normalised(L)
+                check_sum(zero, L)
+                for vec in gens + [[gen.entry() for _ in range(dim)]]:
+                    assert L.membership(vec) is ref_membership(L, vec)
+    assert returned > 0 and grown > 0
 
 
 @pytest.mark.parametrize("backend,base,n", CASES)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from daggerkit import spectral
+from daggerkit import linalg, spectral
 from daggerkit.linalg import Lattice, MatrixV
 from daggerkit.monoid import MonoidDescriptor
 from daggerkit.ring import INFINITY, RingDescriptor, _PadicOps
@@ -438,6 +438,30 @@ class TestLatticePowers:
         # the chain lives on S: an equal lattice starts its own
         triangle(singleton(ctx, a))
         assert len(calls) == 30
+
+    def test_sums_that_add_nothing_reduce_nothing(self, ring, monkeypatch):
+        # the companion matrix of x^3 - 2 pi: the closure to i = 8 builds
+        # S^2 .. S^9 and stabilises at i = 2, and the probe reads its powers
+        # off the same chain.  Each power is one Hermite form, and a sum is
+        # one only when it grows: the closure's sums at i = 1, 2, the
+        # probe's at l = 2, 3 for j = 1 and j = 2.  Rebuilding every sum
+        # took 8 + 8 forms for the closure and 7 for the probe.
+        ctx = MatrixAlgebraContext(ring, 3)
+        S = singleton(ctx, mat(ring, [[0, 0, (1, 2)], [1, 0, 0], [0, 1, 0]]))
+        calls = []
+        real = linalg._column_hermite
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(linalg, "_column_hermite", counting)
+        _, stabilized = lgb_closure(S, ctx, 8)
+        assert (stabilized, len(calls)) == (2, 8 + 2)
+        probes = semi_dagger_probe(S, ctx, 1, [1, 2, 3], l_max=8)
+        assert [(r.verdict, r.stabilized_at) for r in probes.values()] == \
+            [("bounded", 3), ("bounded", 3), ("bounded", 1)]
+        assert len(calls) == 8 + 2 + 4
 
     def test_chain_goes_with_its_lattice(self, ring, ctx):
         S = singleton(ctx, mat(ring, [[1, 2], [3, 4]]))
