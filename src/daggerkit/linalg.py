@@ -20,8 +20,8 @@ search for the first entry of least valuation below N (over a DVR it
 divides every entry in scope, so one pass per pivot suffices and precision
 loss is minimised), one row update ``row - f*pivot_row``, one ordered dot
 accumulation and one product over nonzero pairs only, in the dot's order.
-``Lattice.sum`` reduces only the residuals of the second lattice against
-the first (``_residual``); one adding nothing is the first, flags and all.
+``Lattice.sum`` first asks whether the second lattice adds anything to the
+first; a sum that adds nothing is the first lattice, flags and all.
 
 Exactness contract: the kernel computes every entry of ``a - f*b``,
 ``acc + a*b``, ``c * x``, ``x / p`` and the quotient of
@@ -569,23 +569,21 @@ class Lattice:
         vec holds ScalarElem or (v, u, lossy) triples."""
         if len(vec) != self.ambient_rank:
             raise ValueError("ambient rank mismatch")
-        return self._residual(_Kernel(self.ring), _raw(self.ring, vec),
-                              True) is None
+        return self._holds(_Kernel(self.ring), _raw(self.ring, vec))
 
-    def _residual(self, kern, vec, stop):
-        """vec (triples) less its back-substitution against H, in H's frame,
-        or None if 0 mod pi^N; ``stop``: a row H cannot clear ends the walk."""
+    def _holds(self, kern, vec):
+        """``membership`` of a vector of triples, on a given kernel."""
         N, residual = kern.N, _shifted([vec], -self.pi_exponent)[0]
         for col in self.cols:
             # the pivot row of a Hermite column: its first entry below N
             row = next((i for i, x in enumerate(col) if x[0] < N), None)
-            if row is None or (x := residual[row])[0] >= N:
+            if row is None or residual[row][0] >= N:
                 continue
-            if x[0] >= col[row][0]:
-                residual = kern.update(residual, kern.over(x, col[row]), col)
-            elif stop:
-                return residual
-        return None if all(x[0] >= N for x in residual) else residual
+            x = residual[row]
+            if x[0] < col[row][0]:
+                return False
+            residual = kern.update(residual, kern.over(x, col[row]), col)
+        return all(x[0] >= N for x in residual)
 
     def contains(self, other: "Lattice") -> bool:
         self._compat(other)
@@ -618,14 +616,16 @@ class Lattice:
         """L + M; L itself if M adds nothing and L has from_columns' form."""
         self._compat(other)
         kern, e, N = _Kernel(self.ring), self.pi_exponent, self.ring.precision
-        added = [r for g in other.generator_triples()
-                 if (r := self._residual(kern, g, False)) is not None]
-        if not added and all(e + _least_v(c) < N and next(
+        gens = other.generator_triples()
+        # from_columns' form: no column it drops, pivots powers of pi (it can
+        # miss them: FOUND on from_columns, CHANGES.md); what it drops adds 0
+        if all(e + _least_v(c) < N and next(
                 (x for x in c if x[0] < N), _ZERO)[1] == kern.one
-                for c in self.cols):
+                for c in self.cols) and all(
+                _least_v(g) >= N or self._holds(kern, g) for g in gens):
             return self
-        return Lattice.from_columns(self.ring, self.ambient_rank, [
-            *self.generator_triples(), *_shifted(added, e)])
+        return Lattice.from_columns(self.ring, self.ambient_rank,
+                                    [*self.generator_triples(), *gens])
 
     def scale_by_pi(self, e: int) -> "Lattice":
         if self.is_zero:
