@@ -20,8 +20,11 @@ search for the first entry of least valuation below N (over a DVR it
 divides every entry in scope, so one pass per pivot suffices and precision
 loss is minimised), one row update ``row - f*pivot_row``, one ordered dot
 accumulation and one product over nonzero pairs only, in the dot's order.
-``Lattice.sum`` first asks whether the second lattice adds anything to the
-first; a sum that adds nothing is the first lattice, flags and all.
+``Lattice.sum`` walks the second lattice's generators down the first's pivot
+rows (``membership``'s back-substitution): a sum that adds nothing is the
+first lattice, flags and all; one generator that first stays below N at a
+row no pivot takes is inserted there with the rebuild's arithmetic on the
+columns it changes; any other sum is rebuilt.
 
 Exactness contract: the kernel computes every entry of ``a - f*b``,
 ``acc + a*b``, ``c * x``, ``x / p`` and the quotient of
@@ -569,21 +572,22 @@ class Lattice:
         vec holds ScalarElem or (v, u, lossy) triples."""
         if len(vec) != self.ambient_rank:
             raise ValueError("ambient rank mismatch")
-        return self._holds(_Kernel(self.ring), _raw(self.ring, vec))
+        return self._walk(_Kernel(self.ring), _raw(self.ring, vec), {
+            _pivot_row(c, self.ring.precision): c for c in self.cols}) is None
 
-    def _holds(self, kern, vec):
-        """``membership`` of a vector of triples, on a given kernel."""
-        N, residual = kern.N, _shifted([vec], -self.pi_exponent)[0]
-        for col in self.cols:
-            # the pivot row of a Hermite column: its first entry below N
-            row = next((i for i, x in enumerate(col) if x[0] < N), None)
-            if row is None or residual[row][0] >= N:
-                continue
-            x = residual[row]
-            if x[0] < col[row][0]:
-                return False
-            residual = kern.update(residual, kern.over(x, col[row]), col)
-        return all(x[0] >= N for x in residual)
+    def _walk(self, kern, vec, pivots):
+        """Back-substitution of vec (triples) in H's frame against ``pivots``
+        (pivot row -> column): None if it clears, else (row, residual) at the
+        first row left below N, which no later column (past N there) moves."""
+        N, res = kern.N, _shifted([vec], -self.pi_exponent)[0]
+        for r in range(len(res)):
+            x = res[r]
+            if x[0] < N:
+                col = pivots.get(r)
+                if col is None or x[0] < col[r][0]:
+                    return r, res
+                res = kern.update(res, kern.over(x, col[r]), col)
+        return None
 
     def contains(self, other: "Lattice") -> bool:
         self._compat(other)
@@ -613,19 +617,53 @@ class Lattice:
     # -- operations --
 
     def sum(self, other: "Lattice") -> "Lattice":
-        """L + M; L itself if M adds nothing and L has from_columns' form."""
+        """L + M, as from_columns makes it of both generator sets.  If L has
+        its form: L itself when M adds nothing, and ``_insert`` when M adds
+        one generator, in V in L's frame (H's least valuation is 0, so the
+        frame stays), that first stays below N at a row no pivot takes;
+        else a rebuild (a pivot row taken, more generators, L zero)."""
         self._compat(other)
         kern, e, N = _Kernel(self.ring), self.pi_exponent, self.ring.precision
-        gens = other.generator_triples()
-        # from_columns' form: no column it drops, pivots powers of pi (it can
-        # miss them: FOUND on from_columns, CHANGES.md); what it drops adds 0
-        if all(e + _least_v(c) < N and next(
-                (x for x in c if x[0] < N), _ZERO)[1] == kern.one
-                for c in self.cols) and all(
-                _least_v(g) >= N or self._holds(kern, g) for g in gens):
-            return self
+        gens = [g for g in other.generator_triples() if _least_v(g) < N]
+        pivots = {_pivot_row(c, N): c for c in self.cols}
+        # gens leaves out what from_columns drops; its form: no column it
+        # drops, pivots powers of pi (it can miss them: FOUND, CHANGES.md)
+        if all(e + _least_v(c) < N and r is not None and c[r][1] == kern.one
+               for r, c in pivots.items()):
+            stop = next(filter(None, (self._walk(kern, g, pivots)
+                                      for g in gens)), None)
+            if stop is None:
+                return self
+            if len(gens) == 1 and self.cols and stop[0] not in pivots \
+                    and _least_v(gens[0]) >= e:
+                return self._insert(kern, *stop, pivots)
         return Lattice.from_columns(self.ring, self.ambient_rank,
                                     [*self.generator_triples(), *gens])
+
+    def _insert(self, kern, r, new, pivots):
+        """``_column_hermite`` of H and ``new``, a ``_walk`` residual, as the
+        pivot at row r: pivots become exact powers of pi (a flagged one flags
+        its column); past r, only the columns r changes are not canonical."""
+        rows, cols = [*pivots], [*pivots.values()]
+        j = sum(p < r for p in rows)
+        rows[j:j], cols[j:j] = [r], [new]
+        for i, (p, c) in enumerate(zip(rows, cols)):
+            kern.scale([cols], i, kern.over((c[p][0], kern.one, False), c[p]))
+        changed = range(j)
+        for i in range(j, len(cols)):
+            p, piv, touched = rows[i], cols[i], [j]
+            for m in changed:
+                x, v = cols[m][p], piv[p][0]
+                f = kern.over(x, piv[p]) if x[0] >= v else kern.split(x, v)[0]
+                if x[0] < kern.N and f[0] != INFINITY:
+                    cols[m] = kern.update(cols[m], f, piv)
+                    touched.append(m)
+            changed = touched if i == j else changed
+        for m in changed:
+            cols[m] = kern.cleared([cols[m]])[0]
+        extra = min(map(_least_v, cols))
+        return Lattice(self.ring, self.ambient_rank, self.pi_exponent + extra,
+                       tuple(map(tuple, _shifted(cols, -extra))))
 
     def scale_by_pi(self, e: int) -> "Lattice":
         if self.is_zero:
@@ -691,6 +729,11 @@ def _sparse(rows):
     return [[(k, x) for k, x in enumerate(r) if x[0] < INFINITY] for r in rows]
 
 
+def _pivot_row(col, N):
+    """Row of the first entry below N, a Hermite column's pivot, or None."""
+    return next((i for i, x in enumerate(col) if x[0] < N), None)
+
+
 def _least_v(col):
     """Least valuation in a nonempty column of triples, read off its least
     triple (a tie in v never sets a unit against the None of a zero)."""
@@ -716,6 +759,8 @@ def _column_hermite(ring, rank, cols):
     kern = _Kernel(ring)
     n_pivots = 0
     for row in range(rank):
+        if n_pivots == len(cols):  # no free column is left
+            break
         # choose the minimal-valuation entry of this row among free columns
         piv, piv_v = kern.pivot((j, cols[j][row])
                                 for j in range(n_pivots, len(cols)))
