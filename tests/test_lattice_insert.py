@@ -80,14 +80,15 @@ def entries(draw, ring, low=0):
 
 
 @st.composite
-def echelon(draw, ring, dim, rows, low=None, flagged=()):
-    """Generators with pivots at the given rows (pivot row -> valuation,
-    or a random one below N): zeros, flagged or not, above each pivot,
-    and random entries below it.  A pivot in ``flagged`` is flagged."""
-    n, low = ring.precision, low or {}
+def echelon(draw, ring, dim, rows, valuations=None, flagged=()):
+    """Generators with pivots at the given rows, of the given valuations
+    (pivot row -> valuation) or random ones below N: zeros, flagged or
+    not, above each pivot, and random entries below it.  A pivot in
+    ``flagged`` is flagged."""
+    n, valuations = ring.precision, valuations or {}
     gens = []
     for p in rows:
-        v = low.get(p, draw(st.integers(0, n - 1)))
+        v = valuations.get(p, draw(st.integers(0, n - 1)))
         col = [draw(st.sampled_from((ring.zero(), ScalarElem(
             ring, INFINITY, None, True)))) for _ in range(p)]
         col.append(draw(units(ring, v, p in flagged)))
@@ -138,9 +139,9 @@ def insert_cases(draw, where, flag):
     if where == "between" and (rows[0] > r or rows[-1] < r):
         rows = sorted({*rows, draw(st.integers(0, r - 1)),
                        draw(st.integers(r + 1, dim - 1))})
-    flagged = set(rows) if flag else set()
-    if flag:  # at least one, and not always all of them
-        flagged = {rows[0], *draw(st.sets(st.sampled_from(rows)))}
+    # at least one flagged pivot, and not always all of them
+    flagged = {rows[0], *draw(st.sets(st.sampled_from(rows)))} if flag \
+        else set()
     gens = echelon(ring, dim, rows, flagged=flagged)
     # scaling down keeps from_columns' form
     L = Lattice.from_columns(ring, dim, draw(gens)).scale_by_pi(
@@ -164,11 +165,10 @@ def rebuild_cases(draw, why):
         # the frame is 0 and a generator can sit below the first there
         p0, p1 = draw(st.lists(st.integers(0, dim - 1), min_size=2,
                                max_size=2, unique=True))
-        rows, low = sorted((p0, p1)), {p0: draw(st.integers(1, n - 1)),
-                                       p1: 0}
-        L = Lattice.from_columns(ring, dim, draw(echelon(ring, dim, rows,
-                                                         low)))
-        w = draw(st.integers(0, low[p0] - 1))
+        v0 = draw(st.integers(1, n - 1))
+        L = Lattice.from_columns(ring, dim, draw(echelon(
+            ring, dim, sorted((p0, p1)), {p0: v0, p1: 0})))
+        w = draw(st.integers(0, v0 - 1))
         M = Lattice.from_columns(ring, dim, [draw(extension(L, p0, w))])
         return L, M
     if why == "zero":
@@ -191,7 +191,7 @@ def rebuild_cases(draw, why):
                                   max_size=2, unique=True)))
     pool = [i for i in range(dim) if i not in (r1, r2)]
     rows = sorted(draw(st.lists(st.sampled_from(pool), min_size=1,
-                                unique=True))) if pool else []
+                                unique=True)))
     L = Lattice.from_columns(ring, dim, draw(echelon(ring, dim, rows)))
     e = max(L.pi_exponent, 0)
     M = Lattice.from_columns(ring, dim, [
