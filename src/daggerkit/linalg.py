@@ -18,15 +18,19 @@ One elimination kernel, ``_Kernel``, does the arithmetic of ``det``,
 Forms*, 2000) and of matrix products on these triples.  Its parts: a pivot
 search for the first entry of least valuation below N (over a DVR it
 divides every entry in scope, so one pass per pivot suffices and precision
-loss is minimised), one row update ``row - f*pivot_row``, one ordered dot
-accumulation and one product over nonzero pairs only, in the dot's order.
+loss is minimised), one row update ``row + f*pivot_row`` (eliminations
+negate f), one Hermite pivot step ``settle`` that both the rebuild and the
+insertion of ``Lattice.sum`` run, one ordered dot accumulation and one
+product over nonzero pairs only, in the dot's order.  Quotients are the
+ring's rule, with no cached inverse: pivots are scaled to a unit of 1
+before rows are cleared, and ``det`` inverts each pivot once.
 ``Lattice.sum`` walks the second lattice's generators down the first's pivot
 rows (``membership``'s back-substitution): a sum that adds nothing is the
 first lattice, flags and all; one generator that first stays below N at a
-row no pivot takes is inserted there with the rebuild's arithmetic on the
-columns it changes; any other sum is rebuilt.
+row no pivot takes is inserted there by ``settle`` on the columns it
+changes; any other sum is rebuilt.
 
-Exactness contract: the kernel computes every entry of ``a - f*b``,
+Exactness contract: the kernel computes every entry of ``a + f*b``,
 ``acc + a*b``, ``c * x``, ``x / p`` and the quotient of
 ``split_at_pi_power`` with the ring's scalar rules (``_scalar_rules`` in
 ``ring.py``, which ScalarElem's arithmetic runs too), so which digits are
@@ -69,16 +73,14 @@ class _Kernel:
     """Elimination on triples over one ring; a zero is (inf, None, lossy).
     Its arithmetic is the ring's scalar rules: ``scale``, ``over``,
     ``update`` and ``dot`` give c * a, a / b,
-    [a - f * b for a, b in zip(row, prow)] and the sum of a * b over the
+    [a + f * b for a, b in zip(row, prow)] and the sum of a * b over the
     pairs without a zero factor, which ``product`` takes for each entry."""
 
     def __init__(self, ring: RingDescriptor):
         ops = ring.ops
-        self.N, self.one, self.inv, self.neg, self.mul = (
-            ring.precision, ops.one(), ops.inv, ops.neg, ops.mul)
-        self.plus, self.times, self._over, self.split = (
-            ring._plus, ring._times, ring._over, ring._split)
-        self._last_inv = (None, None)
+        self.N, self.one, self.mul = ring.precision, ops.one(), ops.mul
+        self.plus, self.minus, self.times, self.over, self.split = (
+            ring._plus, ring._minus, ring._times, ring._over, ring._split)
 
     def pivot(self, entries):
         """(key, v) of the first entry of least valuation below N among
@@ -94,16 +96,6 @@ class _Kernel:
         return [[_ZERO if self.N <= x[0] < INFINITY else x for x in r]
                 for r in rows]
 
-    def over(self, a, b):
-        """a / b, keeping the last inverse: the rows cleared against one
-        pivot invert its unit once (the quotient rule skips a unit of 1)."""
-        return self._over(a, b, self._inverse)
-
-    def _inverse(self, u):
-        if self._last_inv[0] != u:
-            self._last_inv = (u, self.inv(u))
-        return self._last_inv[1]
-
     def scale(self, mats, k, c):
         """Row k of every matrix in mats times c, which is nonzero; an
         unflagged 1 (a pivot already a power of pi) changes nothing."""
@@ -113,24 +105,41 @@ class _Kernel:
         for M in mats:
             M[k] = [times(c, x) for x in M[k]]
 
-    def eliminate(self, mats, k, c, factor, start=0):
-        """Clear column c of mats[0] against row k: each other row i >= start
-        with entry x below N and f = factor(i, x) != 0 becomes
-        row i - f * row k, in every matrix of mats alike."""
-        for i in range(start, len(mats[0])):
+    def eliminate(self, mats, k, c, factor, among):
+        """Clear column c of mats[0] against row k: each other row i of
+        ``among`` with entry x below N and f = factor(i, x) != 0 becomes
+        row i - f * row k, in every matrix of mats alike.  Returns the rows
+        it updated."""
+        updated = []
+        for i in among:
             x = mats[0][i][c]
             if i != k and x[0] < self.N:
                 f = factor(i, x)
                 if f[0] != INFINITY:
+                    # (-f) * b is the residue of -(f * b) on both backends
+                    f = self.minus(f)
                     for M in mats:
                         M[i] = self.update(M[i], f, M[k])
+                    updated.append(i)
+        return updated
+
+    def settle(self, cols, k, row, among):
+        """Fix the Hermite pivot of column k at ``row``: scale the column so
+        its entry there is pi^v exactly (a flagged pivot flags its column),
+        then clear ``row`` in the columns of ``among`` by the quotient, an
+        earlier pivot column modulo pi^v only (``split``'s quotient, unless
+        pi^v divides its entry).  Returns the columns it changed."""
+        v = cols[k][row][0]
+        self.scale([cols], k, self.over((v, self.one, False), cols[k][row]))
+        p = cols[k][row]
+        return self.eliminate([cols], k, row, lambda m, x: (
+            self.over(x, p) if m > k or x[0] >= v else self.split(x, v)[0]),
+            among)
 
     def update(self, row, f, prow):
-        """row - f * prow entry by entry; f must be nonzero.  f is negated
-        once: (-f) * b is the residue of -(f * b) on both backends."""
+        """row + f * prow entry by entry; f must be nonzero."""
         plus, mul = self.plus, self.mul
-        fv, fu, fl = f
-        fu, out = self.neg(fu), []
+        (fv, fu, fl), out = f, []
         for a, (bv, bu, bl) in zip(row, prow):
             if bv != INFINITY:
                 a = plus(a, (fv + bv, mul(fu, bu), fl or bl))
@@ -289,11 +298,12 @@ class MatrixV:
                 return self.ring.zero()
             if i0 != k:
                 work[k], work[i0] = work[i0], work[k]
-                det = (det[0], kern.neg(det[1]), det[2])
+                det = kern.minus(det)
             pivot = work[k][k]
             det = kern.times(det, pivot)
-            kern.eliminate([work], k, k, lambda i, x: kern.over(x, pivot),
-                           k + 1)
+            inv = kern.over((0, kern.one, False), pivot)
+            kern.eliminate([work], k, k, lambda i, x: kern.times(x, inv),
+                           range(k + 1, n))
         return ScalarElem(self.ring, *det)
 
     def inverse(self) -> "MatrixV":
@@ -310,7 +320,7 @@ class MatrixV:
             aug[k], aug[i0] = aug[i0], aug[k]
             kern.scale([work, aug], k,
                        kern.over((0, kern.one, False), work[k][k]))
-            kern.eliminate([work, aug], k, k, lambda i, x: x)
+            kern.eliminate([work, aug], k, k, lambda i, x: x, range(n))
         return MatrixV(self.ring, aug)
 
     def kronecker(self, other: "MatrixV") -> "MatrixV":
@@ -381,9 +391,11 @@ def _smith_form(A, left, right):
         # pivot to an exact power of pi; clear its row, then its column
         kern.scale(rowed, k, kern.over((piv_v, kern.one, False), work[k][k]))
         pivot = work[k][k]
-        kern.eliminate(rowed, k, k, lambda i, x: kern.over(x, pivot))
+        kern.eliminate(rowed, k, k, lambda i, x: kern.over(x, pivot),
+                       range(m))
         cols = [[list(c) for c in zip(*M)] for M in colled]
-        kern.eliminate(cols, k, k, lambda j, x: kern.over(x, pivot))
+        kern.eliminate(cols, k, k, lambda j, x: kern.over(x, pivot),
+                       range(n))
         for M, C in zip(colled, cols):
             M[:] = map(list, zip(*C))
     D = kern.cleared(work)
@@ -528,13 +540,18 @@ class Lattice:
             raise ValueError("generator has wrong ambient rank")
         cols = [c for c in cols if c and _least_v(c) < ring.precision]
         e = min(map(_least_v, cols), default=0)
-        reduced = _column_hermite(ring, ambient_rank, _shifted(cols, -e))
-        if not reduced:
+        return cls._folded(ring, ambient_rank, e, _column_hermite(
+            ring, ambient_rank, _shifted(cols, -e)))
+
+    @classmethod
+    def _folded(cls, ring, ambient_rank, e, cols):
+        """pi^e * span(cols), Hermite columns, with their least valuation
+        folded into e (reduction can reveal a finer common pi factor)."""
+        if not cols:
             return cls.zero(ring, ambient_rank)
-        # reduction can only reveal a finer common pi factor, never lose one
-        extra = min(map(_least_v, reduced))
+        extra = min(map(_least_v, cols))
         return cls(ring, ambient_rank, e + extra,
-                   tuple(map(tuple, _shifted(reduced, -extra))))
+                   tuple(map(tuple, _shifted(cols, -extra))))
 
     @classmethod
     def from_matrix_columns(cls, mat: MatrixV) -> "Lattice":
@@ -586,7 +603,7 @@ class Lattice:
                 col = pivots.get(r)
                 if col is None or x[0] < col[r][0]:
                     return r, res
-                res = kern.update(res, kern.over(x, col[r]), col)
+                res = kern.update(res, kern.minus(kern.over(x, col[r])), col)
         return None
 
     def contains(self, other: "Lattice") -> bool:
@@ -617,11 +634,12 @@ class Lattice:
     # -- operations --
 
     def sum(self, other: "Lattice") -> "Lattice":
-        """L + M, as from_columns makes it of both generator sets.  If L has
-        its form: L itself when M adds nothing, and ``_insert`` when M adds
-        one generator, in V in L's frame (H's least valuation is 0, so the
-        frame stays), that first stays below N at a row no pivot takes;
-        else a rebuild (a pivot row taken, more generators, L zero)."""
+        """L + M, as from_columns makes it of both generator sets, raw
+        triples and flags alike.  If L has its form: L itself when M adds
+        nothing, and ``_insert`` (the rebuild's pivot steps, on the columns
+        the new one changes) when M adds one generator, in V in L's frame,
+        that first stays below N at a row no pivot takes; else a rebuild
+        (a pivot row taken, more generators, L zero)."""
         self._compat(other)
         kern, e, N = _Kernel(self.ring), self.pi_exponent, self.ring.precision
         gens = [g for g in other.generator_triples() if _least_v(g) < N]
@@ -642,28 +660,22 @@ class Lattice:
 
     def _insert(self, kern, r, new, pivots):
         """``_column_hermite`` of H and ``new``, a ``_walk`` residual, as the
-        pivot at row r: pivots become exact powers of pi (a flagged one flags
-        its column); past r, only the columns r changes are not canonical."""
+        pivot at row r, by ``_Kernel.settle`` on each pivot: the pivots
+        before r are only scaled, the new one clears r in the columns before
+        it, and each later one clears its row in the columns r changed (the
+        others are canonical there already)."""
         rows, cols = [*pivots], [*pivots.values()]
         j = sum(p < r for p in rows)
         rows[j:j], cols[j:j] = [r], [new]
-        for i, (p, c) in enumerate(zip(rows, cols)):
-            kern.scale([cols], i, kern.over((c[p][0], kern.one, False), c[p]))
-        changed = range(j)
-        for i in range(j, len(cols)):
-            p, piv, touched = rows[i], cols[i], [j]
-            for m in changed:
-                x, v = cols[m][p], piv[p][0]
-                f = kern.over(x, piv[p]) if x[0] >= v else kern.split(x, v)[0]
-                if x[0] < kern.N and f[0] != INFINITY:
-                    cols[m] = kern.update(cols[m], f, piv)
-                    touched.append(m)
-            changed = touched if i == j else changed
+        for i in range(j):
+            kern.settle(cols, i, rows[i], ())
+        changed = [j, *kern.settle(cols, j, r, range(j))]
+        for i in range(j + 1, len(cols)):
+            kern.settle(cols, i, rows[i], changed)
         for m in changed:
             cols[m] = kern.cleared([cols[m]])[0]
-        extra = min(map(_least_v, cols))
-        return Lattice(self.ring, self.ambient_rank, self.pi_exponent + extra,
-                       tuple(map(tuple, _shifted(cols, -extra))))
+        return Lattice._folded(self.ring, self.ambient_rank, self.pi_exponent,
+                               cols)
 
     def scale_by_pi(self, e: int) -> "Lattice":
         if self.is_zero:
@@ -692,8 +704,8 @@ class Lattice:
         for z in _kernel_triples(MatrixV(self.ring, zip(*g1, *g2))):
             vec = [_ZERO] * self.ambient_rank
             for x, col in zip(z, g1):
-                if x[0] != INFINITY:  # vec + x * col, as vec - (-x) * col
-                    vec = kern.update(vec, minus(x), col)
+                if x[0] != INFINITY:
+                    vec = kern.update(vec, x, col)
             gens.append(vec)
         return Lattice.from_columns(self.ring, self.ambient_rank,
                                     _shifted(gens, e))
@@ -762,18 +774,12 @@ def _column_hermite(ring, rank, cols):
         if n_pivots == len(cols):  # no free column is left
             break
         # choose the minimal-valuation entry of this row among free columns
-        piv, piv_v = kern.pivot((j, cols[j][row])
-                                for j in range(n_pivots, len(cols)))
+        piv, _ = kern.pivot((j, cols[j][row])
+                            for j in range(n_pivots, len(cols)))
         if piv is None:
             continue
         cols[n_pivots], cols[piv] = cols[piv], cols[n_pivots]
-        kern.scale([cols], n_pivots,
-                   kern.over((piv_v, kern.one, False), cols[n_pivots][row]))
-        p = cols[n_pivots]
-        # an earlier pivot column is reduced modulo pi^piv_v only
-        kern.eliminate([cols], n_pivots, row, lambda j, x: (
-            kern.over(x, p[row]) if j > n_pivots or x[0] >= piv_v
-            else kern.split(x, piv_v)[0]))
+        kern.settle(cols, n_pivots, row, range(len(cols)))
         n_pivots += 1
     return [c for c in kern.cleared(cols[:n_pivots])
             if any(x[0] != INFINITY for x in c)]

@@ -365,18 +365,15 @@ class TableCocycle(Cocycle):
 
 
 def cocycle_check(c: Cocycle, descriptor: MonoidDescriptor,
-                  sample_count: int = 50, seed: int = 0,
-                  max_length: int = 4) -> bool:
+                  sample_count: int = 50, seed: int = 0) -> bool:
     """Test normalisation and the cocycle identity
     c(r, s t) c(s, t) = c(r s, t) c(r, s) on deterministically sampled
-    triples."""
+    triples of words of length at most 4."""
     rng = random.Random(seed)
     one = descriptor.identity()
     ring_one = c.ring.one()
     for _ in range(sample_count):
-        r = descriptor.random_element(rng, max_length)
-        s = descriptor.random_element(rng, max_length)
-        t = descriptor.random_element(rng, max_length)
+        r, s, t = (descriptor.random_element(rng, 4) for _ in range(3))
         if c.value(r, one) != ring_one or c.value(one, r) != ring_one:
             return False
         lhs = c.value(r, compose(s, t)) * c.value(s, t)

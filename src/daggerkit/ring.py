@@ -419,14 +419,14 @@ def _scalar_rules(ops, N):
             return (INFINITY, None, al or bl)
         return (av + bv, mul(au, bu), al or bl)
 
-    def over(a, b, inv):
-        """a / b, where ``inv`` inverts the unit of b unless it is 1; a zero
-        quotient keeps the flag of a only."""
+    def over(a, b):
+        """a / b; the unit of b is inverted (``ops.inv``, read at each call)
+        unless it is 1.  A zero quotient keeps the flag of a only."""
         if b[0] == INFINITY:
             raise ZeroDivisionError("division by zero")
         if a[0] == INFINITY:
             return (INFINITY, None, a[2])
-        u = a[1] if b[1] == one else mul(a[1], inv(b[1]))
+        u = a[1] if b[1] == one else mul(a[1], ops.inv(b[1]))
         return (a[0] - b[0], u, a[2] or b[2])
 
     def canonical(r, lossy):
@@ -615,8 +615,7 @@ class ScalarElem:
     def __truediv__(self, other: "ScalarElem") -> "ScalarElem":
         self._check(other)
         v, u, lossy = self.ring._over(
-            (self.v, self.u, self.lossy), (other.v, other.u, other.lossy),
-            self.ring.ops.inv)
+            (self.v, self.u, self.lossy), (other.v, other.u, other.lossy))
         return ScalarElem(self.ring, v, u, lossy)
 
     def __pow__(self, e: int) -> "ScalarElem":

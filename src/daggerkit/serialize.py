@@ -220,19 +220,17 @@ def crossed_to_json(u: CrossedElem) -> dict:
     }
 
 
-def crossed_from_json(obj, ring: RingDescriptor,
-                      monoid: MonoidDescriptor | None = None,
-                      degree_cap: int | None = None) -> CrossedElem:
+def crossed_from_json(obj, ring: RingDescriptor) -> CrossedElem:
     try:
         z_cap = int(obj["Dz"])
-        terms = {}
+        terms, monoid, degree_cap = {}, None, None
         for item in obj.get("terms", []):
             series = series_from_json(item["series"], ring)
             terms[int(item["n"])] = series
             monoid = series.monoid
             degree_cap = series.degree_cap
-        if monoid is None or degree_cap is None:
-            raise SchemaError("empty crossed element needs explicit caps")
+        if not terms:
+            raise SchemaError("empty crossed element: no term to read caps")
         cert = certificate_from_json(obj.get("certificate"))
         return CrossedElem(ring, monoid, terms, z_cap, degree_cap, cert,
                            truncated=bool(obj.get("truncated", False)))

@@ -416,6 +416,85 @@ class TestGalleryCommand:
         code, out = run(capsys, ["gallery", "nonseparated", "--p", "5",
                                  "--D", "1"])
         assert code == 2
+        assert out == {"error": "input",
+                       "detail": "nonseparated gallery needs cap >= 2"}
+
+
+class TestRemainingOps:
+    """Paths no other case runs in-process: exit 3, the lattice ops scale,
+    preimage, intersect-standard and star-scale, scalar pow and monoid
+    length-ge1."""
+
+    E = '{"ambient_rank":2,"generators":[["1"],["pi"]]}'  # span(e1 + pi e2)
+
+    def lattice(self, capsys, op, *extra):
+        return run(capsys, ["lattice", "--op", op, *RING,
+                            "--lattice", self.E, *extra])
+
+    def test_specrad_below_minus_n_is_precision_exhausted(self, capsys):
+        code, out = run(capsys, ["specrad", "--p", "5", "--precision", "40",
+                                 "--matrix", '[["pi^-30"]]'])
+        assert code == 3
+        assert out == {"error": "precision_exhausted",
+                       "detail": "gauge exponent -60 of the 2-th power is "
+                                 "below -N"}
+
+    def test_closure_below_minus_n_is_precision_exhausted(self, capsys):
+        code, out = run(capsys, ["closure", "--p", "5", "--d", "1",
+                                 "--lattice", '[[["pi^-30"]]]'])
+        assert code == 3
+        assert out["error"] == "precision_exhausted"
+
+    def test_scale_and_preimage(self, capsys):
+        gens = [[{"u": "1", "v": 0}], [{"u": "1", "v": 1}]]
+        for op, e, exponent in (("scale", "2", 2), ("preimage", "2", -2)):
+            code, out = self.lattice(capsys, op, "--e", e)
+            assert code == 0
+            assert out["lattice"] == {"ambient_rank": 2, "generators": gens,
+                                      "pi_exponent": exponent}
+
+    def test_preimage_at_zero_is_input_error(self, capsys):
+        code, out = self.lattice(capsys, "preimage", "--e", "0")
+        assert code == 2
+        assert out == {"error": "input", "detail": "j must be positive"}
+
+    def test_star_scale(self, capsys):
+        code, out = self.lattice(capsys, "star-scale", "--t", "3/2")
+        assert code == 0
+        assert out["lattice"]["pi_exponent"] == 2
+
+    def test_intersect_standard(self, capsys):
+        # span(pi^-1 e1 + e2) meets V^2 in span(e1 + pi e2)
+        code, out = run(capsys, ["lattice", "--op", "intersect-standard",
+                                 *RING, "--lattice", '{"ambient_rank":2,'
+                                 '"generators":[["pi^-1"],["1"]]}'])
+        assert code == 0
+        assert out["lattice"] == {
+            "ambient_rank": 2, "pi_exponent": 0,
+            "generators": [[{"u": "1", "v": 0}], [{"u": "1", "v": 1}]]}
+
+    def test_scalar_pow(self, capsys):
+        code, out = run(capsys, ["scalar", *RING, "--op", "pow",
+                                 "--x", '"2*pi"', "--e", "3"])
+        assert code == 0
+        assert out["result"] == {"v": 3, "u": "8"}
+
+    def test_monoid_length_ge1(self, capsys):
+        for s, length in (("[1,-2]", 3), ("[0,0]", 1)):
+            code, out = run(capsys, ["monoid", "--monoid", '{"kind":"Z",'
+                                     '"rank":2}', "--op", "length-ge1",
+                                     "--s", s])
+            assert code == 0
+            assert out == {"length_ge1": length}
+
+    def test_seed_is_read_only_where_it_is_used(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["snf", *RING, "--matrix", '[["1"]]', "--seed", "1"])
+        assert exc.value.code == 2
+        code, _ = run(capsys, ["cocycle-check", *RING, "--seed", "3",
+                               "--cocycle", '{"kind":"trivial"}',
+                               "--monoid", '{"kind":"Z","rank":2}'])
+        assert code == 0
 
 
 class TestDeterminism:

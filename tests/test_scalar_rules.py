@@ -230,7 +230,7 @@ def test_kernel_runs_the_same_rules(backend, base, n):
         rf = RefScalar(ring, *f)
         row, prow = [xs[k] for k in i], [xs[k] for k in j]
         assert kern.update(row, f, prow) == \
-            [sig(ref[a] - rf * ref[b]) for a, b in zip(i, j)]
+            [sig(ref[a] + rf * ref[b]) for a, b in zip(i, j)]
         acc = RefScalar(ring, INFINITY, None)
         for a, b in zip(i, j):
             if not (ref[a].is_zero or ref[b].is_zero):
