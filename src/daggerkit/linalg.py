@@ -19,16 +19,23 @@ Forms*, 2000) and of matrix products on these triples.  Its parts: a pivot
 search for the first entry of least valuation below N (over a DVR it
 divides every entry in scope, so one pass per pivot suffices and precision
 loss is minimised), one row update ``row + f*pivot_row`` (eliminations
-negate f), one Hermite pivot step ``settle`` that both the rebuild and the
-insertion of ``Lattice.sum`` run, one ordered dot accumulation and one
-product over nonzero pairs only, in the dot's order.  Quotients are the
-ring's rule, with no cached inverse: pivots are scaled to a unit of 1
-before rows are cleared, and ``det`` inverts each pivot once.
+negate f; it is the ring's scalar rule ``_update``), one Hermite pivot step
+``settle`` that both the rebuild and the insertion of ``Lattice.sum`` run,
+one ordered dot accumulation and one product over nonzero pairs only, in
+the dot's order.  Quotients are the ring's rule, with no cached inverse:
+pivots are scaled to a unit of 1 before rows are cleared, and ``det``
+inverts each pivot once.
 ``Lattice.sum`` walks the second lattice's generators down the first's pivot
 rows (``membership``'s back-substitution): a sum that adds nothing is the
 first lattice, flags and all; one generator that first stays below N at a
 row no pivot takes is inserted there by ``settle`` on the columns it
-changes; any other sum is rebuilt.
+changes; any other sum is rebuilt.  A lattice keeps its pivot map (pivot
+row -> Hermite column, ``Lattice.pivots``) once it is first read, and
+``scale_by_pi`` hands it on, since pivot rows do not depend on the pi
+exponent; ``membership``, ``sum`` and the insertion read it.  The walk runs
+in the vector's own frame, not the lattice's: the scalar rules commute with
+multiplication by pi^e, so its row tests add e, and only the residual that
+an insertion takes is shifted.
 
 Exactness contract: the kernel computes every entry of ``a + f*b``,
 ``acc + a*b``, ``c * x``, ``x / p`` and the quotient of
@@ -72,7 +79,7 @@ def _eye(ring, n):
 class _Kernel:
     """Elimination on triples over one ring; a zero is (inf, None, lossy).
     Its arithmetic is the ring's scalar rules: ``scale``, ``over``,
-    ``update`` and ``dot`` give c * a, a / b,
+    ``update`` (the ring's rule ``_update``) and ``dot`` give c * a, a / b,
     [a + f * b for a, b in zip(row, prow)] and the sum of a * b over the
     pairs without a zero factor, which ``product`` takes for each entry."""
 
@@ -81,6 +88,7 @@ class _Kernel:
         self.N, self.one, self.mul = ring.precision, ops.one(), ops.mul
         self.plus, self.minus, self.times, self.over, self.split = (
             ring._plus, ring._minus, ring._times, ring._over, ring._split)
+        self.update = ring._update
 
     def pivot(self, entries):
         """(key, v) of the first entry of least valuation below N among
@@ -136,18 +144,6 @@ class _Kernel:
             self.over(x, p) if m > k or x[0] >= v else self.split(x, v)[0]),
             among)
 
-    def update(self, row, f, prow):
-        """row + f * prow entry by entry; f must be nonzero."""
-        plus, mul = self.plus, self.mul
-        (fv, fu, fl), out = f, []
-        for a, (bv, bu, bl) in zip(row, prow):
-            if bv != INFINITY:
-                a = plus(a, (fv + bv, mul(fu, bu), fl or bl))
-            elif fl or bl:  # f * b is a flagged zero, which flags a
-                a = plus(a, (INFINITY, None, True))
-            out.append(a)
-        return out
-
     def dot(self, xs, ys):
         plus, times, acc = self.plus, self.times, None
         for x, y in zip(xs, ys):
@@ -158,15 +154,15 @@ class _Kernel:
 
     def product(self, a, b, n):
         """Rows of a * b (n columns) from ``_sparse`` rows: each entry sums
-        its pairs in increasing k, as ``dot`` (Gustavson, TOMS 1978)."""
-        plus, times, out = self.plus, self.times, []
+        its pairs in increasing k, as ``dot`` (Gustavson, TOMS 1978); each
+        pair's product is built inline, as ``times`` builds it."""
+        plus, mul, out = self.plus, self.mul, []
         for row in a:
             acc = [_ZERO] * n  # the rules build new triples, never _ZERO
-            for k, x in row:
-                for j, y in b[k]:
-                    t = acc[j]
-                    acc[j] = times(x, y) if t is _ZERO else \
-                        plus(t, times(x, y))
+            for k, (xv, xu, xl) in row:
+                for j, (yv, yu, yl) in b[k]:
+                    t, x = acc[j], (xv + yv, mul(xu, yu), xl or yl)
+                    acc[j] = x if t is _ZERO else plus(t, x)
             out.append(acc)
         return out
 
@@ -505,14 +501,27 @@ class Lattice:
     columns, each a tuple of (v, u, lossy) triples.
     """
 
-    # _chains: the power chains of ``chains.link`` kept on this lattice
-    __slots__ = ("ring", "ambient_rank", "pi_exponent", "cols", "_chains")
+    # _chains: the power chains of ``chains.link`` kept on this lattice;
+    # _pivot_map: ``pivots``, built on first read
+    __slots__ = ("ring", "ambient_rank", "pi_exponent", "cols", "_chains",
+                 "_pivot_map")
 
     def __init__(self, ring, ambient_rank, pi_exponent, cols):
         self.ring = ring
         self.ambient_rank = ambient_rank
         self.pi_exponent = pi_exponent
         self.cols = cols
+        self._pivot_map = None
+
+    @property
+    def pivots(self):
+        """Pivot row -> column of H (``_pivot_row``; None keys a column with
+        no entry below N), built on first read.  It does not depend on
+        ``pi_exponent``, so ``scale_by_pi`` hands it on."""
+        if self._pivot_map is None:
+            N = self.ring.precision
+            self._pivot_map = {_pivot_row(c, N): c for c in self.cols}
+        return self._pivot_map
 
     @property
     def gens(self) -> MatrixV:
@@ -589,20 +598,23 @@ class Lattice:
         vec holds ScalarElem or (v, u, lossy) triples."""
         if len(vec) != self.ambient_rank:
             raise ValueError("ambient rank mismatch")
-        return self._walk(_Kernel(self.ring), _raw(self.ring, vec), {
-            _pivot_row(c, self.ring.precision): c for c in self.cols}) is None
+        return self._walk(_Kernel(self.ring), _raw(self.ring, vec)) is None
 
-    def _walk(self, kern, vec, pivots):
-        """Back-substitution of vec (triples) in H's frame against ``pivots``
-        (pivot row -> column): None if it clears, else (row, residual) at the
-        first row left below N, which no later column (past N there) moves."""
-        N, res = kern.N, _shifted([vec], -self.pi_exponent)[0]
+    def _walk(self, kern, vec):
+        """Back-substitution of vec (triples) against H's ``pivots``: None if
+        it clears, else (row, residual in H's frame) at the first row left
+        below N in H's frame, which no later column (past N there) moves.
+        It runs in vec's own frame, H's frame shifted by pi^e: the rules
+        commute with the shift, so only the tests add e, and only the
+        residual it returns is shifted."""
+        e, pivots = self.pi_exponent, self.pivots
+        top, res = kern.N + e, vec
         for r in range(len(res)):
             x = res[r]
-            if x[0] < N:
+            if x[0] < top:
                 col = pivots.get(r)
-                if col is None or x[0] < col[r][0]:
-                    return r, res
+                if col is None or x[0] < col[r][0] + e:
+                    return r, _shifted([res], -e)[0]
                 res = kern.update(res, kern.minus(kern.over(x, col[r])), col)
         return None
 
@@ -643,13 +655,13 @@ class Lattice:
         self._compat(other)
         kern, e, N = _Kernel(self.ring), self.pi_exponent, self.ring.precision
         gens = [g for g in other.generator_triples() if _least_v(g) < N]
-        pivots = {_pivot_row(c, N): c for c in self.cols}
+        pivots = self.pivots
         # gens leaves out what from_columns drops; its form: no column it
         # drops, pivots powers of pi (it can miss them: FOUND, CHANGES.md)
         if all(e + _least_v(c) < N and r is not None and c[r][1] == kern.one
                for r, c in pivots.items()):
-            stop = next(filter(None, (self._walk(kern, g, pivots)
-                                      for g in gens)), None)
+            stop = next(filter(None, (self._walk(kern, g) for g in gens)),
+                        None)
             if stop is None:
                 return self
             if len(gens) == 1 and self.cols and stop[0] not in pivots \
@@ -680,8 +692,10 @@ class Lattice:
     def scale_by_pi(self, e: int) -> "Lattice":
         if self.is_zero:
             return self
-        return Lattice(self.ring, self.ambient_rank, self.pi_exponent + e,
-                       self.cols)
+        out = Lattice(self.ring, self.ambient_rank, self.pi_exponent + e,
+                      self.cols)
+        out._pivot_map = self._pivot_map
+        return out
 
     def preimage_pi(self, j: int) -> "Lattice":
         """The lattice {x in K^r : pi^j x in L}; equals pi^(-j) L in the

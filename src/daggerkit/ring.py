@@ -29,7 +29,11 @@ stored digits -- cancellation in a sum, or a residue that is
 indistinguishable from zero at precision N.  Equality compares stored
 representatives; the flag is advisory metadata.  One function,
 ``_scalar_rules``, holds the rules that set it, and both ScalarElem and the
-elimination kernel of ``linalg`` run them.
+elimination kernel of ``linalg`` run them.  The kernel's row update
+``row + f * prow`` is one of these rules, the sum written out inline.
+
+Both backends invert a unit by Newton iteration at doubling precision,
+from its inverse modulo pi.
 """
 
 from __future__ import annotations
@@ -182,6 +186,9 @@ class _PadicOps:
         self.p = p
         self.precision = precision
         self.modulus = p**precision
+        # the modulus p^k of each Newton step of ``inv``, k = 2, ..., N
+        ks = (-(-precision >> i) for i in range(precision.bit_length()))
+        self._newton = [p**k for k in ks if k > 1][::-1]
 
     def one(self):
         return 1
@@ -209,7 +216,13 @@ class _PadicOps:
         return (a * b) % self.modulus
 
     def inv(self, a):
-        return pow(a, -1, self.modulus)
+        """Newton iteration g <- g (2 - a g) modulo p^k at doubling
+        precision (von zur Gathen and Gerhard, 9.1) from the inverse of a
+        modulo p, which raises ValueError for a non-unit."""
+        g = pow(a % self.p, -1, self.p)
+        for m in self._newton:
+            g = g * (2 - a * g) % m
+        return g
 
     def pow(self, a, e: int):
         return pow(a, e, self.modulus)
@@ -384,9 +397,10 @@ class _EqcharOps:
 
 def _scalar_rules(ops, N):
     """The sum, negation, product, quotient and split at a power of pi of
-    (v, u, lossy) triples at precision N, with the residue operations of
-    ``ops`` bound once; a zero is (inf, None, lossy).  This is the one place
-    that decides which digits of a result are known."""
+    (v, u, lossy) triples at precision N, and the row update of
+    elimination, with the residue operations of ``ops`` bound once; a zero
+    is (inf, None, lossy).  This is the one place that decides which digits
+    of a result are known."""
     add, neg, mul, val, one = ops.add, ops.neg, ops.mul, ops.val, ops.one()
     up, down, mod = ops.shift_up, ops.shift_down, ops.mod_pi_power
 
@@ -403,9 +417,11 @@ def _scalar_rules(ops, N):
         s = add(au if av == v else up(au, av - v),
                 bu if bv == v else up(bu, bv - v))
         w = val(s)
+        if not w:
+            return (v, s, al or bl)
         if w >= N:
             return (INFINITY, None, True)
-        return (v + w, down(s, w), al or bl or w > 0)
+        return (v + w, down(s, w), True)
 
     def minus(a):
         """-a; a zero stays as it is, flag included."""
@@ -429,6 +445,34 @@ def _scalar_rules(ops, N):
         u = a[1] if b[1] == one else mul(a[1], ops.inv(b[1]))
         return (a[0] - b[0], u, a[2] or b[2])
 
+    def update(row, f, prow):
+        """[plus(a, times(f, b)) for a, b in zip(row, prow)], f nonzero: the
+        row update of elimination, with ``plus`` written out."""
+        fv, fu, fl = f
+        out = []
+        for a, (bv, bu, bl) in zip(row, prow):
+            if bv == INFINITY:
+                if fl or bl:  # f * b is a flagged zero, which flags a
+                    a = (a[0], a[1], True)
+            else:
+                tv, tu, tl = fv + bv, mul(fu, bu), fl or bl
+                av, au, al = a
+                if av == INFINITY:
+                    a = (tv, tu, tl or al)
+                else:
+                    v = av if av < tv else tv
+                    s = add(au if av == v else up(au, av - v),
+                            tu if tv == v else up(tu, tv - v))
+                    w = val(s)
+                    if not w:
+                        a = (v, s, al or tl)
+                    elif w >= N:
+                        a = (INFINITY, None, True)
+                    else:
+                        a = (v + w, down(s, w), True)
+            out.append(a)
+        return out
+
     def canonical(r, lossy):
         """A residue of V/pi^N as pi^w * unit, or a zero."""
         w = val(r)
@@ -445,7 +489,7 @@ def _scalar_rules(ops, N):
         full = up(u, v)
         return canonical(down(full, e), lossy), canonical(mod(full, e), lossy)
 
-    return plus, minus, times, over, split
+    return plus, minus, times, over, split, update
 
 
 class RingDescriptor:
@@ -470,8 +514,8 @@ class RingDescriptor:
         self.backend = backend
         self.base = base
         self.precision = precision
-        self._plus, self._minus, self._times, self._over, self._split = \
-            _scalar_rules(self.ops, precision)
+        (self._plus, self._minus, self._times, self._over, self._split,
+         self._update) = _scalar_rules(self.ops, precision)
 
     def __eq__(self, other):
         return (isinstance(other, RingDescriptor)

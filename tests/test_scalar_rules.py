@@ -15,11 +15,20 @@ Inputs run over padic p in {2, 5} and eqchar q in {4, 9} at N in
 entries of K, flagged entries, and pairs whose sum cancels exactly or in
 its leading digits only.  Each sweep asserts that it met both kinds of
 cancellation.
+
+Two rules are checked against the rules themselves.  The row update of
+elimination, ``row + f * prow``, is a rule of its own with the sum
+written out, so a hypothesis test compares it with ``plus(a, times(f,
+b))`` entry by entry.  The Z_p inverse runs Newton iteration, so it is
+compared with ``pow(a, -1, p^N)``, the inverse it replaced.
 """
 
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from daggerkit.linalg import _Kernel
 from daggerkit.ring import INFINITY, RingDescriptor, ScalarElem
@@ -244,3 +253,140 @@ def test_kernel_runs_the_same_rules(backend, base, n):
                 RefScalar.__truediv__, ref[a], rf)
     with pytest.raises(ZeroDivisionError, match="division by zero"):
         kern.over(nonzero[0], (INFINITY, None, False))
+
+
+# -- the Z_p inverse: Newton iteration against pow(a, -1, p^N) --
+
+INVERSE_PRIMES = (2, 3, 5, 2**31 - 1)
+INVERSE_PRECISIONS = (1, 2, 3, 40, 160)
+
+
+def residue_classes(p, rng):
+    """Every nonzero class mod p, or for a p too large to list them 1, 2,
+    p - 1 and 61 random classes."""
+    if p < 100:
+        return range(1, p)
+    return [1, 2, p - 1, *(rng.randrange(1, p) for _ in range(61))]
+
+
+@pytest.mark.parametrize("n", INVERSE_PRECISIONS)
+@pytest.mark.parametrize("p", INVERSE_PRIMES)
+def test_padic_inverse_is_pow(p, n):
+    """``inv`` of a unit a equals ``pow(a, -1, p^N)``, for a in every
+    nonzero class mod p, each lifted by a random multiple of p."""
+    ops, rng = RingDescriptor("padic", p, n).ops, random.Random(f"{p}-{n}")
+    modulus = p ** n
+    for c in residue_classes(p, rng):
+        for a in {c, (c + p * rng.randrange(p ** (n - 1))) % modulus}:
+            assert ops.inv(a) == pow(a, -1, modulus), (p, n, a)
+
+
+@pytest.mark.parametrize("n", INVERSE_PRECISIONS)
+@pytest.mark.parametrize("p", INVERSE_PRIMES)
+def test_padic_non_unit_raises_as_pow_does(p, n):
+    ops, modulus = RingDescriptor("padic", p, n).ops, p ** n
+    for a in {0, p % modulus, (p * (p + 1)) % modulus, modulus - p}:
+        assert outcome(ops.inv, a, to=int) == \
+            outcome(pow, a, -1, modulus, to=int), (p, n, a)
+        with pytest.raises(ValueError):
+            ops.inv(a)
+
+
+def test_large_prime_ring_allocates_nothing_sized_by_p():
+    """Building Z_p for p = 2^31 - 1 (and inverting in it) allocates a
+    few kilobytes, not a table with one entry per class mod p."""
+    tracemalloc.start()
+    try:
+        ring = RingDescriptor("padic", 2**31 - 1, 8)
+        ring.ops.inv(12345)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+
+
+# -- the row update rule against plus(a, times(f, b)) --
+
+UPDATE_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
+                           database=None,
+                           suppress_health_check=[HealthCheck.too_slow])
+# what one entry of an update case is built to be
+UPDATE_KINDS = ("random", "zero_a", "zero_b", "cancel")
+
+
+@st.composite
+def triples(draw, ring, nonzero=False):
+    """A zero or flagged zero (unless nonzero), or pi^v u with v from -3
+    (an entry of K) to N + 1 (N <= v: effectively zero), some flagged."""
+    n, q = ring.precision, ring.base
+    if not nonzero and draw(st.integers(0, 4)) == 0:
+        return (INFINITY, None, draw(st.booleans()))
+    enc = draw(st.integers(1, q ** n - 1))
+    u = ring.ops.decode(enc if enc % q else enc + 1)
+    return (draw(st.integers(-3, n + 1)), u,
+            draw(st.booleans()) and draw(st.booleans()))
+
+
+@st.composite
+def update_cases(draw, ring):
+    """(row, f, prow) with f nonzero and each entry pair of one kind of
+    ``UPDATE_KINDS``.  A "cancel" pair has f * b = -a + pi^(v+k) y for a
+    unit y, so the leading k digits of the sum cancel (all of them when
+    k >= N)."""
+    plus, minus, over = ring._plus, ring._minus, ring._over
+    f = draw(triples(ring, nonzero=True))
+    row, prow = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(UPDATE_KINDS))
+        a, b = draw(triples(ring)), draw(triples(ring))
+        if kind == "zero_a":
+            a = (INFINITY, None, draw(st.booleans()))
+        elif kind == "zero_b":
+            b = (INFINITY, None, draw(st.booleans()))
+        elif kind == "cancel":
+            a = draw(triples(ring, nonzero=True))
+            k = draw(st.integers(1, ring.precision + 1))
+            y = draw(triples(ring, nonzero=True))[1]
+            b = over(plus(minus(a), (a[0] + k, y, False)), f)
+        row.append(a)
+        prow.append(b)
+    return row, f, prow
+
+
+def covered(f, row, prow, out):
+    """What an update case covered, read off its inputs and its output."""
+    met = {"flagged_f"} if f[2] else set()
+    for a, b, c in zip(row, prow, out):
+        if b[0] == INFINITY and b[2]:
+            met.add("flagged_zero_b")
+        if min(a[0], b[0], f[0]) < 0:
+            met.add("K")
+        if INFINITY not in (a[0], b[0]):
+            if c[0] == INFINITY:
+                met.add("cancel_all")
+            elif c[0] > min(a[0], f[0] + b[0]):
+                met.add("cancel_some")
+    return met
+
+
+@pytest.mark.parametrize("backend,base", RINGS)
+def test_row_update_is_plus_of_times(backend, base):
+    """``ring._update(row, f, prow)`` (``_Kernel.update``) equals
+    [plus(a, times(f, b)) for a, b in zip(row, prow)], raw triples and
+    flags alike, and the cases met every kind of entry it must handle."""
+    rings = [RingDescriptor(backend, base, n) for n in (1, 3, 12, 40)]
+    met = set()
+
+    @UPDATE_SETTINGS
+    @given(st.sampled_from(rings).flatmap(
+        lambda r: update_cases(r).map(lambda case: (r, case))))
+    def run(ring_case):
+        ring, (row, f, prow) = ring_case
+        plus, times = ring._plus, ring._times
+        ref = [plus(a, times(f, b)) for a, b in zip(row, prow)]
+        assert _Kernel(ring).update(row, f, prow) == ref
+        met.update(covered(f, row, prow, ref))
+
+    run()
+    assert met == {"cancel_some", "cancel_all", "flagged_zero_b", "K",
+                   "flagged_f"}
