@@ -11,22 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-from fractions import Fraction
 
 from . import gallery, serialize
-from .crossed import crossed_certify, crossed_mul, uniform_boundedness_probe
-from .linalg import Lattice, MatrixV, ModulePresentation, snf
-from .monoid import cocycle_check, compose, length_ge1
 from .ring import INFINITY, PrecisionExhausted, RingDescriptor, arith, val
-from .series import DaggerSeries, add_scale, best_certificate, certify, \
-    membership_filtration, mul as series_mul, nc_torus, torus_monomial
 from .serialize import SchemaError, fraction_str
-from .spectral import (MatrixAlgebraContext, SeriesAlgebraContext,
-                       lattice_from_elements, lgb_closure,
-                       newton_polygon_rho, pi_multiplicative, rho1_estimate,
-                       semi_dagger_probe, star_scale)
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -52,12 +41,9 @@ def _ring_from_args(args) -> RingDescriptor:
     raise SchemaError("a ring is required: pass --p or --q")
 
 
-def _matrix(ring, blob) -> MatrixV:
-    return serialize.matrix_from_json(ring, _load_json(blob))
-
-
 def _matrix_lattice(ring, blob, ctx):
     """A lattice of d x d matrices given as a JSON list of matrices."""
+    from .spectral import lattice_from_elements
     obj = _load_json(blob)
     if not isinstance(obj, list):
         raise SchemaError("expected a JSON list of matrices")
@@ -68,7 +54,8 @@ def _matrix_lattice(ring, blob, ctx):
     return lattice_from_elements(ctx, mats)
 
 
-# -- subcommand handlers: each returns (payload, exit_code) --
+# -- subcommand handlers: each returns (payload, exit_code) and imports
+# only the modules it runs, so a query compiles no others --
 
 
 def cmd_scalar(args):
@@ -90,8 +77,9 @@ def cmd_scalar(args):
 
 
 def cmd_snf(args):
+    from .linalg import snf
     ring = _ring_from_args(args)
-    A = _matrix(ring, args.matrix)
+    A = serialize.matrix_from_json(ring, _load_json(args.matrix))
     if not A.cols:  # rows like [] parse, as for a zero lattice's generators
         raise SchemaError("snf needs a matrix with at least one column")
     res = snf(A)
@@ -106,8 +94,9 @@ def cmd_snf(args):
 
 
 def cmd_torsion(args):
+    from .linalg import ModulePresentation
     ring = _ring_from_args(args)
-    A = _matrix(ring, args.relations)
+    A = serialize.matrix_from_json(ring, _load_json(args.relations))
     P = ModulePresentation(ring, A.rows, A)
     torsion, free = P.cokernel_invariants()
     tf = not torsion
@@ -117,6 +106,7 @@ def cmd_torsion(args):
 
 
 def cmd_series_mul(args):
+    from .series import mul as series_mul
     ring = _ring_from_args(args)
     a = serialize.series_from_json(_load_json(args.a), ring)
     b = serialize.series_from_json(_load_json(args.b), ring)
@@ -127,11 +117,11 @@ def cmd_series_mul(args):
 
 
 def cmd_certify(args):
+    from .series import best_certificate, certify, membership_filtration
     ring = _ring_from_args(args)
     a = serialize.series_from_json(_load_json(args.series), ring)
-    c = Fraction(args.c)
-    ok, k = certify(a, c)
-    payload = {"c": fraction_str(c), "ok": ok, "minimal_offset": k}
+    ok, k = certify(a, args.c)
+    payload = {"c": fraction_str(args.c), "ok": ok, "minimal_offset": k}
     if not a.is_zero:
         env = best_certificate(a)
         payload["envelope_vertices"] = [[L, m] for L, m in env.vertices]
@@ -143,6 +133,7 @@ def cmd_certify(args):
 
 
 def cmd_monoid(args):
+    from .monoid import compose, length_ge1
     monoid = serialize.monoid_from_json(_load_json(args.monoid))
     s = serialize.element_from_json(monoid, _load_json(args.s))
     if args.op == "compose":
@@ -165,45 +156,41 @@ def cmd_lattice(args):
         if args.other is None:
             raise SchemaError(f"lattice {op} needs --other")
         M = serialize.lattice_from_json(ring, _load_json(args.other))
-        if op == "sum":
-            return {"lattice": serialize.lattice_to_json(L.sum(M))}, EXIT_OK
-        if op == "intersect":
-            return {"lattice":
-                    serialize.lattice_to_json(L.intersect(M))}, EXIT_OK
-        eq = L == M
-        return {"equal": eq}, EXIT_OK if eq else EXIT_FALSE
-    if op == "intersect-standard":
-        return {"lattice":
-                serialize.lattice_to_json(L.intersect_with_standard())}, \
-            EXIT_OK
-    if op == "membership":
+        if op == "equal":
+            eq = L == M
+            return {"equal": eq}, EXIT_OK if eq else EXIT_FALSE
+        out = L.sum(M) if op == "sum" else L.intersect(M)
+    elif op == "membership":
         if args.vector is None:
             raise SchemaError("lattice membership needs --vector")
         vec = [serialize.parse_scalar(ring, x)
                for x in _load_json(args.vector)]
         member = L.membership(vec)
         return {"member": member}, EXIT_OK if member else EXIT_FALSE
-    if op == "scale":
-        return {"lattice":
-                serialize.lattice_to_json(L.scale_by_pi(args.e))}, EXIT_OK
-    if op == "preimage":
-        return {"lattice":
-                serialize.lattice_to_json(L.preimage_pi(args.e))}, EXIT_OK
-    if op == "star-scale":
-        return {"lattice": serialize.lattice_to_json(
-            star_scale(Fraction(args.t), L))}, EXIT_OK
-    g = L.gauge_exponent()
-    return {"gauge_exponent": "inf" if g == INFINITY else g}, EXIT_OK
+    elif op == "intersect-standard":
+        out = L.intersect_with_standard()
+    elif op == "scale":
+        out = L.scale_by_pi(args.e)
+    elif op == "preimage":
+        out = L.preimage_pi(args.e)
+    elif op == "star-scale":
+        from .spectral import star_scale
+        out = star_scale(args.t, L)
+    else:
+        g = L.gauge_exponent()
+        return {"gauge_exponent": "inf" if g == INFINITY else g}, EXIT_OK
+    return {"lattice": serialize.lattice_to_json(out)}, EXIT_OK
 
 
 def cmd_ubprobe(args):
+    from .crossed import uniform_boundedness_probe
+    from .spectral import SeriesAlgebraContext, lattice_from_elements
     ring = _ring_from_args(args)
     alpha = serialize.action_from_json(ring, _load_json(args.action),
                                        strict=not args.unchecked)
     ctx = SeriesAlgebraContext(ring, alpha.monoid, args.D)
-    obj = _load_json(args.lattice)
-    series = [serialize.series_from_json(s, ring) for s in obj]
-    U = lattice_from_elements(ctx, series)
+    U = lattice_from_elements(ctx, [serialize.series_from_json(s, ring)
+                                    for s in _load_json(args.lattice)])
     rep = uniform_boundedness_probe(alpha, U, ctx, depth=args.depth)
     payload = {
         "verdict": rep.verdict,
@@ -218,10 +205,13 @@ def cmd_ubprobe(args):
 
 
 def cmd_nctorus(args):
+    from .series import (DaggerSeries, add_scale, mul as series_mul,
+                         nc_torus, torus_monomial)
     ring = _ring_from_args(args)
     if args.lam is not None:
         lam = serialize.parse_scalar(ring, _load_json(args.lam))
     else:
+        import random
         rng = random.Random(args.seed)
         u = rng.randrange(1, ring.base)
         u += ring.base * rng.randrange(ring.base ** (ring.precision - 1))
@@ -235,9 +225,7 @@ def cmd_nctorus(args):
     powers_ok = True
     table = []
     for s1 in range(-cap, cap + 1):
-        for s2 in range(-cap, cap + 1):
-            if abs(s1) + abs(s2) > cap:
-                continue
+        for s2 in range(abs(s1) - cap, cap - abs(s1) + 1):
             mono = torus_monomial(ring, monoid, cocycle, s1, s2, cap)
             expected = DaggerSeries.delta(ring, monoid,
                                           monoid.element((s1, s2)), cap)
@@ -255,6 +243,7 @@ def cmd_nctorus(args):
 
 
 def cmd_cocycle_check(args):
+    from .monoid import cocycle_check
     ring = _ring_from_args(args)
     cocycle = serialize.cocycle_from_json(ring, _load_json(args.cocycle))
     monoid = serialize.monoid_from_json(_load_json(args.monoid))
@@ -269,8 +258,10 @@ def cmd_cocycle_check(args):
 
 
 def cmd_specrad(args):
+    from .spectral import (MatrixAlgebraContext, lattice_from_elements,
+                           newton_polygon_rho, rho1_estimate)
     ring = _ring_from_args(args)
-    A = _matrix(ring, args.matrix)
+    A = serialize.matrix_from_json(ring, _load_json(args.matrix))
     ctx = MatrixAlgebraContext(ring, A.rows)
     S = lattice_from_elements(ctx, [A])
     report = rho1_estimate(S, ctx, args.nmax)
@@ -287,6 +278,7 @@ def cmd_specrad(args):
 
 
 def cmd_closure(args):
+    from .spectral import MatrixAlgebraContext, lgb_closure, pi_multiplicative
     ring = _ring_from_args(args)
     ctx = MatrixAlgebraContext(ring, args.d)
     S = _matrix_lattice(ring, args.lattice, ctx)
@@ -305,6 +297,7 @@ def cmd_closure(args):
 
 
 def cmd_probe(args):
+    from .spectral import MatrixAlgebraContext, semi_dagger_probe
     ring = _ring_from_args(args)
     ctx = MatrixAlgebraContext(ring, args.d)
     S = _matrix_lattice(ring, args.lattice, ctx)
@@ -318,6 +311,7 @@ def cmd_probe(args):
 
 
 def cmd_crossed(args):
+    from .crossed import crossed_certify, crossed_mul
     ring = _ring_from_args(args)
     alpha = serialize.action_from_json(ring, _load_json(args.action))
     u = serialize.crossed_from_json(_load_json(args.u), ring)
@@ -326,9 +320,8 @@ def cmd_crossed(args):
     payload = {"product": serialize.crossed_to_json(prod)}
     code = EXIT_OK
     if args.c is not None:
-        c = Fraction(args.c)
-        ok, k = crossed_certify(prod, c)
-        payload["certify"] = {"c": fraction_str(c), "ok": ok,
+        ok, k = crossed_certify(prod, args.c)
+        payload["certify"] = {"c": fraction_str(args.c), "ok": ok,
                               "minimal_offset": k}
         code = EXIT_OK if ok else EXIT_FALSE
     return payload, code

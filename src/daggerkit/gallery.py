@@ -14,10 +14,7 @@ checkable computations:
 
 from __future__ import annotations
 
-from .linalg import MatrixV, ModulePresentation
-from .monoid import MonoidDescriptor
 from .ring import RingDescriptor
-from .series import DaggerSeries, add_scale
 
 GALLERY_NAMES = ("nonseparated", "nonclosed-image")
 
@@ -30,6 +27,7 @@ def nonseparated_presentation(ring: RingDescriptor,
                               cap: int) -> ModulePresentation:
     """V[x] truncated at degree cap, with one relation 1 - pi^n x^n per
     1 <= n <= cap."""
+    from .linalg import MatrixV, ModulePresentation
     cols = []
     for n in range(1, cap + 1):
         col = [ring.zero()] * (cap + 1)
@@ -62,6 +60,8 @@ def run_nonseparated(ring: RingDescriptor, cap: int) -> dict:
 
 
 def run_nonclosed_image(ring: RingDescriptor, cap: int) -> dict:
+    from .monoid import MonoidDescriptor
+    from .series import DaggerSeries, add_scale
     if cap < 2:
         raise CapTooSmall("nonclosed-image gallery needs cap >= 2")
     monoid = MonoidDescriptor("N", 1)

@@ -20,14 +20,8 @@ Schemas:
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
-from .crossed import AffineAction, CrossedElem
-from .linalg import Lattice, MatrixV
-from .monoid import (BicharacterCocycle, Cocycle, MonoidDescriptor,
-                     TrivialCocycle)
 from .ring import INFINITY, RingDescriptor, ScalarElem
-from .series import DaggerSeries, GrowthCertificate
 
 
 class SchemaError(ValueError):
@@ -96,6 +90,7 @@ def matrix_to_json(a: MatrixV) -> list:
 
 
 def matrix_from_json(ring: RingDescriptor, obj) -> MatrixV:
+    from .linalg import MatrixV
     if not isinstance(obj, list) or not obj \
             or not all(isinstance(row, list) for row in obj):
         raise SchemaError("matrix must be a nonempty nested array")
@@ -109,6 +104,7 @@ def lattice_to_json(L: Lattice) -> dict:
 
 
 def lattice_from_json(ring: RingDescriptor, obj) -> Lattice:
+    from .linalg import Lattice
     try:
         rank = int(obj["ambient_rank"])
         e = int(obj.get("pi_exponent", 0))
@@ -124,6 +120,7 @@ def monoid_to_json(m: MonoidDescriptor) -> dict:
 
 
 def monoid_from_json(obj) -> MonoidDescriptor:
+    from .monoid import MonoidDescriptor
     try:
         return MonoidDescriptor(obj["kind"], int(obj["rank"]))
     except (KeyError, TypeError, ValueError) as exc:
@@ -142,6 +139,7 @@ def element_from_json(monoid: MonoidDescriptor, obj):
 
 
 def cocycle_to_json(c: Cocycle) -> dict:
+    from .monoid import BicharacterCocycle, TrivialCocycle
     if isinstance(c, TrivialCocycle):
         return {"kind": "trivial"}
     if isinstance(c, BicharacterCocycle):
@@ -151,6 +149,7 @@ def cocycle_to_json(c: Cocycle) -> dict:
 
 
 def cocycle_from_json(ring: RingDescriptor, obj) -> Cocycle:
+    from .monoid import BicharacterCocycle, TrivialCocycle
     if not isinstance(obj, (dict, type(None))):
         raise SchemaError(f"a cocycle is a JSON object, not {obj!r}")
     if obj is None or obj.get("kind") == "trivial":
@@ -171,10 +170,11 @@ def certificate_to_json(cert: GrowthCertificate | None):
 
 
 def certificate_from_json(obj) -> GrowthCertificate | None:
+    from .series import GrowthCertificate
     if obj is None:
         return None
     try:
-        return GrowthCertificate(Fraction(obj["c"]), int(obj["k"]))
+        return GrowthCertificate(obj["c"], int(obj["k"]))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad certificate: {exc}") from exc
 
@@ -194,6 +194,7 @@ def series_to_json(a: DaggerSeries) -> dict:
 
 
 def series_from_json(obj, ring: RingDescriptor | None = None) -> DaggerSeries:
+    from .series import DaggerSeries
     try:
         if ring is None:
             ring = ring_from_json(obj["ring"])
@@ -221,6 +222,7 @@ def crossed_to_json(u: CrossedElem) -> dict:
 
 
 def crossed_from_json(obj, ring: RingDescriptor) -> CrossedElem:
+    from .crossed import CrossedElem
     try:
         z_cap = int(obj["Dz"])
         terms, monoid, degree_cap = {}, None, None
@@ -245,6 +247,7 @@ def action_to_json(alpha: AffineAction) -> dict:
 
 def action_from_json(ring: RingDescriptor, obj,
                      strict: bool = True) -> AffineAction:
+    from .crossed import AffineAction
     try:
         a = matrix_from_json(ring, obj["a"])
         b = [parse_scalar(ring, x) for x in obj["b"]]
@@ -254,6 +257,7 @@ def action_from_json(ring: RingDescriptor, obj,
 
 
 def fraction_str(x) -> str:
+    from fractions import Fraction
     if x == INFINITY:
         return "inf"
     f = Fraction(x)

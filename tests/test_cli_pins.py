@@ -6,6 +6,9 @@ chain reads were made lean, before F_q[[t]] inverses ran at doubling
 precision and Smith forms dropped unread transforms, before lattice sums
 returned a lattice that nothing is added to and products skipped zero
 pairs, and while sums that grow still rebuilt their Hermite form.
+
+The help pins were recorded while the CLI still imported every module at
+start-up; the parser's text and choices must not depend on what is loaded.
 """
 
 import hashlib
@@ -114,3 +117,29 @@ def test_stdout_bytes_are_pinned(digest, code, argv, capsys):
     assert dispatch(argv) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+HELP_PINS = [
+    ("e66fb5ba91f40005744a7a96ab8582777c63caada486ecd358d1a84dbecadd69",
+     ["--help"]),
+    ("f3c5bbae87d3e56c034a71f93739ef4188c0ec3c4727065e25fcada7a142a32a",
+     ["gallery", "--help"]),
+]
+
+
+@pytest.mark.parametrize("digest,argv", HELP_PINS,
+                         ids=["help", "gallery-help"])
+def test_help_bytes_are_pinned(digest, argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to this width
+    with pytest.raises(SystemExit) as exc:
+        dispatch(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+def test_unknown_gallery_name_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["gallery", "bogus", "--p", "5"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
