@@ -41,44 +41,42 @@ def _ring_from_args(args) -> RingDescriptor:
     raise SchemaError("a ring is required: pass --p or --q")
 
 
+def _load_list(blob: str, what: str) -> list:
+    obj = _load_json(blob)
+    if not isinstance(obj, list):
+        raise SchemaError(f"expected a JSON list of {what}")
+    return obj
+
+
 def _matrix_lattice(ring, blob, ctx):
     """A lattice of d x d matrices given as a JSON list of matrices."""
     from .spectral import lattice_from_elements
-    obj = _load_json(blob)
-    if not isinstance(obj, list):
-        raise SchemaError("expected a JSON list of matrices")
-    mats = [serialize.matrix_from_json(ring, m) for m in obj]
+    mats = [serialize.matrix_from_json(ring, m)
+            for m in _load_list(blob, "matrices")]
     for m in mats:
         if (m.rows, m.cols) != (ctx.d, ctx.d):
             raise SchemaError("matrix generators must all be d x d")
     return lattice_from_elements(ctx, mats)
 
 
-# -- subcommand handlers: each returns (payload, exit_code) and imports
-# only the modules it runs, so a query compiles no others --
+# -- subcommand handlers: each takes the parsed arguments and their ring,
+# returns (payload, exit_code) and imports only the modules it runs, so a
+# query compiles no others --
 
 
-def cmd_scalar(args):
-    ring = _ring_from_args(args)
+def cmd_scalar(args, ring):
     x = serialize.parse_scalar(ring, _load_json(args.x))
     if args.op == "val":
         v = val(x)
         return {"valuation": "inf" if v == INFINITY else v}, EXIT_OK
-    if args.op == "div":
-        y = serialize.parse_scalar(ring, _load_json(args.y))
-        return {"result": serialize.scalar_to_json(x / y)}, EXIT_OK
-    if args.op == "pow":
-        out = arith("pow", x, exponent=args.e)
-    else:
-        y = serialize.parse_scalar(ring, _load_json(args.y)) \
-            if args.y is not None else None
-        out = arith(args.op, x, y)
+    y = serialize.parse_scalar(ring, _load_json(args.y)) \
+        if args.y is not None else None
+    out = arith(args.op, x, y, exponent=args.e)
     return {"result": serialize.scalar_to_json(out)}, EXIT_OK
 
 
-def cmd_snf(args):
+def cmd_snf(args, ring):
     from .linalg import snf
-    ring = _ring_from_args(args)
     A = serialize.matrix_from_json(ring, _load_json(args.matrix))
     if not A.cols:  # rows like [] parse, as for a zero lattice's generators
         raise SchemaError("snf needs a matrix with at least one column")
@@ -93,9 +91,8 @@ def cmd_snf(args):
     return payload, EXIT_OK
 
 
-def cmd_torsion(args):
+def cmd_torsion(args, ring):
     from .linalg import ModulePresentation
-    ring = _ring_from_args(args)
     A = serialize.matrix_from_json(ring, _load_json(args.relations))
     P = ModulePresentation(ring, A.rows, A)
     torsion, free = P.cokernel_invariants()
@@ -105,9 +102,8 @@ def cmd_torsion(args):
     return payload, EXIT_OK if tf else EXIT_FALSE
 
 
-def cmd_series_mul(args):
+def cmd_series_mul(args, ring):
     from .series import mul as series_mul
-    ring = _ring_from_args(args)
     a = serialize.series_from_json(_load_json(args.a), ring)
     b = serialize.series_from_json(_load_json(args.b), ring)
     cocycle = serialize.cocycle_from_json(
@@ -116,9 +112,8 @@ def cmd_series_mul(args):
         series_mul(a, b, cocycle))}, EXIT_OK
 
 
-def cmd_certify(args):
+def cmd_certify(args, ring):
     from .series import best_certificate, certify, membership_filtration
-    ring = _ring_from_args(args)
     a = serialize.series_from_json(_load_json(args.series), ring)
     ok, k = certify(a, args.c)
     payload = {"c": fraction_str(args.c), "ok": ok, "minimal_offset": k}
@@ -132,7 +127,7 @@ def cmd_certify(args):
     return payload, EXIT_OK if ok else EXIT_FALSE
 
 
-def cmd_monoid(args):
+def cmd_monoid(args, _ring):
     from .monoid import compose, length_ge1
     monoid = serialize.monoid_from_json(_load_json(args.monoid))
     s = serialize.element_from_json(monoid, _load_json(args.s))
@@ -148,8 +143,7 @@ def cmd_monoid(args):
     return {"length_ge1": length_ge1(s)}, EXIT_OK
 
 
-def cmd_lattice(args):
-    ring = _ring_from_args(args)
+def cmd_lattice(args, ring):
     L = serialize.lattice_from_json(ring, _load_json(args.lattice))
     op = args.op
     if op in ("sum", "intersect", "equal"):
@@ -164,7 +158,7 @@ def cmd_lattice(args):
         if args.vector is None:
             raise SchemaError("lattice membership needs --vector")
         vec = [serialize.parse_scalar(ring, x)
-               for x in _load_json(args.vector)]
+               for x in _load_list(args.vector, "scalars")]
         member = L.membership(vec)
         return {"member": member}, EXIT_OK if member else EXIT_FALSE
     elif op == "intersect-standard":
@@ -182,15 +176,15 @@ def cmd_lattice(args):
     return {"lattice": serialize.lattice_to_json(out)}, EXIT_OK
 
 
-def cmd_ubprobe(args):
+def cmd_ubprobe(args, ring):
     from .crossed import uniform_boundedness_probe
     from .spectral import SeriesAlgebraContext, lattice_from_elements
-    ring = _ring_from_args(args)
     alpha = serialize.action_from_json(ring, _load_json(args.action),
                                        strict=not args.unchecked)
     ctx = SeriesAlgebraContext(ring, alpha.monoid, args.D)
-    U = lattice_from_elements(ctx, [serialize.series_from_json(s, ring)
-                                    for s in _load_json(args.lattice)])
+    U = lattice_from_elements(ctx, [
+        serialize.series_from_json(s, ring)
+        for s in _load_list(args.lattice, "series")])
     rep = uniform_boundedness_probe(alpha, U, ctx, depth=args.depth)
     payload = {
         "verdict": rep.verdict,
@@ -204,10 +198,9 @@ def cmd_ubprobe(args):
     return payload, code
 
 
-def cmd_nctorus(args):
+def cmd_nctorus(args, ring):
     from .series import (DaggerSeries, add_scale, mul as series_mul,
                          nc_torus, torus_monomial)
-    ring = _ring_from_args(args)
     if args.lam is not None:
         lam = serialize.parse_scalar(ring, _load_json(args.lam))
     else:
@@ -242,12 +235,14 @@ def cmd_nctorus(args):
     return payload, EXIT_OK if ok else EXIT_FALSE
 
 
-def cmd_cocycle_check(args):
+def cmd_cocycle_check(args, ring):
     from .monoid import cocycle_check
-    ring = _ring_from_args(args)
     cocycle = serialize.cocycle_from_json(ring, _load_json(args.cocycle))
     monoid = serialize.monoid_from_json(_load_json(args.monoid))
-    if args.s is not None and args.t is not None:
+    if (args.s is None) != (args.t is None):
+        missing = "--t" if args.t is None else "--s"
+        raise SchemaError(f"cocycle-check evaluation needs {missing}")
+    if args.s is not None:
         s = serialize.element_from_json(monoid, _load_json(args.s))
         t = serialize.element_from_json(monoid, _load_json(args.t))
         value = cocycle.value(s, t)
@@ -257,10 +252,9 @@ def cmd_cocycle_check(args):
     return {"cocycle_identity_holds": ok}, EXIT_OK if ok else EXIT_FALSE
 
 
-def cmd_specrad(args):
+def cmd_specrad(args, ring):
     from .spectral import (MatrixAlgebraContext, lattice_from_elements,
                            newton_polygon_rho, rho1_estimate)
-    ring = _ring_from_args(args)
     A = serialize.matrix_from_json(ring, _load_json(args.matrix))
     ctx = MatrixAlgebraContext(ring, A.rows)
     S = lattice_from_elements(ctx, [A])
@@ -277,9 +271,8 @@ def cmd_specrad(args):
     return payload, EXIT_OK
 
 
-def cmd_closure(args):
+def cmd_closure(args, ring):
     from .spectral import MatrixAlgebraContext, lgb_closure, pi_multiplicative
-    ring = _ring_from_args(args)
     ctx = MatrixAlgebraContext(ring, args.d)
     S = _matrix_lattice(ring, args.lattice, ctx)
     chain, stabilized = lgb_closure(S, ctx, args.imax)
@@ -296,9 +289,8 @@ def cmd_closure(args):
     return payload, code
 
 
-def cmd_probe(args):
+def cmd_probe(args, ring):
     from .spectral import MatrixAlgebraContext, semi_dagger_probe
-    ring = _ring_from_args(args)
     ctx = MatrixAlgebraContext(ring, args.d)
     S = _matrix_lattice(ring, args.lattice, ctx)
     j_list = [int(j) for j in args.j.split(",")]
@@ -310,9 +302,8 @@ def cmd_probe(args):
     return payload, EXIT_FALSE if diverging else EXIT_OK
 
 
-def cmd_crossed(args):
+def cmd_crossed(args, ring):
     from .crossed import crossed_certify, crossed_mul
-    ring = _ring_from_args(args)
     alpha = serialize.action_from_json(ring, _load_json(args.action))
     u = serialize.crossed_from_json(_load_json(args.u), ring)
     v = serialize.crossed_from_json(_load_json(args.v), ring)
@@ -327,176 +318,127 @@ def cmd_crossed(args):
     return payload, code
 
 
-def cmd_gallery(args):
-    ring = _ring_from_args(args)
+def cmd_gallery(args, ring):
     payload = gallery.run(args.name, ring, args.D)
     return payload, EXIT_OK if payload["pass"] else EXIT_FALSE
 
 
-def build_parser() -> argparse.ArgumentParser:
+RING = [("--p", dict(type=int, help="prime for the padic backend")),
+        ("--q", dict(type=int, help="prime power for the eqchar backend")),
+        ("--precision", dict(type=int, default=40,
+                             help="pi-adic absolute precision N"))]
+PRETTY = ("--pretty", dict(action="store_true", help="indent the JSON report"))
+SEED = ("--seed", dict(type=int, default=0, help="seed for sampled values"))
+REQUIRED = dict(required=True)
+
+# name: (help, handler, arguments in --help order); dispatch hands the
+# handler the ring of a row that declares RING, and None otherwise
+COMMANDS = {
+    "scalar": ("ring arithmetic on scalars", cmd_scalar, [
+        *RING, PRETTY,
+        ("--op", dict(required=True, choices=["add", "sub", "mul", "neg",
+                                              "pow", "div", "val"])),
+        ("--x", REQUIRED), ("--y", {}),
+        ("--e", dict(type=int, help="exponent for pow"))]),
+    "snf": ("Smith normal form U A W = D", cmd_snf,
+            [*RING, PRETTY, ("--matrix", REQUIRED)]),
+    "torsion": ("torsion-freeness of a finitely presented module",
+                cmd_torsion, [*RING, PRETTY, ("--relations", REQUIRED)]),
+    "series-mul": ("twisted convolution of series", cmd_series_mul, [
+        *RING, PRETTY, ("--a", REQUIRED), ("--b", REQUIRED),
+        ("--cocycle", {})]),
+    "certify": ("growth certificate of a series at constant c", cmd_certify, [
+        *RING, PRETTY, ("--series", REQUIRED),
+        ("--c", dict(required=True, help="rational like 1 or 1/2")),
+        ("--filtration", dict(help="also report filtration membership at "
+                                   "these levels (comma-separated)"))]),
+    "monoid": ("monoid composition and word lengths", cmd_monoid, [
+        PRETTY, ("--monoid", REQUIRED),
+        ("--op", dict(required=True,
+                      choices=["compose", "length", "length-ge1"])),
+        ("--s", REQUIRED), ("--t", {})]),
+    "lattice": ("lattice operations", cmd_lattice, [
+        *RING, PRETTY,
+        ("--op", dict(required=True,
+                      choices=["sum", "intersect", "intersect-standard",
+                               "membership", "equal", "scale", "preimage",
+                               "star-scale", "gauge"])),
+        ("--lattice", REQUIRED), ("--other", {}), ("--vector", {}),
+        ("--e", dict(type=int, default=1,
+                     help="pi exponent for scale/preimage")),
+        ("--t", dict(default="0", help="rational exponent for star-scale"))]),
+    "ubprobe": ("uniform boundedness of an affine action", cmd_ubprobe, [
+        *RING, PRETTY, ("--action", REQUIRED),
+        ("--lattice", dict(required=True,
+                           help="JSON list of polynomial series generators")),
+        ("--D", dict(type=int, default=4, help="degree cap")),
+        ("--depth", dict(type=int, default=8)),
+        ("--unchecked", dict(action="store_true",
+                             help="allow action matrices outside GL(V)"))]),
+    "nctorus": ("twisted Z^2 algebra: U2 U1 = lambda U1 U2", cmd_nctorus, [
+        *RING, PRETTY, SEED,
+        ("--D", dict(type=int, default=6, help="degree cap")),
+        ("--lambda", dict(dest="lam",
+                          help="unit scalar (random unit when omitted)"))]),
+    "cocycle-check": ("sampled 2-cocycle identity, or a single evaluation "
+                      "with --s/--t", cmd_cocycle_check, [
+        *RING, PRETTY, SEED, ("--cocycle", REQUIRED), ("--monoid", REQUIRED),
+        ("--samples", dict(type=int, default=50)), ("--s", {}), ("--t", {})]),
+    "specrad": ("truncated spectral radius of one matrix", cmd_specrad, [
+        *RING, PRETTY, ("--matrix", REQUIRED),
+        ("--nmax", dict(type=int, default=16))]),
+    "closure": ("linear-growth closure chain", cmd_closure, [
+        *RING, PRETTY,
+        ("--lattice", dict(required=True,
+                           help="JSON list of d x d generator matrices")),
+        ("--d", dict(type=int, required=True)),
+        ("--imax", dict(type=int, default=8))]),
+    "probe": ("boundedness of powers of pi^m S^j", cmd_probe, [
+        *RING, PRETTY, ("--lattice", REQUIRED),
+        ("--d", dict(type=int, required=True)),
+        ("--m", dict(type=int, default=1)),
+        ("--j", dict(default="1,2,3", help="comma-separated list")),
+        ("--lmax", dict(type=int, default=8))]),
+    "crossed": ("crossed-product multiplication and certification",
+                cmd_crossed, [
+        *RING, PRETTY, ("--action", REQUIRED), ("--u", REQUIRED),
+        ("--v", REQUIRED),
+        ("--c", dict(help="re-certify the product at this constant")),
+        ("--Dz", dict(type=int, help="support cap of the product: terms "
+                                     "with |n| > Dz are dropped and flagged "
+                                     "truncated"))]),
+    "gallery": ("finite-precision regressions", cmd_gallery, [
+        *RING, PRETTY, ("name", dict(choices=list(gallery.GALLERY_NAMES))),
+        ("--D", dict(type=int, default=8))]),
+}
+
+
+def build_parser(names=tuple(COMMANDS)) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="daggerkit",
         description="Exact arithmetic over a complete discrete valuation "
                     "ring at finite truncation.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, need_ring=True, seeded=False):
-        if need_ring:
-            p.add_argument("--p", type=int, default=None,
-                           help="prime for the padic backend")
-            p.add_argument("--q", type=int, default=None,
-                           help="prime power for the eqchar backend")
-            p.add_argument("--precision", type=int, default=40,
-                           help="pi-adic absolute precision N")
-        p.add_argument("--pretty", action="store_true",
-                       help="indent the JSON report")
-        if seeded:
-            p.add_argument("--seed", type=int, default=0,
-                           help="seed for sampled values")
-
-    p = sub.add_parser("scalar", help="ring arithmetic on scalars")
-    common(p)
-    p.add_argument("--op", required=True,
-                   choices=["add", "sub", "mul", "neg", "pow", "div", "val"])
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", default=None)
-    p.add_argument("--e", type=int, default=None, help="exponent for pow")
-    p.set_defaults(handler=cmd_scalar)
-
-    p = sub.add_parser("snf", help="Smith normal form U A W = D")
-    common(p)
-    p.add_argument("--matrix", required=True)
-    p.set_defaults(handler=cmd_snf)
-
-    p = sub.add_parser("torsion",
-                       help="torsion-freeness of a finitely presented module")
-    common(p)
-    p.add_argument("--relations", required=True)
-    p.set_defaults(handler=cmd_torsion)
-
-    p = sub.add_parser("series-mul", help="twisted convolution of series")
-    common(p)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--cocycle", default=None)
-    p.set_defaults(handler=cmd_series_mul)
-
-    p = sub.add_parser("certify",
-                       help="growth certificate of a series at constant c")
-    common(p)
-    p.add_argument("--series", required=True)
-    p.add_argument("--c", required=True, help="rational like 1 or 1/2")
-    p.add_argument("--filtration", default=None,
-                   help="also report filtration membership at these levels "
-                        "(comma-separated)")
-    p.set_defaults(handler=cmd_certify)
-
-    p = sub.add_parser("monoid", help="monoid composition and word lengths")
-    common(p, need_ring=False)
-    p.add_argument("--monoid", required=True)
-    p.add_argument("--op", required=True,
-                   choices=["compose", "length", "length-ge1"])
-    p.add_argument("--s", required=True)
-    p.add_argument("--t", default=None)
-    p.set_defaults(handler=cmd_monoid)
-
-    p = sub.add_parser("lattice", help="lattice operations")
-    common(p)
-    p.add_argument("--op", required=True,
-                   choices=["sum", "intersect", "intersect-standard",
-                            "membership", "equal", "scale", "preimage",
-                            "star-scale", "gauge"])
-    p.add_argument("--lattice", required=True)
-    p.add_argument("--other", default=None)
-    p.add_argument("--vector", default=None)
-    p.add_argument("--e", type=int, default=1,
-                   help="pi exponent for scale/preimage")
-    p.add_argument("--t", default="0",
-                   help="rational exponent for star-scale")
-    p.set_defaults(handler=cmd_lattice)
-
-    p = sub.add_parser("ubprobe",
-                       help="uniform boundedness of an affine action")
-    common(p)
-    p.add_argument("--action", required=True)
-    p.add_argument("--lattice", required=True,
-                   help="JSON list of polynomial series generators")
-    p.add_argument("--D", type=int, default=4, help="degree cap")
-    p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--unchecked", action="store_true",
-                   help="allow action matrices outside GL(V)")
-    p.set_defaults(handler=cmd_ubprobe)
-
-    p = sub.add_parser("nctorus",
-                       help="twisted Z^2 algebra: U2 U1 = lambda U1 U2")
-    common(p, seeded=True)
-    p.add_argument("--D", type=int, default=6, help="degree cap")
-    p.add_argument("--lambda", dest="lam", default=None,
-                   help="unit scalar (random unit when omitted)")
-    p.set_defaults(handler=cmd_nctorus)
-
-    p = sub.add_parser("cocycle-check",
-                       help="sampled 2-cocycle identity, or a single "
-                            "evaluation with --s/--t")
-    common(p, seeded=True)
-    p.add_argument("--cocycle", required=True)
-    p.add_argument("--monoid", required=True)
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--s", default=None)
-    p.add_argument("--t", default=None)
-    p.set_defaults(handler=cmd_cocycle_check)
-
-    p = sub.add_parser("specrad",
-                       help="truncated spectral radius of one matrix")
-    common(p)
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--nmax", type=int, default=16)
-    p.set_defaults(handler=cmd_specrad)
-
-    p = sub.add_parser("closure", help="linear-growth closure chain")
-    common(p)
-    p.add_argument("--lattice", required=True,
-                   help="JSON list of d x d generator matrices")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--imax", type=int, default=8)
-    p.set_defaults(handler=cmd_closure)
-
-    p = sub.add_parser("probe", help="boundedness of powers of pi^m S^j")
-    common(p)
-    p.add_argument("--lattice", required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--j", default="1,2,3", help="comma-separated list")
-    p.add_argument("--lmax", type=int, default=8)
-    p.set_defaults(handler=cmd_probe)
-
-    p = sub.add_parser("crossed",
-                       help="crossed-product multiplication and certification")
-    common(p)
-    p.add_argument("--action", required=True)
-    p.add_argument("--u", required=True)
-    p.add_argument("--v", required=True)
-    p.add_argument("--c", default=None,
-                   help="re-certify the product at this constant")
-    p.add_argument("--Dz", type=int, default=None,
-                   help="support cap of the product: terms with "
-                        "|n| > Dz are dropped and flagged truncated")
-    p.set_defaults(handler=cmd_crossed)
-
-    p = sub.add_parser("gallery", help="finite-precision regressions")
-    common(p)
-    p.add_argument("name", choices=list(gallery.GALLERY_NAMES))
-    p.add_argument("--D", type=int, default=8)
-    p.set_defaults(handler=cmd_gallery)
-
+    # a parser built for fewer rows still names every one in its usage line
+    every = {"metavar": "{" + ",".join(COMMANDS) + "}"} \
+        if len(names) < len(COMMANDS) else {}
+    sub = parser.add_subparsers(dest="command", required=True, **every)
+    for name in names:
+        help_, _, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def dispatch(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # build only the subparser argv[0] names, or every one when it names
+    # none (no command, -h, an unknown name)
+    named = argv[:1] if argv and argv[0] in COMMANDS else tuple(COMMANDS)
+    args = build_parser(named).parse_args(argv)
     try:
-        payload, code = args.handler(args)
+        ring = _ring_from_args(args) if "p" in args else None
+        payload, code = COMMANDS[args.command][1](args, ring)
     except PrecisionExhausted as exc:
         payload, code = {"error": "precision_exhausted",
                          "detail": str(exc)}, EXIT_PRECISION

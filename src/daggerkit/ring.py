@@ -727,6 +727,7 @@ _ARITH = {
     "add": lambda x, y: x + y,
     "sub": lambda x, y: x - y,
     "mul": lambda x, y: x * y,
+    "div": lambda x, y: x / y,
     "neg": lambda x, _: -x,
 }
 

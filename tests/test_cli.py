@@ -344,6 +344,40 @@ class TestExitCodeContract:
         assert code == 2
         assert "--t" in out["detail"]
 
+    def test_div_without_y_is_input_error(self, capsys):
+        # div used to read --y unchecked: an AttributeError traceback, exit 1
+        code, out = run(capsys, ["scalar", *RING, "--op", "div",
+                                 "--x", "1"])
+        assert code == 2
+        assert out == {"error": "input", "detail": "div needs two operands"}
+
+    def test_non_list_json_lists_are_schema_errors(self, capsys):
+        # ubprobe --lattice and membership --vector used to iterate any
+        # JSON value, so these raised TypeError out of dispatch
+        ubprobe = ["ubprobe", *RING, "--action", '{"a":[["1"]],"b":["1"]}',
+                   "--lattice"]
+        membership = ["lattice", *RING, "--op", "membership",
+                      "--lattice", self.LATTICE, "--vector"]
+        closure = ["closure", *RING, "--d", "1", "--lattice"]
+        for blob in ("5", "1.5", "true", "null", '{}', '"x"'):
+            for argv, what in ((ubprobe, "series"), (membership, "scalars"),
+                               (closure, "matrices")):
+                code, out = run(capsys, argv + [blob])
+                assert code == 2, (argv, blob)
+                assert out["detail"] == f"expected a JSON list of {what}"
+
+    def test_cocycle_check_needs_both_s_and_t(self, capsys):
+        # one of them alone used to run the sampled check and exit 0
+        argv = ["cocycle-check", *RING, "--monoid", '{"kind":"Z","rank":2}',
+                "--cocycle", '{"kind":"trivial"}']
+        for given, missing in (("--s", "--t"), ("--t", "--s")):
+            code, out = run(capsys, argv + [given, "[1,0]"])
+            assert code == 2
+            assert missing in out["detail"]
+        code, out = run(capsys, argv + ["--s", "[1,0]", "--t", "[0,1]"])
+        assert code == 0
+        assert out == {"value": {"v": 0, "u": "1"}}
+
     def test_ubprobe_term_above_degree_cap_is_input_error(self, capsys):
         ring = RingDescriptor("padic", 5, 20)
         n1 = MonoidDescriptor("N", 1)

@@ -143,3 +143,175 @@ def test_unknown_gallery_name_exits_2(capsys):
         dispatch(["gallery", "bogus", "--p", "5"])
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+# Usage errors, help and bare subcommands, pinned as (stdout sha256, stderr
+# sha256, exit code) at COLUMNS=80; recorded while every subparser was still
+# built on every call, so argparse's text must not depend on how many are.
+USAGE_ARGVS = {
+    "no-command": [],
+    "unknown-command": ["bogus"],
+    "dash-h": ["-h"],
+    "option-before-command": ["--pretty", "scalar"],
+    "extra-positional": ["scalar", "--p", "5", "--op", "neg", "--x", "1",
+                         "extra"],
+    "invalid-op": ["scalar", "--p", "5", "--op", "bogus", "--x", "1"],
+    "non-integer-p": ["scalar", "--p", "x", "--op", "neg", "--x", "1"],
+    "unknown-gallery-name": ["gallery", "bogus", "--p", "5"],
+    "unrecognized-option": ["snf", "--p", "5", "--matrix", '[["1"]]',
+                            "--bogus"],
+    "abbreviated-option": ["scalar", "--p", "5", "--prec", "10", "--op",
+                           "val", "--x", '"pi^2"'],
+}
+for _name in ("scalar", "snf", "torsion", "series-mul", "certify", "monoid",
+              "lattice", "ubprobe", "nctorus", "cocycle-check", "specrad",
+              "closure", "probe", "crossed", "gallery"):
+    USAGE_ARGVS[f"{_name}-help"] = [_name, "--help"]
+    USAGE_ARGVS[f"{_name}-bare"] = [_name]
+
+USAGE_PINS = {
+    "abbreviated-option": (
+        "d15b888c7da4873596b989d20f1c920ab6d4d2ff31d07b8610f130f28a2fd5f5",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "certify-bare": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "ab1b17eecf13f5233e425c90202a683c1cdf7b98f93af2d0bd2e477082bf92c6", 2),
+    "certify-help": (
+        "399e75f3d54e5b5688fb3343c1fae780d579c5abdcb3f575dfcd6113308531b4",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "closure-bare": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "ca0c93bc046461b3d78580ed2d40ac2d0d89c3c297aea6cb5048d08bf5390714", 2),
+    "closure-help": (
+        "57e15956ba665012fe74affc48c19ee42e6a8964d23bb7beb94dc6bafed0ad36",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "cocycle-check-bare": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e2c023473be1c5eec2b440bc1b8c30b5e7b4fe027b312593fd1c4e13d12ee425", 2),
+    "cocycle-check-help": (
+        "f42be5f9735d4f9e7187e4e251bdb0efd1330790984927a715fed893710a4719",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "crossed-bare": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "0bfd1798802dac13b59f932d373e5e9a072c6fa6a11e447c67c0b9cb8ce3f969", 2),
+    "crossed-help": (
+        "a0ca5ed50414f7375ab3c2a3b573407be4d9ab3825cde3b4c4a64282d555316d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "dash-h": (
+        "e66fb5ba91f40005744a7a96ab8582777c63caada486ecd358d1a84dbecadd69",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "extra-positional": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "dc7018811443cf47052b1e5a8c9dfb80719a10950b135b6974336d7018691621", 2),
+    "gallery-bare": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "033b9c829a9d939cadb20f07c143268f4a81153fb49c145b6ea5aba670ba49cd", 2),
+    "gallery-help": (
+        "f3c5bbae87d3e56c034a71f93739ef4188c0ec3c4727065e25fcada7a142a32a",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "invalid-op": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "96a614aaad44c79ba14768854511048305c0c522bd323b6e7f019a666c050367", 2),
+    "lattice-bare": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "309f650882d1b40da9e691e84f868d3258f4170f84b3945c44c757854e7ee37f", 2),
+    "lattice-help": (
+        "fce0e177de85992a5f5e2006d630890f6bb2a8818d4538f525538b036dee007d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "monoid-bare": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "d98924f026663bd2cfc2ab11cd64d34ed9044fe183983facdbfee99bccb44cee", 2),
+    "monoid-help": (
+        "c19a46c9f9cec2fa9a0663a8ec22cedb0332f63bbe4c47560c79c0b36b26c567",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "nctorus-bare": (
+        "5b1efdf4dea77482d9eb386be191c6a8d0bc1e9610c350cf12b896be8e6f8813",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "nctorus-help": (
+        "09ad151b6795a22f1afffad48932cfee03f3b816f29f5895db8f2eff3416936d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "no-command": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "681527382e3405490f38e804f6dc1163ea2c2b25882948e88c2e20da7283e563", 2),
+    "non-integer-p": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "376a6d3b3ca63928aea6685102a0d9d812570a76880d9bb81c3a1bed2215daac", 2),
+    "option-before-command": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "40c63d123f3c5f6eba9f7aed0857a76772b8588b2de7e1f8b86f99928a623698", 2),
+    "probe-bare": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "9afdd464b587e53c7d4682f93bb6f8bb123fd2a57841f2a0e1b6413946a6c3fe", 2),
+    "probe-help": (
+        "5cfedb9f2490ccb14e381964cf3eb5e528bde462bc1cf7d4298fa62128a75db6",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "scalar-bare": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "40c63d123f3c5f6eba9f7aed0857a76772b8588b2de7e1f8b86f99928a623698", 2),
+    "scalar-help": (
+        "50f3d982ec44f3eb8d6ab732304ff1a34da9d16e595774bf16783d2393d9c435",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "series-mul-bare": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "109f62cf26186a745c2864191b73f32bcb2a521b79c74d76c3b0bb073949afa0", 2),
+    "series-mul-help": (
+        "720d69aed93b46a310be4ca4e3389b1c21a6bd556bdacba5900fba32f7f5ba41",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "snf-bare": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "c63c15ce3e7afb7671de8ad95974309f5e284d6da0f933a696ab859fb682204d", 2),
+    "snf-help": (
+        "24f34573e95ef9b4b84d6246aae6b772daa1aa6b9e79d0b3c07c5f1552d1a5e8",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "specrad-bare": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "461c2376a7225db25d7b23a876f5de07e9171f638c8e4e6340b526a3ba15fc11", 2),
+    "specrad-help": (
+        "8ea06cd47a4d51e4670f8fd11cf1aebd1044eb275bb21c38c72eab0fc55c05a6",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "torsion-bare": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "f8bc8f3bc5792defa6e999ef18a4583ee54df2a734239646c1eea16ae4cbc13b", 2),
+    "torsion-help": (
+        "2b93270d73db8326c0b3fac1d1e0a60d1598c98e2f63dd070b37c81eb10110dc",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "ubprobe-bare": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "2461ce8dc14ac75fd94279c9b9f28128b42e5bd0c07371511d4451026e8f92d3", 2),
+    "ubprobe-help": (
+        "78ddcb5a94fac6f7d62b09f8587fcf4f97477e0dfc3831bc1bc39f46d020f09c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "unknown-command": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "1b1129e8f8edcce2b67d44fbfc50d99293bcd764aa76ad61fbed7b0c46290e47", 2),
+    "unknown-gallery-name": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "2e7d130bf59274e65ff045044189460fe05111134c55f47b8428f864b2513210", 2),
+    "unrecognized-option": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "70063ecc56cded2c72c38824f40fb61c24bdcedd69e39792188f65d212687461", 2),
+}
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def usage_run(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = dispatch(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return _sha(out), _sha(err), code
+
+
+def test_every_usage_argv_is_pinned():
+    assert set(USAGE_PINS) == set(USAGE_ARGVS)
+
+
+@pytest.mark.parametrize("key", sorted(USAGE_ARGVS))
+def test_usage_bytes_are_pinned(key, capsys, monkeypatch):
+    assert usage_run(USAGE_ARGVS[key], capsys, monkeypatch) == \
+        USAGE_PINS[key]

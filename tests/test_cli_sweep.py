@@ -1,0 +1,93 @@
+"""The exit-code contract under wrong-typed JSON: each subcommand's
+known-good argv keeps exiting 0, 1, 2 or 3 with one JSON object on stdout
+when any one of its JSON arguments is replaced by a value of the wrong
+type.  Every argv runs in-process through ``dispatch``."""
+
+import json
+
+import pytest
+
+from daggerkit import cli
+from daggerkit.cli import dispatch
+
+R = ["--p", "5", "--precision", "8"]
+Z2 = '{"kind":"Z","rank":2}'
+SERIES = '{"monoid":' + Z2 + ',"D":3,"terms":[{"s":[1,0],"x":"2"}]}'
+N1_SERIES = '{"monoid":{"kind":"N","rank":1},"D":3,"terms":[{"s":[1],"x":"1"}]}'
+LATTICE = '{"ambient_rank":2,"generators":[["1","0"],["pi","pi^2"]]}'
+BICHARACTER = '{"kind":"bicharacter","lambda":"2","Q":[[0,1],[-1,2]]}'
+ACTION = '{"a":[["1"]],"b":["1"]}'
+CROSSED = '{"Dz":2,"terms":[{"n":1,"series":' + N1_SERIES + '}]}'
+MATRICES = '[[["pi","0"],["0","1"]]]'
+
+# row: [(the other arguments, {JSON-valued flag: known-good value})], with a
+# second form where the --op decides which JSON arguments are read
+GOOD = {
+    "scalar": [([*R, "--op", "div"], {"--x": '"3"', "--y": '"pi"'})],
+    "snf": [(R, {"--matrix": '[["1","pi"],["pi^2","3"]]'})],
+    "torsion": [(R, {"--relations": '[["pi"]]'})],
+    "series-mul": [(R, {"--a": SERIES, "--b": SERIES,
+                        "--cocycle": BICHARACTER})],
+    "certify": [([*R, "--c", "1/2"], {"--series": SERIES})],
+    "monoid": [(["--op", "compose"], {"--monoid": Z2, "--s": "[1,0]",
+                                      "--t": "[0,1]"})],
+    "lattice": [([*R, "--op", "sum"], {"--lattice": LATTICE,
+                                       "--other": LATTICE}),
+                ([*R, "--op", "membership"], {"--lattice": LATTICE,
+                                              "--vector": '["1","pi"]'})],
+    "ubprobe": [([*R, "--D", "3", "--depth", "2"],
+                 {"--action": ACTION, "--lattice": f"[{N1_SERIES}]"})],
+    "nctorus": [([*R, "--D", "2"], {"--lambda": '"7"'})],
+    "cocycle-check": [([*R, "--samples", "3"],
+                       {"--cocycle": BICHARACTER, "--monoid": Z2}),
+                      (R, {"--cocycle": BICHARACTER, "--monoid": Z2,
+                           "--s": "[1,0]", "--t": "[0,1]"})],
+    "specrad": [([*R, "--nmax", "4"], {"--matrix": '[["0","1"],["pi","0"]]'})],
+    "closure": [([*R, "--d", "2", "--imax", "2"], {"--lattice": MATRICES})],
+    "probe": [([*R, "--d", "2", "--lmax", "2", "--j", "1"],
+               {"--lattice": MATRICES})],
+    "crossed": [(R, {"--action": ACTION, "--u": CROSSED, "--v": CROSSED})],
+    "gallery": [(["nonseparated", *R, "--D", "4"], {})],
+}
+
+WRONG = ["5", '"x"', "[]", "{}", "[5]", "null", "true", "[[]]", "[{}]", "1.5",
+         '[["x"]]']
+
+
+def argv_of(name, others, blobs):
+    return [name, *others, *(x for item in blobs.items() for x in item)]
+
+
+def contract_breach(argv, capsys):
+    """None if ``argv`` keeps the contract, else what broke it."""
+    try:
+        code = dispatch(argv)
+    except (Exception, SystemExit) as exc:  # argparse exits too
+        capsys.readouterr()
+        return f"{type(exc).__name__}: {exc}"
+    out = capsys.readouterr().out
+    if code not in (0, 1, 2, 3):
+        return f"exit {code}"
+    if out.count("\n") != 1 or not isinstance(json.loads(out), dict):
+        return f"stdout is not one JSON object: {out!r}"
+    return None
+
+
+def test_every_row_has_a_known_good_argv():
+    assert set(GOOD) == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(GOOD))
+def test_wrong_typed_json_keeps_the_contract(name, capsys):
+    breaches = []
+    for others, blobs in GOOD[name]:
+        argv = argv_of(name, others, blobs)
+        assert dispatch(argv) in (0, 1), argv
+        capsys.readouterr()
+        for flag in blobs:
+            for wrong in WRONG:
+                argv = argv_of(name, others, {**blobs, flag: wrong})
+                breach = contract_breach(argv, capsys)
+                if breach:
+                    breaches.append((flag, wrong, breach))
+    assert not breaches, breaches
