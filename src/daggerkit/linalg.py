@@ -25,17 +25,16 @@ one ordered dot accumulation and one product over nonzero pairs only, in
 the dot's order.  Quotients are the ring's rule, with no cached inverse:
 pivots are scaled to a unit of 1 before rows are cleared, and ``det``
 inverts each pivot once.
-``Lattice.sum`` walks the second lattice's generators down the first's pivot
-rows (``membership``'s back-substitution): a sum that adds nothing is the
-first lattice, flags and all; one generator that first stays below N at a
-row no pivot takes is inserted there by ``settle`` on the columns it
-changes; any other sum is rebuilt.  A lattice keeps its pivot map (pivot
-row -> Hermite column, ``Lattice.pivots``) once it is first read, and
-``scale_by_pi`` hands it on, since pivot rows do not depend on the pi
-exponent; ``membership``, ``sum`` and the insertion read it.  The walk runs
-in the vector's own frame, not the lattice's: the scalar rules commute with
-multiplication by pi^e, so its row tests add e, and only the residual that
-an insertion takes is shifted.
+
+One truncation window: every way of building a ``Lattice`` returns the
+canonical form of its docstring, which ``from_columns`` of its generators
+gives back.  A generator, column or vector is zero when every entry lies at
+or past pi^N, pi_exponent folded in (``_zero_at``): ``from_columns`` and
+``scale_by_pi`` drop it and ``membership`` finds it in every lattice.  So
+``Lattice.sum`` returns the first lattice, flags and all, when the second's
+generators clear down its pivot rows (``membership``'s walk); one that first
+stays below N at a row no pivot takes is inserted by ``settle``; any other
+sum is rebuilt.  ``Lattice.pivots`` is built once and handed on by scaling.
 
 Exactness contract: the kernel computes every entry of ``a + f*b``,
 ``acc + a*b``, ``c * x``, ``x / p`` and the quotient of
@@ -99,11 +98,6 @@ class _Kernel:
                 best, best_v = key, v
         return best, best_v
 
-    def cleared(self, rows):
-        """Effectively-zero entries (N <= v < inf) made unflagged zeros."""
-        return [[_ZERO if self.N <= x[0] < INFINITY else x for x in r]
-                for r in rows]
-
     def scale(self, mats, k, c):
         """Row k of every matrix in mats times c, which is nonzero; an
         unflagged 1 (a pivot already a power of pi) changes nothing."""
@@ -136,7 +130,9 @@ class _Kernel:
         its entry there is pi^v exactly (a flagged pivot flags its column),
         then clear ``row`` in the columns of ``among`` by the quotient, an
         earlier pivot column modulo pi^v only (``split``'s quotient, unless
-        pi^v divides its entry).  Returns the columns it changed."""
+        pi^v divides its entry).  Returns the columns it changed.  Column k
+        must hold no entry N <= v < inf (``_cleared``), which would reach
+        the pivots of the columns it changes."""
         v = cols[k][row][0]
         self.scale([cols], k, self.over((v, self.one, False), cols[k][row]))
         p = cols[k][row]
@@ -394,7 +390,7 @@ def _smith_form(A, left, right):
                        range(n))
         for M, C in zip(colled, cols):
             M[:] = map(list, zip(*C))
-    D = kern.cleared(work)
+    D = [_cleared(row, kern.N) for row in work]
     # clearing an effectively-zero entry flags the form, as does any flag
     flagged = flagged or D != work or any(x[2] for row in D for x in row)
     return SNFResult(MatrixV(ring, U) if left else None,
@@ -490,15 +486,14 @@ def cokernel_invariants(P: ModulePresentation):
 
 
 class Lattice:
-    """A finitely generated V-submodule of K^r, stored as pi^e * span(H).
+    """A finitely generated V-submodule of K^r, stored as pi^e * span(H):
+    e is ``pi_exponent``, H is ``cols``, a tuple of columns of triples.
 
     H is the canonical column Hermite form over V: strictly increasing pivot
-    rows, pivot entries exact powers of pi, zero entries elsewhere in pivot
-    rows up to canonical residues, and minimal entry valuation 0.  Equality
-    of lattices is equality of the pair (e, H) at precision N.
-
-    e is ``pi_exponent``; H is ``cols``, the stored form: a tuple of
-    columns, each a tuple of (v, u, lossy) triples.
+    rows, pivots pi^v with unit exactly 1, zero entries elsewhere in pivot
+    rows up to canonical residues, no entry with N <= v < inf, minimal
+    entry valuation 0, and no column with e + least v >= N (the zero
+    lattice is e = 0, no columns).  Equality is that of (e, H) at N.
     """
 
     # _chains: the power chains of ``chains.link`` kept on this lattice;
@@ -515,9 +510,9 @@ class Lattice:
 
     @property
     def pivots(self):
-        """Pivot row -> column of H (``_pivot_row``; None keys a column with
-        no entry below N), built on first read.  It does not depend on
-        ``pi_exponent``, so ``scale_by_pi`` hands it on."""
+        """Pivot row -> column of H (``_pivot_row``), built on first read.
+        It does not depend on ``pi_exponent``, so ``scale_by_pi`` hands it
+        on when it drops no column."""
         if self._pivot_map is None:
             N = self.ring.precision
             self._pivot_map = {_pivot_row(c, N): c for c in self.cols}
@@ -547,15 +542,17 @@ class Lattice:
         cols = [_raw(ring, c) for c in columns]
         if any(len(c) != ambient_rank for c in cols):
             raise ValueError("generator has wrong ambient rank")
-        cols = [c for c in cols if c and _least_v(c) < ring.precision]
+        cols = [c for c in cols if not _zero_at(c, ring.precision)]
         e = min(map(_least_v, cols), default=0)
         return cls._folded(ring, ambient_rank, e, _column_hermite(
             ring, ambient_rank, _shifted(cols, -e)))
 
     @classmethod
     def _folded(cls, ring, ambient_rank, e, cols):
-        """pi^e * span(cols), Hermite columns, with their least valuation
-        folded into e (reduction can reveal a finer common pi factor)."""
+        """pi^e * span(cols), Hermite columns with no entry N <= v < inf,
+        made canonical: columns zero once e is folded in dropped, and the
+        least valuation folded into e (reduction can reveal a pi factor)."""
+        cols = [c for c in cols if not _zero_at(c, ring.precision - e)]
         if not cols:
             return cls.zero(ring, ambient_rank)
         extra = min(map(_least_v, cols))
@@ -579,9 +576,7 @@ class Lattice:
     def gauge_exponent(self):
         """Maximal e with L inside pi^e times the standard lattice; +inf for
         the zero lattice.  The gauge norm of L is eps^e."""
-        if self.is_zero:
-            return INFINITY
-        return self.pi_exponent
+        return self.pi_exponent if self.cols else INFINITY
 
     def generator_vectors(self):
         """Generators as vectors of K-scalars, pi_exponent folded in."""
@@ -594,19 +589,20 @@ class Lattice:
         return _shifted(self.cols, self.pi_exponent)
 
     def membership(self, vec) -> bool:
-        """Decide vec in L by back-substitution against the Hermite form;
-        vec holds ScalarElem or (v, u, lossy) triples."""
+        """Decide vec in L by back-substitution against the Hermite form, or
+        vec zero at N; vec holds ScalarElem or (v, u, lossy) triples."""
         if len(vec) != self.ambient_rank:
             raise ValueError("ambient rank mismatch")
-        return self._walk(_Kernel(self.ring), _raw(self.ring, vec)) is None
+        vec = _raw(self.ring, vec)
+        return (self._walk(_Kernel(self.ring), vec) is None
+                or _zero_at(vec, self.ring.precision))
 
     def _walk(self, kern, vec):
-        """Back-substitution of vec (triples) against H's ``pivots``: None if
-        it clears, else (row, residual in H's frame) at the first row left
-        below N in H's frame, which no later column (past N there) moves.
-        It runs in vec's own frame, H's frame shifted by pi^e: the rules
-        commute with the shift, so only the tests add e, and only the
-        residual it returns is shifted."""
+        """Back-substitution of vec (triples) against H's ``pivots`` in vec's
+        own frame (the rules commute with pi^e, so only the row tests add
+        e): None if it clears, else (row, residual shifted to H's frame) at
+        the first row left below N in H's frame, which no later column
+        (past N there) moves."""
         e, pivots = self.pi_exponent, self.pivots
         top, res = kern.N + e, vec
         for r in range(len(res)):
@@ -628,16 +624,14 @@ class Lattice:
                 and self.ambient_rank == other.ambient_rank
                 and len(self.cols) == len(other.cols)):
             return False
-        if not self.cols:
-            return True
         return (self.pi_exponent == other.pi_exponent
                 and self.ring.same(chain.from_iterable(self.cols),
                                    chain.from_iterable(other.cols)))
 
     def __hash__(self):
         seen = map(self.ring.seen, chain.from_iterable(self.cols))
-        return hash((self.ring, self.ambient_rank,
-                     self.pi_exponent if self.cols else None, tuple(seen)))
+        return hash((self.ring, self.ambient_rank, self.pi_exponent,
+                     tuple(seen)))
 
     def __repr__(self):
         return (f"Lattice(rank {self.rank} in K^{self.ambient_rank}, "
@@ -647,26 +641,20 @@ class Lattice:
 
     def sum(self, other: "Lattice") -> "Lattice":
         """L + M, as from_columns makes it of both generator sets, raw
-        triples and flags alike.  If L has its form: L itself when M adds
-        nothing, and ``_insert`` (the rebuild's pivot steps, on the columns
-        the new one changes) when M adds one generator, in V in L's frame,
-        that first stays below N at a row no pivot takes; else a rebuild
-        (a pivot row taken, more generators, L zero)."""
+        triples and flags alike: L itself when M adds nothing (the rebuild
+        gives canonical L back), ``_insert`` (the rebuild's pivot steps, on
+        the columns the new one changes) when M adds one generator, in V in
+        L's frame, that first stays below N at a row no pivot takes; else a
+        rebuild (a pivot row taken, more generators, L zero)."""
         self._compat(other)
-        kern, e, N = _Kernel(self.ring), self.pi_exponent, self.ring.precision
-        gens = [g for g in other.generator_triples() if _least_v(g) < N]
-        pivots = self.pivots
-        # gens leaves out what from_columns drops; its form: no column it
-        # drops, pivots powers of pi (it can miss them: FOUND, CHANGES.md)
-        if all(e + _least_v(c) < N and r is not None and c[r][1] == kern.one
-               for r, c in pivots.items()):
-            stop = next(filter(None, (self._walk(kern, g) for g in gens)),
-                        None)
-            if stop is None:
-                return self
-            if len(gens) == 1 and self.cols and stop[0] not in pivots \
-                    and _least_v(gens[0]) >= e:
-                return self._insert(kern, *stop, pivots)
+        kern, gens, pivots = (_Kernel(self.ring), other.generator_triples(),
+                              self.pivots)
+        stop = next(filter(None, (self._walk(kern, g) for g in gens)), None)
+        if stop is None:
+            return self
+        if len(gens) == 1 and self.cols and stop[0] not in pivots \
+                and _least_v(gens[0]) >= self.pi_exponent:
+            return self._insert(kern, *stop, pivots)
         return Lattice.from_columns(self.ring, self.ambient_rank,
                                     [*self.generator_triples(), *gens])
 
@@ -678,22 +666,24 @@ class Lattice:
         others are canonical there already)."""
         rows, cols = [*pivots], [*pivots.values()]
         j = sum(p < r for p in rows)
-        rows[j:j], cols[j:j] = [r], [new]
+        rows[j:j], cols[j:j] = [r], [_cleared(new, kern.N)]
         for i in range(j):
             kern.settle(cols, i, rows[i], ())
         changed = [j, *kern.settle(cols, j, r, range(j))]
         for i in range(j + 1, len(cols)):
             kern.settle(cols, i, rows[i], changed)
         for m in changed:
-            cols[m] = kern.cleared([cols[m]])[0]
+            cols[m] = _cleared(cols[m], kern.N)
         return Lattice._folded(self.ring, self.ambient_rank, self.pi_exponent,
                                cols)
 
     def scale_by_pi(self, e: int) -> "Lattice":
-        if self.is_zero:
-            return self
-        out = Lattice(self.ring, self.ambient_rank, self.pi_exponent + e,
-                      self.cols)
+        """pi^e * L, less each column this moves to or past pi^N."""
+        e += self.pi_exponent
+        if not self.cols or any(_zero_at(c, self.ring.precision - e)
+                                for c in self.cols):
+            return Lattice._folded(self.ring, self.ambient_rank, e, self.cols)
+        out = Lattice(self.ring, self.ambient_rank, e, self.cols)
         out._pivot_map = self._pivot_map
         return out
 
@@ -756,8 +746,18 @@ def _sparse(rows):
 
 
 def _pivot_row(col, N):
-    """Row of the first entry below N, a Hermite column's pivot, or None."""
-    return next((i for i, x in enumerate(col) if x[0] < N), None)
+    """Row of the first entry below N, a Hermite column's pivot."""
+    return next(i for i, x in enumerate(col) if x[0] < N)
+
+
+def _cleared(col, N):
+    """col with its entries N <= v < inf made unflagged zeros."""
+    return [_ZERO if N <= x[0] < INFINITY else x for x in col]
+
+
+def _zero_at(col, N):
+    """Does every entry of col (triples; maybe none) lie at or past pi^N?"""
+    return not col or _least_v(col) >= N
 
 
 def _least_v(col):
@@ -792,8 +792,7 @@ def _column_hermite(ring, rank, cols):
                             for j in range(n_pivots, len(cols)))
         if piv is None:
             continue
-        cols[n_pivots], cols[piv] = cols[piv], cols[n_pivots]
+        cols[piv], cols[n_pivots] = cols[n_pivots], _cleared(cols[piv], kern.N)
         kern.settle(cols, n_pivots, row, range(len(cols)))
         n_pivots += 1
-    return [c for c in kern.cleared(cols[:n_pivots])
-            if any(x[0] != INFINITY for x in c)]
+    return [_cleared(c, kern.N) for c in cols[:n_pivots]]

@@ -369,6 +369,8 @@ def cocycle_check(c: Cocycle, descriptor: MonoidDescriptor,
     """Test normalisation and the cocycle identity
     c(r, s t) c(s, t) = c(r s, t) c(r, s) on deterministically sampled
     triples of words of length at most 4."""
+    if sample_count < 1:
+        raise ValueError("sample_count must be at least 1")
     rng = random.Random(seed)
     one = descriptor.identity()
     ring_one = c.ring.one()

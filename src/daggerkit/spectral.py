@@ -33,6 +33,8 @@ class MatrixAlgebraContext:
     associative = True
 
     def __init__(self, ring: RingDescriptor, d: int):
+        if d < 1:
+            raise ValueError("d must be at least 1")
         self.ring = ring
         self.d = d
         self.dim = d * d
@@ -307,7 +309,7 @@ def lgb_closure(S: Lattice, ctx, i_max: int):
     stabilized_at = None
     for i in range(1, i_max + 1):
         term = _lattice_power(S, ctx, i + 1).scale_by_pi(i)
-        if not term.is_zero and term.gauge_exponent() < -ring.precision:
+        if term.gauge_exponent() < -ring.precision:
             raise PrecisionExhausted("closure term has gauge below -N")
         nxt = chain[-1].sum(term)
         chain.append(nxt)
@@ -351,8 +353,7 @@ def semi_dagger_probe(S: Lattice, ctx, m: int, j_list, l_max: int = 8):
         raise ValueError("l_max must be at least 1")
     if any(j < 1 for j in j_list):
         raise ValueError("every j must be at least 1")
-    reports, N = {}, ctx.ring.precision
-    decrease_window = -(-l_max // 2)
+    reports, decrease_window = {}, -(-l_max // 2)
     for j in j_list:
         base = _lattice_power(S, ctx, j).scale_by_pi(m)
         power = base
@@ -363,9 +364,7 @@ def semi_dagger_probe(S: Lattice, ctx, m: int, j_list, l_max: int = 8):
         for l in range(2, l_max + 1):
             power = (_lattice_power(S, ctx, j * l).scale_by_pi(m * l)
                      if ctx.associative else lattice_product(ctx, power, base))
-            # zero at precision N, as from_columns makes such a product
-            gauge = power.gauge_exponent()
-            gauges.append(gauge if gauge < N else INFINITY)
+            gauges.append(power.gauge_exponent())
             if gauges[-1] < gauges[-2]:
                 decreasing += 1
             else:

@@ -399,14 +399,24 @@ class TestExitCodeContract:
         lattice = '[[["pi","0"],["0","1"]]]'
         probe = ["probe", *RING, "--d", "2", "--lattice", lattice]
         closure = ["closure", *RING, "--d", "2", "--lattice", lattice]
+        # matrix sizes and sample counts below 1 too
+        cocycle = ["cocycle-check", *RING, "--monoid", '{"kind":"Z","rank":2}',
+                   "--cocycle", '{"kind":"trivial"}']
         for argv in (ubprobe + ["--depth", "-1"], ubprobe + ["--depth", "0"],
                      probe + ["--lmax", "0"], closure + ["--imax", "0"],
-                     probe + ["--lmax", "-1"], closure + ["--imax", "-1"]):
+                     probe + ["--lmax", "-1"], closure + ["--imax", "-1"],
+                     ["closure", *RING, "--d", "-1", "--lattice", "[]"],
+                     ["closure", *RING, "--d", "0", "--lattice", "[]"],
+                     ["probe", *RING, "--d", "-1", "--lattice", "[]"],
+                     ["probe", *RING, "--d", "0", "--lattice", "[]"],
+                     cocycle + ["--samples", "0"],
+                     cocycle + ["--samples", "-1"]):
             code, out = run(capsys, argv)
             assert code == 2, argv
             assert "at least 1" in out["detail"]
         for argv in (ubprobe + ["--depth", "1"], probe + ["--lmax", "1"],
-                     closure + ["--imax", "1"]):
+                     closure + ["--imax", "1"], cocycle + ["--samples", "1"],
+                     ["closure", *RING, "--d", "1", "--lattice", "[]"]):
             code, out = run(capsys, argv)
             assert code in (0, 1), argv
 

@@ -5,7 +5,9 @@ The bytes were recorded before the twisted-series one-term products and
 chain reads were made lean, before F_q[[t]] inverses ran at doubling
 precision and Smith forms dropped unread transforms, before lattice sums
 returned a lattice that nothing is added to and products skipped zero
-pairs, and while sums that grow still rebuilt their Hermite form.
+pairs, and while sums that grow still rebuilt their Hermite form.  The
+last three stdout pins were recorded once every lattice was built in the
+canonical form, one truncation window for all.
 
 The help pins were recorded while the CLI still imported every module at
 start-up; the parser's text and choices must not depend on what is loaded.
@@ -21,9 +23,9 @@ Z2 = '{"kind":"Z","rank":2}'
 N1 = '{"monoid":{"kind":"N","rank":1},"D":6,"terms":'
 # the companion matrix of x^3 - 2 pi
 C3 = '[[["0","0","2*pi"],["1","0","0"],["0","1","0"]]]'
-# over Z_5 at N = 3, W's pivot carries digits above the window
+# over Z_5 at N = 3, an entry of W that is zero at N reaches no pivot
 W = '{"ambient_rank":2,"generators":[["11*pi^2","11"],["5*pi^-1","pi^-1"]]}'
-# M = pi^3 e1 is zero at N = 3 but not in L's frame
+# M = pi^3 e1 is zero at N = 3, so it lies in L, though L's frame sees pi^2
 L = '{"ambient_rank":2,"pi_exponent":1,"generators":[["pi^2"],["1"]]}'
 M = '{"ambient_rank":2,"pi_exponent":3,"generators":[["1"],["0"]]}'
 Q = ('{"ambient_rank":3,"generators":[["pi",{"v":2,"u":"777"}],'
@@ -107,6 +109,15 @@ PINS = [
      ["torsion", "--q", "4", "--precision", "12",
       "--relations",
       '[["pi","1","pi^2"],["0","pi^3","pi"],["pi^2","0","1"]]']),
+    # W as stored prints the pivot "u":"1", as the sum of W with itself
+    ("3a65e3104f6ecf521786604164b148bc263b078c7408d7f1c6cc61dba9788e51", 0,
+     ["lattice", "--op", "scale", "--e", "0", *P5_3, "--lattice", W]),
+    # pi^3 e1 lies in L, and pi^2 L is the zero lattice
+    ("b446d5b4871bdc8847b0fc5ac514fba90a8d299be8249b8d10c517884a0154d1", 0,
+     ["lattice", "--op", "membership", *P5_3, "--lattice", L,
+      "--vector", '["pi^3","0"]']),
+    ("2b4168426f80a22396c89b2ecaa2d1d4b41858eb848ea2540738e42f8ab6f258", 0,
+     ["lattice", "--op", "scale", "--e", "2", *P5_3, "--lattice", L]),
 ]
 
 

@@ -11,8 +11,9 @@ kernel and ``a + z * b``, entrywise equality by the windowed rule that
 ScalarElem.  Outputs must be identical: the same pi_exponent, the same
 valuation, unit residue and ``lossy`` flag in every Hermite entry, the
 same ``==`` (with a hash that agrees with it) and the same exceptions,
-except that a sum adding nothing to a normalised lattice returns that
-lattice, whose flags are a subset of the rebuild's.  Inputs mix zero
+except that a sum adding nothing returns the first lattice, whose flags
+are a subset of the rebuild's.  Every lattice a constructor returns is in
+the canonical form, which its rebuild gives back.  Inputs mix zero
 lattices, entries of K (negative pi_exponent), zeros, flagged zeros,
 effectively-zero entries (N <= v < inf), flagged entries and rank
 deficiency, over padic p in {2, 5} and eqchar q in {4, 5, 9} at N in
@@ -27,7 +28,8 @@ from daggerkit.linalg import Lattice, MatrixV, snf
 from daggerkit.monoid import MonoidDescriptor
 from daggerkit.ring import INFINITY, RingDescriptor, ScalarElem
 from daggerkit.spectral import (MatrixAlgebraContext, SeriesAlgebraContext,
-                                lattice_product, pi_multiplicative)
+                                lattice_product, lgb_closure,
+                                pi_multiplicative)
 
 RINGS = [("padic", 2), ("padic", 5), ("eqchar", 4), ("eqchar", 5),
          ("eqchar", 9)]
@@ -146,6 +148,8 @@ def ref_intersect(L1, L2):
 def ref_membership(L, vec):
     if len(vec) != L.ambient_rank:
         raise ValueError("ambient rank mismatch")
+    if all(x.effectively_zero for x in vec):  # zero at precision N
+        return True
     residual = [x.scaled_by_pi(-L.pi_exponent) for x in vec]
     for j in range(L.gens.cols):
         col = L.gens.column(j)
@@ -203,31 +207,28 @@ def flagged_entries(L):
             for i, x in enumerate(c) if x[2]}
 
 
-def normalised(L):
-    """L is what from_columns makes of its generators: each column's least
-    valuation, pi_exponent folded in, lies below N, and its first entry
-    below N is an exact power of pi.  (from_columns can leave digits above
-    the window on a pivot, where an entry that was effectively zero was
-    added to it; the rebuild scales them away.)"""
-    N, one = L.ring.precision, L.ring.ops.one()
-    return all(L.pi_exponent + min(c)[0] < N
-               and next((x for x in c if x[0] < N), (0, None))[1] == one
-               for c in L.cols)
+def assert_canonical(L):
+    """L is in the form every constructor returns: from_columns of its
+    generators gives the same pi_exponent and the same (v, u) everywhere,
+    and no column lies at or past pi^N once pi_exponent is folded in."""
+    again = Lattice.from_columns(L.ring, L.ambient_rank,
+                                 L.generator_triples())
+    assert unflagged(form(again)) == unflagged(form(L))
+    assert all(L.pi_exponent + min(c)[0] < L.ring.precision for c in L.cols)
 
 
 def check_sum(L, M):
     """L.sum(M) against the rebuild: the same pi_exponent and (v, u)
-    everywhere; where M adds nothing to a normalised L, L itself with its
-    own flags, which the rebuild can only add to; elsewhere the same flags.
-    Returns whether L came back."""
+    everywhere; where M adds nothing to L, L itself with its own flags,
+    which the rebuild can only add to; elsewhere the same flags.  Returns
+    whether L came back."""
     got, want = outcome(L.sum, M), outcome(ref_sum, L, M)
     assert unflagged(got) == unflagged(want)
-    if ref_contains(L, M) and normalised(L):
+    if ref_contains(L, M):
         assert L.sum(M) is L
     if isinstance(got[0], type) or L.sum(M) is not L:
         assert got == want
         return False
-    assert normalised(L)
     assert flagged_entries(L) <= flagged_entries(ref_sum(L, M))
     return True
 
@@ -366,27 +367,26 @@ def test_sum_equality_and_membership_match(backend, base, n):
 
 @pytest.mark.parametrize("backend,base", RINGS)
 def test_sum_adds_only_what_is_new(backend, base):
-    # pi^4 * span(1) is zero at N = 3: its sum with itself is the zero
-    # lattice that the rebuild makes, not the lattice itself
+    # pi^4 * span(1) is zero at N = 3, so scaling makes the zero lattice,
+    # and its sum with itself is that lattice
     ring = RingDescriptor(backend, base, 3)
     L = Lattice.standard(ring, 1).scale_by_pi(4)
-    assert not normalised(L) and not check_sum(L, L) and L.sum(L).is_zero
-    # from_columns leaves digits above the window on the pivot pi * 51 of
-    # this lattice over Z_5 at N = 3; the rebuild scales them away, and so
-    # must a sum that adds nothing
+    assert L.is_zero and check_sum(L, L)
+    # an entry of W's second column that is zero at N = 3 once the
+    # pi^-1 is folded out reaches no pivot: the first is pi exactly
     W = Lattice.from_columns(ring, 2, [
         [ring.scalar(11).scaled_by_pi(2), ring.scalar(5).scaled_by_pi(-1)],
         [ring.scalar(11), ring.pi(-1)]])
-    if (backend, base) != ("eqchar", 5):  # there 5 = 0 and W has rank 1
-        assert not normalised(W)
-    check_sum(W, W)
-    # pi^3 e1 is zero at N = 3, so it adds nothing to L = pi * span(pi^2,
-    # 1), though L's frame sees pi^2 there; M = pi^3 * span(e1) is zero
-    # once rebuilt, so it does not come back from a sum
+    assert W.pi_exponent == -1 and W.cols[0][0][:2] == (1, 1)
+    assert check_sum(W, W)
+    # pi^3 e1 is zero at N = 3, so it lies in L = pi * span(pi^2, 1),
+    # though L's frame sees pi^2 there, and M = pi^3 * span(e1) is zero
     L = Lattice.from_columns(ring, 2, [[ring.pi(2), ring.one()]])
-    M = Lattice.from_columns(ring, 2, [[ring.one(), ring.zero()]])
-    assert check_sum(L.scale_by_pi(1), M.scale_by_pi(3))
-    assert not check_sum(M.scale_by_pi(3), L.scale_by_pi(1))
+    L, M = L.scale_by_pi(1), Lattice.from_columns(
+        ring, 2, [[ring.one(), ring.zero()]]).scale_by_pi(3)
+    assert M.is_zero and L.contains(M)
+    assert L.membership([ring.pi(3), ring.zero()])
+    assert check_sum(L, M) and not check_sum(M, L)
     returned = grown = 0
     for n in PRECISIONS:
         ring = RingDescriptor(backend, base, n)
@@ -408,7 +408,7 @@ def test_sum_adds_only_what_is_new(backend, base):
                         returned += 1
                     else:
                         grown += 1
-                assert (L.sum(zero) is L) is normalised(L)
+                assert L.sum(zero) is L
                 check_sum(zero, L)
                 for vec in gens + [[gen.entry() for _ in range(dim)]]:
                     assert L.membership(vec) is ref_membership(L, vec)
@@ -433,6 +433,31 @@ def test_sums_near_the_window_are_the_rebuild(backend, base):
             for L in lats:
                 for M in lats:
                     check_sum(L, M)
+
+
+@pytest.mark.parametrize("backend,base,n", CASES)
+def test_every_constructor_returns_the_canonical_form(backend, base, n):
+    ring = RingDescriptor(backend, base, n)
+    gen = Inputs(ring, f"canonical-{backend}-{base}-{n}")
+    # over Z_5 at N = 3, W's pivot took digits above the window from an
+    # entry that was zero at N
+    W = Lattice.from_columns(ring, 2, [
+        [ring.scalar(11).scaled_by_pi(2), ring.scalar(5).scaled_by_pi(-1)],
+        [ring.scalar(11), ring.pi(-1)]])
+    cases = [(ctx, gen.lattices(ctx.dim, 3)) for ctx in contexts(ring)]
+    for ctx, lats in cases + [(None, [W])]:  # no context has W's rank
+        for L in lats:
+            M = gen.rng.choice(lats)
+            for out in (L, L.preimage_pi(1), L.preimage_pi(2), L.sum(M),
+                        L.intersect(M),
+                        *(L.scale_by_pi(e) for e in range(-3, n + 3))):
+                assert_canonical(out)
+            if ctx:
+                assert_canonical(lattice_product(ctx, L, M))
+        if ctx:
+            S = lats[-1].intersect_with_standard()  # in V: gauges >= 0
+            for L in lgb_closure(S, ctx, 3)[0]:
+                assert_canonical(L)
 
 
 @pytest.mark.parametrize("backend,base,n", CASES)

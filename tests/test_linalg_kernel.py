@@ -167,7 +167,9 @@ def ref_column_hermite(ring, rank, cols):
         cols[n_pivots], cols[piv] = cols[piv], cols[n_pivots]
         p = cols[n_pivots]
         unit_inv = ring.pi(piv_v) / p[row]
-        cols[n_pivots] = p = [unit_inv * x for x in p]
+        # an effectively-zero entry of the pivot column reaches no other
+        cols[n_pivots] = p = [unit_inv * (zero if x.effectively_zero and
+                                          not x.is_zero else x) for x in p]
         for j in range(len(cols)):
             if j == n_pivots:
                 continue
@@ -199,7 +201,9 @@ def ref_from_columns(ring, rank, columns):
     e = min(min(x.valuation for x in c if not x.effectively_zero)
             for c in cols)
     cols = [[x.scaled_by_pi(-e) for x in c] for c in cols]
-    reduced = ref_column_hermite(ring, rank, cols)
+    # a column at or past pi^N once e is folded in is zero there
+    reduced = [c for c in ref_column_hermite(ring, rank, cols)
+               if e + min(x.valuation for x in c) < ring.precision]
     if not reduced:
         return None
     extra = min(min(x.valuation for x in c if not x.effectively_zero)
@@ -210,6 +214,8 @@ def ref_from_columns(ring, rank, columns):
 
 
 def ref_membership(L, vec):
+    if all(x.effectively_zero for x in vec):  # zero at precision N
+        return True
     residual = [x.scaled_by_pi(-L.pi_exponent) for x in vec]
     for j in range(L.gens.cols):
         col = L.gens.column(j)

@@ -43,8 +43,7 @@ def shifted(vec, e):
 
 def pivot_map(L):
     N = L.ring.precision
-    return {next((i for i, x in enumerate(c) if x[0] < N), None): c
-            for c in L.cols}
+    return {next(i for i, x in enumerate(c) if x[0] < N): c for c in L.cols}
 
 
 def ref_walk(L, vec, pivots):
@@ -64,22 +63,19 @@ def ref_walk(L, vec, pivots):
 
 
 def ref_membership(L, vec):
-    return ref_walk(L, list(vec), pivot_map(L)) is None
+    # a vector zero at precision N lies in every lattice
+    return (ref_walk(L, list(vec), pivot_map(L)) is None
+            or all(x[0] >= L.ring.precision for x in vec))
 
 
 def ref_sum(L, M):
-    kern, e, N = _Kernel(L.ring), L.pi_exponent, L.ring.precision
-    gens = [g for g in M.generator_triples() if min(g)[0] < N]
-    pivots = pivot_map(L)
-    if all(e + min(c)[0] < N and r is not None and c[r][1] == kern.one
-           for r, c in pivots.items()):
-        stop = next(filter(None, (ref_walk(L, g, pivots) for g in gens)),
-                    None)
-        if stop is None:
-            return L
-        if len(gens) == 1 and L.cols and stop[0] not in pivots \
-                and min(gens[0])[0] >= e:
-            return L._insert(kern, *stop, pivots)
+    kern, gens, pivots = _Kernel(L.ring), M.generator_triples(), pivot_map(L)
+    stop = next(filter(None, (ref_walk(L, g, pivots) for g in gens)), None)
+    if stop is None:
+        return L
+    if len(gens) == 1 and L.cols and stop[0] not in pivots \
+            and min(gens[0])[0] >= L.pi_exponent:
+        return L._insert(kern, *stop, pivots)
     return Lattice.from_columns(L.ring, L.ambient_rank,
                                 [*L.generator_triples(), *gens])
 
