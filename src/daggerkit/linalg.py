@@ -12,19 +12,19 @@ Hermite columns in ``cols``; the ScalarElem values a caller reads
 built from them.  Equality of matrices and lattices is
 ``RingDescriptor.same`` on the triples, the rule ScalarElem's ``==`` uses.
 
-One elimination kernel, ``_Kernel``, does the arithmetic of ``det``,
-``inverse``, ``snf``, the Hermite form behind ``Lattice.from_columns`` and
-``Lattice.membership`` (after Storjohann, *Algorithms for Matrix Canonical
-Forms*, 2000) and of matrix products on these triples.  Its parts: a pivot
-search for the first entry of least valuation below N (over a DVR it
-divides every entry in scope, so one pass per pivot suffices and precision
-loss is minimised), one row update ``row + f*pivot_row`` (eliminations
-negate f; it is the ring's scalar rule ``_update``), one Hermite pivot step
-``settle`` that both the rebuild and the insertion of ``Lattice.sum`` run,
-one ordered dot accumulation and one product over nonzero pairs only, in
-the dot's order.  Quotients are the ring's rule, with no cached inverse:
-pivots are scaled to a unit of 1 before rows are cleared, and ``det``
-inverts each pivot once.
+One elimination kernel per ring, ``_Kernel.of(ring)``, does the arithmetic
+of ``det``, ``inverse``, ``snf``, the Hermite form behind
+``Lattice.from_columns`` and ``Lattice.membership`` (after Storjohann,
+*Algorithms for Matrix Canonical Forms*, 2000) and of matrix products on
+these triples.  Its parts: a pivot search for the first entry of least
+valuation below N (over a DVR it divides every entry in scope, so one pass
+per pivot suffices and precision loss is minimised), one row update
+``row + f*pivot_row`` (eliminations negate f; it is the ring's scalar rule
+``_update``), one Hermite pivot step ``settle`` that both the rebuild and
+the insertion of ``Lattice.sum`` run, one ordered dot accumulation and one
+product over nonzero pairs only, in the dot's order.  Quotients are the
+ring's rule, with no cached inverse: pivots are scaled to a unit of 1
+before rows are cleared, and ``det`` inverts each pivot once.
 
 One truncation window: every way of building a ``Lattice`` returns the
 canonical form of its docstring, which ``from_columns`` of its generators
@@ -88,6 +88,13 @@ class _Kernel:
         self.plus, self.minus, self.times, self.over, self.split = (
             ring._plus, ring._minus, ring._times, ring._over, ring._split)
         self.update = ring._update
+
+    @staticmethod
+    def of(ring):
+        """The ring's one kernel, kept on it: a kernel holds no state."""
+        if (kern := getattr(ring, "_kernel", None)) is None:
+            kern = ring._kernel = _Kernel(ring)
+        return kern
 
     def pivot(self, entries):
         """(key, v) of the first entry of least valuation below N among
@@ -247,7 +254,7 @@ class MatrixV:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
         self._shape_check(other)
-        return MatrixV._of(self.ring, _Kernel(self.ring).product(
+        return MatrixV._of(self.ring, _Kernel.of(self.ring).product(
             _sparse(self.raw), _sparse(other.raw), other.cols), other.cols)
 
     def _shape_check(self, other, same=False):
@@ -274,7 +281,7 @@ class MatrixV:
         """Matrix-vector product."""
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
-        dot, col = _Kernel(self.ring).dot, _raw(self.ring, vec)
+        dot, col = _Kernel.of(self.ring).dot, _raw(self.ring, vec)
         return [ScalarElem(self.ring, *dot(row, col)) for row in self.raw]
 
     def det(self) -> ScalarElem:
@@ -282,7 +289,7 @@ class MatrixV:
         pivoting; exact at precision N."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n, kern = self.rows, _Kernel(self.ring)
+        n, kern = self.rows, _Kernel.of(self.ring)
         work, det = list(self.raw), (0, kern.one, False)
         for k in range(n):
             i0, _ = kern.pivot((i, work[i][k]) for i in range(k, n))
@@ -302,7 +309,7 @@ class MatrixV:
         """Inverse over K (entries may leave V); pivot of minimal valuation."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        n, kern = self.rows, _Kernel(self.ring)
+        n, kern = self.rows, _Kernel.of(self.ring)
         work, aug = list(self.raw), _eye(self.ring, n)
         for k in range(n):
             i0, _ = kern.pivot((i, work[i][k]) for i in range(k, n))
@@ -365,7 +372,7 @@ def _smith_form(A, left, right):
     ring = A.ring
     if A.min_valuation() < 0:
         raise ValueError("snf needs entries in V (nonnegative valuations)")
-    m, n, kern = A.rows, A.cols, _Kernel(ring)
+    m, n, kern = A.rows, A.cols, _Kernel.of(ring)
     work = [list(row) for row in A.raw]
     U, W = left and _eye(ring, m), right and _eye(ring, n)
     rowed, colled = [work, U][:1 + left], [work, W][:1 + right]
@@ -594,7 +601,7 @@ class Lattice:
         if len(vec) != self.ambient_rank:
             raise ValueError("ambient rank mismatch")
         vec = _raw(self.ring, vec)
-        return (self._walk(_Kernel(self.ring), vec) is None
+        return (self._walk(_Kernel.of(self.ring), vec) is None
                 or _zero_at(vec, self.ring.precision))
 
     def _walk(self, kern, vec):
@@ -619,6 +626,8 @@ class Lattice:
         return all(self.membership(g) for g in other.generator_triples())
 
     def __eq__(self, other):
+        if other is self:  # ``sum`` hands L back when M adds nothing
+            return True
         if not (isinstance(other, Lattice)
                 and (self.ring is other.ring or self.ring == other.ring)
                 and self.ambient_rank == other.ambient_rank
@@ -647,8 +656,8 @@ class Lattice:
         L's frame, that first stays below N at a row no pivot takes; else a
         rebuild (a pivot row taken, more generators, L zero)."""
         self._compat(other)
-        kern, gens, pivots = (_Kernel(self.ring), other.generator_triples(),
-                              self.pivots)
+        kern, gens, pivots = (_Kernel.of(self.ring),
+                              other.generator_triples(), self.pivots)
         stop = next(filter(None, (self._walk(kern, g) for g in gens)), None)
         if stop is None:
             return self
@@ -700,7 +709,7 @@ class Lattice:
         if self.is_zero or other.is_zero:
             return Lattice.zero(self.ring, self.ambient_rank)
         e = min(self.pi_exponent, other.pi_exponent)
-        minus, kern = self.ring._minus, _Kernel(self.ring)
+        minus, kern = self.ring._minus, _Kernel.of(self.ring)
         g1 = _shifted(self.cols, self.pi_exponent - e)
         g2 = [list(map(minus, c))
               for c in _shifted(other.cols, other.pi_exponent - e)]
@@ -782,7 +791,7 @@ def _column_hermite(ring, rank, cols):
     exact powers of pi, zero entries to the right of each pivot and
     canonical residues to the left.
     """
-    kern = _Kernel(ring)
+    kern = _Kernel.of(ring)
     n_pivots = 0
     for row in range(rank):
         if n_pivots == len(cols):  # no free column is left

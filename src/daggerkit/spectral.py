@@ -13,7 +13,8 @@ lists of them, and ``Lattice.from_columns`` reduces the result.
 ``rho1_estimate``, ``lgb_closure`` and ``semi_dagger_probe`` read S^n off
 one memoised chain S, S^2, ... kept on S while it lives (``chains.link``),
 so a query that asks all three builds each power once; the probe reads
-(pi^m S^j)^l as pi^(ml) S^(jl) wherever the context is ``associative``.
+(pi^m S^j)^l as pi^(ml) S^(jl) wherever the context is ``associative``,
+and the closure builds no power past its first stable step.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class MatrixAlgebraContext:
         """Vectors of a * b for a in xs, then b in ys, all vectors of
         triples; the product visits only the nonzero pairs of the factors,
         each cut into sparse rows once per call."""
-        d, product = self.d, _Kernel(self.ring).product
+        d, product = self.d, _Kernel.of(self.ring).product
         left, right = ([_sparse(x[i:i + d] for i in range(0, self.dim, d))
                         for x in vs] for vs in (xs, ys))
         return [[x for row in product(a, b, d) for x in row]
@@ -259,7 +260,7 @@ def characteristic_polynomial(a: MatrixV):
     ring = a.ring
     if a.rows != a.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    dot, minus, rows = _Kernel(ring).dot, ring._minus, a.raw
+    dot, minus, rows = _Kernel.of(ring).dot, ring._minus, a.raw
     one = (0, ring.ops.one(), False)
     poly = [one]  # highest degree first while the block grows
     for r, row in enumerate(rows):
@@ -300,22 +301,25 @@ def lgb_closure(S: Lattice, ctx, i_max: int):
     """The chain L_i = sum_{j<=i} pi^j S^(j+1) with reduced generators.
 
     Returns (chain, stabilized_at) where stabilized_at is the first i with
-    L_i = L_(i+1), or None if the chain is still growing at i_max.
+    L_i = L_(i+1), or None if the chain is still growing at i_max.  Past a
+    stable i the chain repeats L_(i+1) and builds no later power.  That is
+    exact: pi^(i+2) S^(i+3) = (pi^(i+1) S^(i+2)) * (pi S) lies in L_i * pi S,
+    inside L_(i+1) = L_i (powers are built left to right and the product is
+    bilinear; no associativity is used, so twisted contexts are covered
+    too), and so on by induction.
     """
     if i_max < 1:
         raise ValueError("i_max must be at least 1")
-    ring = ctx.ring
     chain = [S]
-    stabilized_at = None
     for i in range(1, i_max + 1):
         term = _lattice_power(S, ctx, i + 1).scale_by_pi(i)
-        if term.gauge_exponent() < -ring.precision:
+        if term.gauge_exponent() < -ctx.ring.precision:
             raise PrecisionExhausted("closure term has gauge below -N")
         nxt = chain[-1].sum(term)
+        if nxt == chain[-1]:
+            return chain + [nxt] * (i_max - i + 1), i - 1
         chain.append(nxt)
-        if stabilized_at is None and nxt == chain[-2]:
-            stabilized_at = i - 1
-    return chain, stabilized_at
+    return chain, None
 
 
 def pi_multiplicative(ctx, U: Lattice) -> bool:

@@ -11,7 +11,9 @@ valuation, unit residue and ``lossy`` flag in every entry, the same
 zeros, effectively-zero entries (N <= v < inf), entries of K, flagged
 entries, exact cancellations and rank deficiency, over padic p in {2, 5}
 and eqchar q in {4, 5, 9} at N in {1, 3, 12, 40, 160}.  A sympy oracle
-checks Smith exponents of integer matrices.
+checks Smith exponents of integer matrices.  Each ring builds its kernel
+once (``_Kernel.of``), and a lattice equals itself without reading its
+entries.
 """
 
 import random
@@ -19,8 +21,10 @@ import random
 import pytest
 
 from daggerkit.linalg import (Lattice, MatrixV, ModulePresentation,
-                              _smith_form, kernel_basis, snf)
+                              _Kernel, _smith_form, kernel_basis, snf)
 from daggerkit.ring import INFINITY, RingDescriptor, ScalarElem
+from daggerkit.spectral import (MatrixAlgebraContext, lattice_from_elements,
+                                pi_multiplicative)
 
 RINGS = [("padic", 2), ("padic", 5), ("eqchar", 4), ("eqchar", 5),
          ("eqchar", 9)]
@@ -474,3 +478,40 @@ def test_each_pivot_is_inverted_at_most_once(backend, base, monkeypatch):
             assert 0 < len(calls) <= d, (t, d, len(calls))
     assert len(powers) == len(set(powers)) <= base - 1
     assert bool(powers) is (backend == "eqchar")  # padic inverts by pow()
+
+
+def test_one_kernel_per_ring(monkeypatch):
+    """A fresh ring builds one kernel over a lattice and a whole
+    ``pi_multiplicative`` (r^2 products and memberships), keeps it on the
+    descriptor, and an equal but distinct descriptor builds its own."""
+    built, init = [], _Kernel.__init__
+
+    def counting(self, ring):
+        built.append(ring)
+        init(self, ring)
+    monkeypatch.setattr(_Kernel, "__init__", counting)
+    ring = RingDescriptor("padic", 5, 40)
+    gen = Inputs(ring, "one-kernel")
+    ctx = MatrixAlgebraContext(ring, 3)
+    U = lattice_from_elements(ctx, [gen.matrix(3, 3), gen.matrix(3, 3)])
+    assert U.rank == 2
+    pi_multiplicative(ctx, U)
+    assert built == [ring] and ring._kernel is _Kernel.of(ring)
+    twin = RingDescriptor("padic", 5, 40)
+    assert twin == ring and _Kernel.of(twin) is not _Kernel.of(ring)
+    assert len(built) == 2 and built[1] is twin
+    assert _Kernel.of(twin) is twin._kernel and len(built) == 2
+
+
+def test_a_lattice_equals_itself_without_reading_it(monkeypatch):
+    ring = RingDescriptor("eqchar", 9, 12)
+    gen = Inputs(ring, "equals-itself")
+    L = Lattice.from_columns(ring, 3, zip(*gen.matrix(3, 2).raw))
+    twin = Lattice.from_columns(ring, 3, L.generator_triples())
+
+    def unread(xs, ys):
+        raise AssertionError("the entries were read")
+    monkeypatch.setattr(ring, "same", unread)
+    assert L == L and not L != L
+    with pytest.raises(AssertionError, match="entries were read"):
+        L == twin

@@ -440,14 +440,14 @@ class TestLatticePowers:
         assert len(calls) == 30
 
     def test_sums_that_add_nothing_reduce_nothing(self, ring, monkeypatch):
-        # the companion matrix of x^3 - 2 pi: the closure to i = 8 builds
-        # S^2 .. S^9 and stabilises at i = 2, and the probe reads its powers
-        # off the same chain.  Each power is one Hermite form; a sum that
-        # adds nothing is none, and each sum that grows here (the closure's
-        # at i = 1, 2, the probe's at l = 2, 3 for j = 1 and j = 2) adds
-        # one column at a row no pivot takes, inserted without a form.
-        # Rebuilding every sum took 8 + 8 forms for the closure and 7 for
-        # the probe; rebuilding only the sums that grow, 8 + 2 and 4.
+        # the companion matrix of x^3 - 2 pi: the closure to i = 8
+        # stabilises at i = 2 and stops there, so it builds S^2 .. S^4
+        # only; the probe reads its powers off the same chain and builds
+        # S^5 .. S^8 (j = 2 up to l = 4).  Each power is one Hermite form;
+        # a sum that adds nothing is none, and each sum that grows here
+        # (the closure's at i = 1, 2, the probe's at l = 2, 3 for j = 1 and
+        # j = 2) adds one column at a row no pivot takes, inserted without
+        # a form.
         ctx = MatrixAlgebraContext(ring, 3)
         S = singleton(ctx, mat(ring, [[0, 0, (1, 2)], [1, 0, 0], [0, 1, 0]]))
         calls = []
@@ -459,11 +459,11 @@ class TestLatticePowers:
 
         monkeypatch.setattr(linalg, "_column_hermite", counting)
         _, stabilized = lgb_closure(S, ctx, 8)
-        assert (stabilized, len(calls)) == (2, 8)
+        assert (stabilized, len(calls)) == (2, 3)
         probes = semi_dagger_probe(S, ctx, 1, [1, 2, 3], l_max=8)
         assert [(r.verdict, r.stabilized_at) for r in probes.values()] == \
             [("bounded", 3), ("bounded", 3), ("bounded", 1)]
-        assert len(calls) == 8
+        assert len(calls) == 7
 
     def test_chain_goes_with_its_lattice(self, ring, ctx):
         S = singleton(ctx, mat(ring, [[1, 2], [3, 4]]))
