@@ -16,8 +16,7 @@ _EXPORTS = {
                 "crossed_certify", "crossed_mul", "shift_action",
                 "uniform_boundedness_probe"),
     "linalg": ("Lattice", "MatrixV", "ModulePresentation", "SNFResult",
-               "cokernel_invariants", "is_torsion_free", "kernel_basis",
-               "snf"),
+               "kernel_basis", "snf"),
     "monoid": ("BicharacterCocycle", "Cocycle", "MonoidDescriptor",
                "MonoidElem", "TableCocycle", "TrivialCocycle",
                "cocycle_check", "compose", "length_ge1"),
@@ -29,7 +28,7 @@ _EXPORTS = {
                "torus_monomial"),
     "spectral": ("MatrixAlgebraContext", "ProbeReport", "RadiusReport",
                  "SeriesAlgebraContext", "characteristic_polynomial",
-                 "gauge_exponent", "lattice_from_elements", "lattice_product",
+                 "lattice_from_elements", "lattice_product",
                  "lgb_closure", "newton_polygon_rho", "pi_multiplicative",
                  "rho1_estimate", "semi_dagger_probe", "star_scale"),
 }

@@ -24,11 +24,15 @@ EXIT_PRECISION = 3
 
 
 def _load_json(blob: str):
-    """Inline JSON, or @path to read a file."""
-    if blob.startswith("@"):
-        with open(blob[1:], "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.loads(blob)
+    """Inline JSON, or @path to read a file; nesting too deep for the
+    parser is a SchemaError."""
+    try:
+        if blob.startswith("@"):
+            with open(blob[1:], "r", encoding="utf-8") as fh:
+                return json.load(fh)
+        return json.loads(blob)
+    except RecursionError as exc:
+        raise SchemaError(f"JSON nested too deeply: {exc}") from exc
 
 
 def _ring_from_args(args) -> RingDescriptor:

@@ -92,9 +92,6 @@ class AffineAction:
         self._pairs[n] = out
         return out
 
-    def __call__(self, n: int, f: DaggerSeries) -> DaggerSeries:
-        return act(self, n, f)
-
 
 def _image(alpha: AffineAction, n: int, cap: int, data) -> DaggerSeries:
     """x^data substituted by alpha's n-th power at cap: the powers of each

@@ -416,22 +416,14 @@ class ModulePresentation:
             relations = MatrixV.zero(ring, ambient_rank, 0)
         if relations.rows != ambient_rank:
             raise ValueError("relation matrix must have ambient_rank rows")
-        if relations.cols and relations.min_valuation() < 0:
+        if relations.min_valuation() < 0:
             raise ValueError("relations must lie in V")
         self.relations = relations
-        self._snf = None
-
-    def _smith(self) -> SNFResult:
-        if self._snf is None:
-            self._snf = _smith_form(self.relations, False, False)
-        return self._snf
 
     def cokernel_invariants(self):
         """(multiset of torsion exponents a_i > 0, free rank f) with
         coker = (+) V/pi^(a_i) (+) V^f."""
-        if self.relations.cols == 0:
-            return [], self.ambient_rank
-        exps = self._smith().diagonal_exponents
+        exps = _smith_form(self.relations, False, False).diagonal_exponents
         torsion = sorted(a for a in exps if a > 0)
         return torsion, self.ambient_rank - len(exps)
 
@@ -439,17 +431,10 @@ class ModulePresentation:
         torsion, _ = self.cokernel_invariants()
         return not torsion
 
-    def _solve_membership(self, columns, target) -> bool:
-        """Is target a V-linear combination of the given columns?"""
-        lat = Lattice.from_columns(self.ring, self.ambient_rank, columns)
-        return lat.membership(target)
-
     def quotient_is_zero(self, v) -> bool:
         """Is [v] = 0 in the cokernel, i.e. v in im(relations)?"""
-        cols = list(zip(*self.relations.raw))
-        if not cols:
-            return all(x.is_zero for x in v)
-        return self._solve_membership(cols, v)
+        return Lattice.from_columns(self.ring, self.ambient_rank, list(
+            zip(*self.relations.raw))).membership(v)
 
     def quotient_divisibility(self, v, m: int) -> bool:
         """Is [v] in pi^m * coker, i.e. v = pi^m y + A z solvable over V?"""
@@ -462,34 +447,20 @@ class ModulePresentation:
         # the relations and the columns pi^m e_i
         cols = [*zip(*self.relations.raw),
                 *_shifted(_eye(self.ring, self.ambient_rank), m)]
-        return self._solve_membership(cols, v)
+        return Lattice.from_columns(self.ring, self.ambient_rank,
+                                    cols).membership(v)
 
     def tensor(self, other: "ModulePresentation") -> "ModulePresentation":
         """Presentation of the tensor product: relations A(x)I | I(x)B."""
         if self.ring != other.ring:
             raise ValueError("ring descriptor mismatch")
         m, n = self.ambient_rank, other.ambient_rank
-        eye_m = MatrixV.identity(self.ring, m)
-        eye_n = MatrixV.identity(self.ring, n)
-        blocks = []
-        if self.relations.cols:
-            blocks.append(self.relations.kronecker(eye_n))
-        if other.relations.cols:
-            blocks.append(eye_m.kronecker(other.relations))
-        if not blocks:
-            return ModulePresentation(self.ring, m * n, None)
+        blocks = (self.relations.kronecker(MatrixV.identity(self.ring, n)),
+                  MatrixV.identity(self.ring, m).kronecker(other.relations))
         rows = [list(chain.from_iterable(b.raw[i] for b in blocks))
                 for i in range(m * n)]
         return ModulePresentation(self.ring, m * n, MatrixV._of(
             self.ring, rows, sum(b.cols for b in blocks)))
-
-
-def is_torsion_free(P: ModulePresentation) -> bool:
-    return P.is_torsion_free()
-
-
-def cokernel_invariants(P: ModulePresentation):
-    return P.cokernel_invariants()
 
 
 class Lattice:
@@ -565,10 +536,6 @@ class Lattice:
         extra = min(map(_least_v, cols))
         return cls(ring, ambient_rank, e + extra,
                    tuple(map(tuple, _shifted(cols, -extra))))
-
-    @classmethod
-    def from_matrix_columns(cls, mat: MatrixV) -> "Lattice":
-        return cls.from_columns(mat.ring, mat.rows, zip(*mat.raw))
 
     # -- queries --
 

@@ -79,21 +79,6 @@ class MonoidDescriptor:
     def element(self, data) -> "MonoidElem":
         return MonoidElem(self, tuple(data) if self.kind != "free" else data)
 
-    def generators(self):
-        if self.kind == "free":
-            return [MonoidElem(self, self._ALPHABET[i])
-                    for i in range(self.rank)]
-        out = []
-        for i in range(self.rank):
-            e = [0] * self.rank
-            e[i] = 1
-            out.append(MonoidElem(self, tuple(e)))
-            if self.kind == "Z":
-                e = [0] * self.rank
-                e[i] = -1
-                out.append(MonoidElem(self, tuple(e)))
-        return out
-
     def elements_up_to_length(self, bound: int):
         """All elements s with word length l(s) <= bound (N^k and Z^k only)."""
         if self.kind == "free":

@@ -728,7 +728,6 @@ _ARITH = {
     "sub": lambda x, y: x - y,
     "mul": lambda x, y: x * y,
     "div": lambda x, y: x / y,
-    "neg": lambda x, _: -x,
 }
 
 

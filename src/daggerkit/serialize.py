@@ -28,6 +28,16 @@ class SchemaError(ValueError):
     """Input does not match the published JSON schemas."""
 
 
+def _int(value, what: str) -> int:
+    """An integer field: a JSON integer or a string of decimal digits.  A
+    boolean or a float (1.5, 1e400, even 2.0) is a SchemaError."""
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value) \
+            or isinstance(value, int) and not isinstance(value, bool):
+        return int(value)
+    kind = "a JSON boolean" if isinstance(value, bool) else repr(value)
+    raise SchemaError(f"{what} must be an integer, not {kind}")
+
+
 def ring_to_json(ring: RingDescriptor) -> dict:
     key = "p" if ring.backend == "padic" else "q"
     return {"backend": ring.backend, key: ring.base,
@@ -37,8 +47,9 @@ def ring_to_json(ring: RingDescriptor) -> dict:
 def ring_from_json(obj) -> RingDescriptor:
     try:
         backend = obj["backend"]
-        base = obj["p"] if backend == "padic" else obj["q"]
-        return RingDescriptor(backend, int(base), int(obj["precision"]))
+        key = "p" if backend == "padic" else "q"
+        return RingDescriptor(backend, _int(obj[key], key),
+                              _int(obj["precision"], "precision"))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad ring descriptor: {exc}") from exc
 
@@ -51,11 +62,11 @@ def scalar_to_json(x: ScalarElem) -> dict:
 
 def scalar_from_json(ring: RingDescriptor, obj) -> ScalarElem:
     try:
-        if isinstance(obj["v"], bool) or isinstance(obj.get("u"), bool):
-            raise SchemaError("a JSON boolean is not a scalar field")
-        if obj["v"] == "inf":
+        v, u = obj["v"], obj.get("u")
+        if v == "inf" and not isinstance(u, bool):
             return ring.zero()
-        return ring.from_valuation_unit(int(obj["v"]), int(obj["u"]))
+        u = _int(u, "u")
+        return ring.from_valuation_unit(_int(v, "v"), u)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad scalar: {exc}") from exc
 
@@ -106,8 +117,8 @@ def lattice_to_json(L: Lattice) -> dict:
 def lattice_from_json(ring: RingDescriptor, obj) -> Lattice:
     from .linalg import Lattice
     try:
-        rank = int(obj["ambient_rank"])
-        e = int(obj.get("pi_exponent", 0))
+        rank = _int(obj["ambient_rank"], "ambient_rank")
+        e = _int(obj.get("pi_exponent", 0), "pi_exponent")
         gens = matrix_from_json(ring, obj["generators"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad lattice: {exc}") from exc
@@ -122,7 +133,7 @@ def monoid_to_json(m: MonoidDescriptor) -> dict:
 def monoid_from_json(obj) -> MonoidDescriptor:
     from .monoid import MonoidDescriptor
     try:
-        return MonoidDescriptor(obj["kind"], int(obj["rank"]))
+        return MonoidDescriptor(obj["kind"], _int(obj["rank"], "rank"))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad monoid descriptor: {exc}") from exc
 
@@ -174,7 +185,7 @@ def certificate_from_json(obj) -> GrowthCertificate | None:
     if obj is None:
         return None
     try:
-        return GrowthCertificate(obj["c"], int(obj["k"]))
+        return GrowthCertificate(obj["c"], _int(obj["k"], "k"))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad certificate: {exc}") from exc
 
@@ -199,7 +210,7 @@ def series_from_json(obj, ring: RingDescriptor | None = None) -> DaggerSeries:
         if ring is None:
             ring = ring_from_json(obj["ring"])
         monoid = monoid_from_json(obj["monoid"])
-        cap = int(obj["D"])
+        cap = _int(obj["D"], "D")
         terms = {}
         for item in obj.get("terms", []):
             s = element_from_json(monoid, item["s"])
@@ -224,11 +235,11 @@ def crossed_to_json(u: CrossedElem) -> dict:
 def crossed_from_json(obj, ring: RingDescriptor) -> CrossedElem:
     from .crossed import CrossedElem
     try:
-        z_cap = int(obj["Dz"])
+        z_cap = _int(obj["Dz"], "Dz")
         terms, monoid, degree_cap = {}, None, None
         for item in obj.get("terms", []):
             series = series_from_json(item["series"], ring)
-            terms[int(item["n"])] = series
+            terms[_int(item["n"], "n")] = series
             monoid = series.monoid
             degree_cap = series.degree_cap
         if not terms:

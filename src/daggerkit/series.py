@@ -119,8 +119,6 @@ class DaggerSeries:
                  terms, degree_cap: int,
                  certificate: GrowthCertificate | None = None,
                  truncated: bool = False):
-        if degree_cap < 0:
-            raise ValueError("degree cap must be nonnegative")
         packing = monoid.packing(degree_cap)
         key = packing.key
         clean, raw = {}, {}

@@ -175,12 +175,6 @@ def star_scale(t, L: Lattice) -> Lattice:
     return L.scale_by_pi(-(-t.numerator // t.denominator))
 
 
-def gauge_exponent(L: Lattice):
-    """Exponent of the gauge norm of L: maximal e with L inside
-    pi^e * (standard lattice); +inf for the zero lattice."""
-    return L.gauge_exponent()
-
-
 class RadiusReport:
     """Estimates nu_n / n of the spectral exponent and the truncated radius.
 
@@ -200,10 +194,6 @@ class RadiusReport:
         if self.rho_exponent == INFINITY:
             return Fraction(0)
         return min(Fraction(0), self.rho_exponent)
-
-    @property
-    def rho1_is_one(self) -> bool:
-        return self.rho1_exponent == 0
 
     def __repr__(self):
         return (f"RadiusReport(rho_exponent={self.rho_exponent}, "
@@ -234,8 +224,7 @@ def rho1_estimate(S: Lattice, ctx, n_max: int) -> RadiusReport:
         best = Fraction(nu, n) if best is None else max(best, Fraction(nu, n))
         running.append(best)
     window = -(-n_max // 4)
-    converged = (len(running) > window
-                 and len(set(running[-window:])) == 1)
+    converged = len(set(running[-window:])) == 1
     # superadditivity of the gauge exponents is a hard invariant
     for m, num in nus.items():
         for n, nun in nus.items():

@@ -208,7 +208,7 @@ def test_04_spectral_oracle_agreement():
 
 
 def _triangle_verdicts(S, ctx):
-    a_true = rho1_estimate(S, ctx, 12).rho1_is_one
+    a_true = rho1_estimate(S, ctx, 12).rho1_exponent == 0
     probes = semi_dagger_probe(S, ctx, 1, [1, 2, 3], l_max=8)
     b_true = all(r.verdict == "bounded" for r in probes.values())
     chain, stabilized = lgb_closure(S, ctx, 8)

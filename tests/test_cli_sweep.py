@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from daggerkit import cli
+from daggerkit import cli, serialize
 from daggerkit.cli import dispatch
 
 R = ["--p", "5", "--precision", "8"]
@@ -91,3 +91,58 @@ def test_wrong_typed_json_keeps_the_contract(name, capsys):
                 if breach:
                     breaches.append((flag, wrong, breach))
     assert not breaches, breaches
+
+
+def _field(blob, **fields):
+    return json.dumps({**json.loads(blob), **fields})
+
+
+# an integer field takes a JSON integer or a string of decimal digits only:
+# a float there (1.5, 1e400, 2.0) is bad input, never truncated or a crash
+BAD_INTEGERS = {
+    "v overflow": ["scalar", *R, "--op", "val",
+                   "--x", '{"v":1e400,"u":"1"}'],
+    "v fraction": ["scalar", *R, "--op", "val", "--x", '{"v":1.5,"u":"1"}'],
+    "u fraction": ["scalar", *R, "--op", "val", "--x", '{"v":1,"u":1.9}'],
+    "pi_exponent overflow": ["lattice", *R, "--op", "scale", "--e", "0",
+                             "--lattice", _field(LATTICE, pi_exponent=1e400)],
+    "ambient_rank fraction": ["lattice", *R, "--op", "scale", "--e", "0",
+                              "--lattice", _field(LATTICE, ambient_rank=2.7)],
+    "D fraction": ["certify", *R, "--c", "1/2",
+                   "--series", _field(SERIES, D=3.9)],
+    "monoid rank": ["monoid", "--op", "compose", "--s", "[1,0]",
+                    "--t", "[0,1]", "--monoid", '{"kind":"Z","rank":2.0}'],
+    "certificate k": ["series-mul", *R, "--b", SERIES, "--a", _field(
+        SERIES, certificate={"c": "1/2", "k": 1.5})],
+    "Dz fraction": ["crossed", *R, "--action", ACTION, "--v", CROSSED,
+                    "--u", _field(CROSSED, Dz=2.5)],
+    "n fraction": ["crossed", *R, "--action", ACTION, "--v", CROSSED,
+                   "--u", CROSSED.replace('"n":1', '"n":1.0')],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INTEGERS))
+def test_integer_fields_take_integers_only(name, capsys):
+    code = dispatch(BAD_INTEGERS[name])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out.count("\n") == 1 and json.loads(out)["error"] == "input"
+    assert "Traceback" not in err
+
+
+def test_ring_fields_take_integers_only():
+    ring = {"backend": "padic", "p": "5", "precision": 8}
+    assert serialize.ring_from_json(ring).base == 5
+    for bad in ({"p": 5.0}, {"precision": 8.5}, {"precision": True}):
+        with pytest.raises(serialize.SchemaError):
+            serialize.ring_from_json({**ring, **bad})
+
+
+def test_deeply_nested_json_is_bad_input(tmp_path, capsys):
+    deep = "[" * 100000 + "]" * 100000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    for blob in (deep, f"@{path}"):
+        assert dispatch(["snf", *R, "--matrix", blob]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "input" and "nested" in out["detail"]

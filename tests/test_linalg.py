@@ -132,6 +132,24 @@ class TestCokernel:
         assert P.is_torsion_free()
         assert P.cokernel_invariants() == ([], 1)
 
+    def test_no_relations_answer_as_a_zero_relation(self):
+        # a vector zero at N is zero in the quotient whether the presentation
+        # has no relation column, a zero one, or relations=None
+        R = RingDescriptor("padic", 5, 4)
+        v = [R.pi(5), R.zero()]
+        assert v[0] == R.zero()
+        for rel in (None, MatrixV.zero(R, 2, 0), MatrixV.zero(R, 2, 1)):
+            P = ModulePresentation(R, 2, rel)
+            assert P.quotient_is_zero(v)
+            assert not P.quotient_is_zero([R.pi(3), R.zero()])
+        free = ModulePresentation(R, 6, None)
+        T = ModulePresentation(R, 2, MatrixV.zero(R, 2, 0)).tensor(
+            ModulePresentation(R, 3, None))
+        assert (T.relations.rows, T.relations.cols) == (6, 0)
+        assert T.relations == free.relations
+        assert T.cokernel_invariants() == free.cokernel_invariants() \
+            == ([], 6)
+
 
 class TestLattice:
     def test_standard_sum(self, ring):
@@ -357,7 +375,7 @@ class TestDescriptorChecks:
         assert (A + B) - B == A
         assert A.scale(r2.scalar(2)) == A + A
         assert A.kronecker(B).rows == 4
-        L1 = Lattice.from_matrix_columns(A)
+        L1 = Lattice.from_columns(r1, 2, list(zip(*A.raw)))
         L2 = Lattice.standard(r2, 2)
         assert L1.sum(L2) == L2
         assert L1.intersect(L2) == L1

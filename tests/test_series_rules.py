@@ -195,7 +195,10 @@ def ref_substitute(alpha, n, f):
     ring, monoid, k, cap = alpha.ring, alpha.monoid, alpha.k, f.degree_cap
     matrix, shift = ref_pair(alpha, n)
     # line j is shift_j + sum_i matrix[j, i] x_i (DaggerSeries drops zeros)
-    basis = [monoid.identity(), *monoid.generators()]
+    # the monomials 1, x_1, ..., x_k (e_i is the exponent vector of x_i)
+    basis = [monoid.identity(), *(monoid.element([int(i == j)
+                                                  for j in range(k)])
+                                  for i in range(k))]
     lines = [DaggerSeries(ring, monoid, dict(zip(
         basis, [shift[j]] + [matrix[j, i] for i in range(k)])), cap)
         for j in range(k)]

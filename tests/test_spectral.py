@@ -13,7 +13,7 @@ from daggerkit.monoid import MonoidDescriptor
 from daggerkit.ring import INFINITY, RingDescriptor, _PadicOps
 from daggerkit.series import DaggerSeries
 from daggerkit.spectral import (MatrixAlgebraContext, SeriesAlgebraContext,
-                                characteristic_polynomial, gauge_exponent,
+                                characteristic_polynomial,
                                 lattice_from_elements, lattice_product,
                                 lgb_closure, newton_polygon_rho,
                                 pi_multiplicative, rho1_estimate,
@@ -71,16 +71,16 @@ class TestGauge:
         gens = [mat(ring, [[1, 0], [0, 0]]), mat(ring, [[0, 1], [0, 0]]),
                 mat(ring, [[0, 0], [1, 0]]), mat(ring, [[0, 0], [0, 1]])]
         L = lattice_from_elements(ctx, gens).scale_by_pi(3)
-        assert gauge_exponent(L) == 3
+        assert L.gauge_exponent() == 3
 
     def test_min_valuation(self, ring, ctx):
         L = lattice_from_elements(ctx, [
             mat(ring, [[(-1, 1), 0], [0, 0]]),
             mat(ring, [[0, 0], [0, 1]])])
-        assert gauge_exponent(L) == -1
+        assert L.gauge_exponent() == -1
 
     def test_zero_lattice(self, ring, ctx):
-        assert gauge_exponent(Lattice.zero(ring, 4)) == INFINITY
+        assert Lattice.zero(ring, 4).gauge_exponent() == INFINITY
 
 
 class TestRho1:
