@@ -9,14 +9,16 @@ share this element model:
 * ``eqchar`` -- V = F_q[[t]], uniformiser pi = t, residue field F_q.
 
 Both backends keep a unit residue as one Python int and hand the same
-residue protocol (``add``, ``mul``, ``inv``, ``val``, ``shift_up``, ...,
-``encode``/``decode``) to ``ScalarElem``.  For ``padic`` the int is the
-residue in [0, p^N).  For ``eqchar``, q = p^m, it is a Kronecker
-substitution: the m base-p digits of the coefficient of t^i fill lanes
-i*w .. i*w + m - 1 of b bits, w = 2m - 1 lanes per t-degree, and b is
-derived from (p, m, N) so that the largest lane of an unreduced product
-fits (``_EqcharOps`` gives the bound).  ``encode`` maps either residue to
-the base-q (or base-p) integer that the JSON schemas carry.
+residue protocol (``add``, ``mul``, ``fma``, ``inv``, ``val``,
+``shift_up``, ..., ``encode``/``decode``) to ``ScalarElem``; ``fma(a, f,
+b)`` is a + f b in one reduction.  For ``padic`` the int is the residue in
+[0, p^N).  For ``eqchar``, q = p^m, it is a Kronecker substitution: the m
+base-p digits of the coefficient of t^i fill lanes i*w .. i*w + m - 1 of b
+bits, w = 2m - 1 lanes per t-degree, and b is derived from (p, m, N) so
+that the largest lane of an unreduced product plus an addend fits
+(``_EqcharOps`` gives the bound, and its reduction mod p for p = 2 is one
+mask).  ``encode`` maps either residue to the base-q (or base-p) integer
+that the JSON schemas carry.
 
 Norms are never materialised as floating-point numbers: |x| = eps^v with
 eps = |pi| < 1 symbolic, so every norm comparison in this package is a
@@ -30,7 +32,8 @@ indistinguishable from zero at precision N.  Equality compares stored
 representatives; the flag is advisory metadata.  One function,
 ``_scalar_rules``, holds the rules that set it, and both ScalarElem and the
 elimination kernel of ``linalg`` run them.  The kernel's row update
-``row + f * prow`` is one of these rules, the sum written out inline.
+``row + f * prow`` is one of these rules, the sum written out inline and
+each entry one ``fma``.
 
 Both backends invert a unit by Newton iteration at doubling precision,
 from its inverse modulo pi.
@@ -215,6 +218,9 @@ class _PadicOps:
     def mul(self, a, b):
         return (a * b) % self.modulus
 
+    def fma(self, a, f, b):
+        return (a + f * b) % self.modulus
+
     def inv(self, a):
         """Newton iteration g <- g (2 - a g) modulo p^k at doubling
         precision (von zur Gathen and Gerhard, 9.1) from the inverse of a
@@ -261,79 +267,101 @@ class _EqcharOps:
     product in F_p[x][t], one lane per (t, x)-degree pair: x-degrees reach
     at most 2m - 2 < w and no lane carries into the next t-degree.
 
-    Every operation ends in ``_normalise``, which masks to t^N, folds lanes
-    m .. 2m-2 back with the precomputed x^l mod modulus, and takes every
-    lane mod p with one multiply by mu = floor(2^b / p) + 1 per lane parity.
+    ``mul`` and ``fma(a, f, b) = a + f b`` end in one normalisation: it
+    masks to t^N, folds lanes m .. 2m-2 back with the precomputed
+    x^l mod modulus, and reduces every lane mod p, with one multiply by
+    mu = floor(2^b / p) + 1 per lane parity.  A sum of two stored residues,
+    or one times p - 1, has no lane to fold and none at t^N or above, so
+    ``add`` and ``neg`` run the lane-wise reduction alone.  For p = 2 that
+    reduction keeps bit 0 of each lane (one mask), ``add`` is XOR and
+    ``neg`` the identity.  These operations are closures over the ring's
+    constants, built once per ring.
 
     Lane width: a lane of a product holds at most N m (p-1)^2 before the
-    fold and (1 + (m-1)(p-1)) times that after it; k is the bit length of
-    this bound, or of p^2 when that is larger (sums and negations).
-    The lane-wise quotient by p is exact for lanes below 2^k when
-    2^b >= p 2^k, and the products x * mu of alternate lanes fit in 2b
-    bits, so b = k + ceil(log2 p).
+    fold and (1 + (m-1)(p-1)) times that after it, and the addend of
+    ``fma`` adds p - 1; k is the bit length of this bound, or of p^2 when
+    that is larger (sums and negations).  The lane-wise quotient by p is
+    exact for lanes below 2^k when 2^b >= p 2^k, and the products x * mu
+    of alternate lanes fit in 2b bits, so b = k + ceil(log2 p).
     """
 
     def __init__(self, q: int, precision: int):
         field = FiniteField(q)
         p, m, n = field.p, field.degree, precision
         w = 2 * m - 1
-        lane_max = max(p * p, n * m * (p - 1) ** 2 * (1 + (m - 1) * (p - 1)))
+        lane_max = max(p * p, n * m * (p - 1) ** 2 * (1 + (m - 1) * (p - 1))
+                       + p - 1)
         b = lane_max.bit_length() + (p - 1).bit_length()
         self.q = q
         self.p = p
         self.precision = precision
         self._b = b
-        self._stride = b * w
-        self._mu = (1 << b) // p + 1
-        self._block = (1 << self._stride) - 1
+        self._stride = stride = b * w
+        self._block = (1 << stride) - 1
         lane = (1 << b) - 1
-        lane0 = sum(lane << (self._stride * i) for i in range(n))
-        self._lane0 = lane0
-        self._low = sum(lane0 << (b * j) for j in range(m))
-        self._even = sum(lane << (2 * b * g) for g in range((n * w + 1) // 2))
-        self._folds = []
+        lane0 = sum(lane << (stride * i) for i in range(n))
+        self._low = low = sum(lane0 << (b * j) for j in range(m))
+        folds = []
         for e in range(m, w):
             rem = FiniteField._poly_powmod_x(e, field.modulus, p)
-            self._folds.append((b * e, sum(c << (b * j)
-                                           for j, c in enumerate(rem))))
+            folds.append((b * e, sum(c << (b * j) for j, c in enumerate(rem))))
+        if p == 2:
+            ones = low // lane  # bit 0 of every digit lane
+
+            def reduce(s):
+                return s & ones
+
+            def neg(a):
+                return a
+            add = int.__xor__
+        else:
+            mu, p1 = (1 << b) // p + 1, p - 1
+            even = sum(lane << (2 * b * g) for g in range((n * w + 1) // 2))
+
+            def reduce(s):
+                quot = (s & even) * mu >> b & even
+                quot |= ((s >> b & even) * mu >> b & even) << b
+                return s - p * quot
+
+            def neg(a):
+                return reduce(p1 * a)
+
+            def add(x, y):
+                return reduce(x + y)
+
+        def normalise(r):
+            s = r & low
+            for shift, rem in folds:
+                s += (r >> shift & lane0) * rem
+            return reduce(s)
+
+        def mul(x, y):
+            return normalise(x * y)
+
+        def fma(a, f, x):
+            return normalise(a + f * x)
+
+        def val(r):
+            return ((r & -r).bit_length() - 1) // stride if r else n
+
+        self._normalise, self.add, self.neg, self.mul, self.fma, self.val = \
+            normalise, add, neg, mul, fma, val
         # lane shift of every base-p digit of the base-q encoding, high first
         self._digits = [b * (i * w + j) for i in reversed(range(n))
                         for j in reversed(range(m))]
         # the masks and shift of each Newton step of ``inv``, from
         # ceil(k / 2) correct t-degrees to k = ..., ceil(N / 2), N
-        st, ks = self._stride, (-(-n >> i) for i in range(n.bit_length()))
-        self._newton = [((1 << st * k) - 1, st * (k - k // 2),
-                         (1 << st * (k // 2)) - 1) for k in ks if k > 1][::-1]
+        ks = (-(-n >> i) for i in range(n.bit_length()))
+        self._newton = [((1 << stride * k) - 1, stride * (k - k // 2),
+                         (1 << stride * (k // 2)) - 1)
+                        for k in ks if k > 1][::-1]
         self._unit_inv = {}  # GF(q) inverses of constant terms, q - 1 at most
-
-    def _normalise(self, r):
-        s = r & self._low
-        for shift, rem in self._folds:
-            s += (r >> shift & self._lane0) * rem
-        b, mu, even = self._b, self._mu, self._even
-        quot = (s & even) * mu >> b & even
-        quot |= ((s >> b & even) * mu >> b & even) << b
-        return s - self.p * quot
 
     def one(self):
         return 1
 
     def is_zero(self, r) -> bool:
         return r == 0
-
-    def val(self, r) -> int:
-        if not r:
-            return self.precision
-        return ((r & -r).bit_length() - 1) // self._stride
-
-    def add(self, a, b):
-        return self._normalise(a + b)
-
-    def neg(self, a):
-        return self._normalise((self.p - 1) * a)
-
-    def mul(self, a, b):
-        return self._normalise(a * b)
 
     def inv(self, a):
         """Newton iteration g <- g (2 - a g) at doubling precision (von zur
@@ -346,10 +374,10 @@ class _EqcharOps:
             if not c0:
                 raise ZeroDivisionError("inverse of a non-unit power series")
             g = self._unit_inv[c0] = self.pow(c0, self.q - 2)
-        norm, p1 = self._normalise, self.p - 1
+        norm, neg = self._normalise, self.neg
         for mask, shift, high in self._newton:
             h = norm((a & mask) * g & mask) >> shift
-            g |= norm(g * norm(p1 * h) & high) << shift
+            g |= norm(g * neg(h) & high) << shift
         return g
 
     def pow(self, a, e: int):
@@ -401,7 +429,8 @@ def _scalar_rules(ops, N):
     elimination, with the residue operations of ``ops`` bound once; a zero
     is (inf, None, lossy).  This is the one place that decides which digits
     of a result are known."""
-    add, neg, mul, val, one = ops.add, ops.neg, ops.mul, ops.val, ops.one()
+    add, neg, mul, fma, val = ops.add, ops.neg, ops.mul, ops.fma, ops.val
+    one = ops.one()
     up, down, mod = ops.shift_up, ops.shift_down, ops.mod_pi_power
 
     def plus(a, b):
@@ -447,7 +476,8 @@ def _scalar_rules(ops, N):
 
     def update(row, f, prow):
         """[plus(a, times(f, b)) for a, b in zip(row, prow)], f nonzero: the
-        row update of elimination, with ``plus`` written out."""
+        row update of elimination, with ``plus`` written out and each sum
+        of two nonzero entries one ``fma``."""
         fv, fu, fl = f
         out = []
         for a, (bv, bu, bl) in zip(row, prow):
@@ -455,14 +485,18 @@ def _scalar_rules(ops, N):
                 if fl or bl:  # f * b is a flagged zero, which flags a
                     a = (a[0], a[1], True)
             else:
-                tv, tu, tl = fv + bv, mul(fu, bu), fl or bl
+                tv, tl = fv + bv, fl or bl
                 av, au, al = a
                 if av == INFINITY:
-                    a = (tv, tu, tl or al)
+                    a = (tv, mul(fu, bu), tl or al)
                 else:
-                    v = av if av < tv else tv
-                    s = add(au if av == v else up(au, av - v),
-                            tu if tv == v else up(tu, tv - v))
+                    # one fused residue operation; modulo pi^N,
+                    # up(x * y, d) = up(x, d) * y
+                    if av < tv:
+                        v, s = av, fma(au, up(fu, tv - av), bu)
+                    else:
+                        v, s = tv, fma(au if av == tv else up(au, av - tv),
+                                       fu, bu)
                     w = val(s)
                     if not w:
                         a = (v, s, al or tl)

@@ -143,6 +143,12 @@ def element_to_json(s):
 
 
 def element_from_json(monoid: MonoidDescriptor, obj):
+    """A word for a free monoid, else a list of exponents, each read by
+    ``_int``."""
+    if monoid.kind != "free":
+        if not isinstance(obj, list):
+            raise SchemaError(f"bad monoid element: {obj!r} is not a list")
+        obj = [_int(c, "a monoid exponent") for c in obj]
     try:
         return monoid.element(obj)
     except (TypeError, ValueError) as exc:

@@ -118,6 +118,12 @@ BAD_INTEGERS = {
                     "--u", _field(CROSSED, Dz=2.5)],
     "n fraction": ["crossed", *R, "--action", ACTION, "--v", CROSSED,
                    "--u", CROSSED.replace('"n":1', '"n":1.0')],
+    "monoid exponent fraction": ["monoid", "--op", "compose", "--monoid", Z2,
+                                 "--s", "[1.5,0]", "--t", "[0,1]"],
+    "monoid exponent boolean": ["monoid", "--op", "compose", "--monoid", Z2,
+                                "--s", "[true,0]", "--t", "[0,1]"],
+    "series exponent fraction": ["series-mul", *R, "--b", SERIES, "--a",
+                                 SERIES.replace('"s":[1,0]', '"s":[1.7,0]')],
 }
 
 

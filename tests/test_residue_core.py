@@ -6,19 +6,23 @@ encoded ints, low t-degree first) and multiplies GF(q) elements with
 ``FiniteField``'s polynomial helpers.  The packed-int backend must agree
 with it on every operation of the residue protocol and on the base-q
 encoding that ``ScalarElem`` exposes through ``unit_encoded``, ``==`` and
-``hash``.
+``hash``.  The Z_p ``fma`` is checked against plain integers.
 """
 
+import random
+
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from daggerkit.ring import FiniteField, RingDescriptor
 
 SMALL_Q = (2, 3, 4, 5, 8, 9, 25, 27)
 PRECISIONS = (1, 2, 3, 40, 160)
-# p = 2^31 - 1: a lane of a product needs more than 64 bits
-CASES = [(q, n) for q in SMALL_Q for n in PRECISIONS] + [(2147483647, 8)]
+# p = 2^31 - 1: a lane of a product needs more than 64 bits; the addend of
+# fma widens the lanes of F_2, F_7 and F_8 at N = 7
+CASES = [(q, n) for q in SMALL_Q for n in PRECISIONS] + [
+    (2147483647, 8), (2, 7), (7, 7), (8, 7)]
 
 SETTINGS = settings(max_examples=10, deadline=None, derandomize=True,
                     database=None,
@@ -149,19 +153,37 @@ def setup(q, n):
 @pytest.mark.parametrize("q,n", CASES)
 def test_arithmetic_matches_reference(q, n):
     ring, ops, ref = setup(q, n)
+    worst = [q - 1] * n  # every digit p - 1: each lane reaches its bound
 
     @SETTINGS
-    @given(residues(q, n), residues(q, n), st.integers(0, 3))
-    def check(a, b, e):
-        pa, pb = ops.decode(ref.encode(a)), ops.decode(ref.encode(b))
+    @given(residues(q, n), residues(q, n), residues(q, n), st.integers(0, 3))
+    @example(worst, worst, worst, 3)
+    def check(a, b, c, e):
+        pa, pb, pc = (ops.decode(ref.encode(x)) for x in (a, b, c))
         assert ops.encode(pa) == ref.encode(a)
         assert ops.encode(ops.add(pa, pb)) == ref.encode(ref.add(a, b))
         assert ops.encode(ops.neg(pa)) == ref.encode(ref.neg(a))
         assert ops.encode(ops.mul(pa, pb)) == ref.encode(ref.mul(a, b))
+        assert ops.encode(ops.fma(pa, pb, pc)) == \
+            ref.encode(ref.add(a, ref.mul(b, c)))
         assert ops.encode(ops.pow(pa, e)) == ref.encode(ref.pow(a, e))
         assert ops.is_zero(ops.add(pa, ops.neg(pa)))
 
     check()
+
+
+@pytest.mark.parametrize("n", PRECISIONS)
+@pytest.mark.parametrize("p", (2, 5, 2147483647))
+def test_padic_fma_is_plain_int(p, n):
+    """``fma(a, f, b)`` of Z_p is (a + f b) mod p^N, the largest residue
+    included."""
+    ops, modulus = RingDescriptor("padic", p, n).ops, p ** n
+    rng = random.Random(f"fma-{p}-{n}")
+    top = modulus - 1
+    for a, f, b in [(top, top, top), (0, top, 1), (top, 0, top)] + [
+            tuple(rng.randrange(modulus) for _ in range(3))
+            for _ in range(20)]:
+        assert ops.fma(a, f, b) == (a + f * b) % modulus, (a, f, b)
 
 
 # 17 and 33 need one Newton step more than 16 and 32: the last doubles

@@ -10,7 +10,7 @@ ScalarElem method bodies as they were before the rules moved, kept here
 verbatim on a reference scalar.  Outputs must be identical: the same
 valuation, unit residue and ``lossy`` flag, and the same exceptions.
 
-Inputs run over padic p in {2, 5} and eqchar q in {4, 9} at N in
+Inputs run over padic p in {2, 5} and eqchar q in {2, 4, 5, 9} at N in
 {1, 3, 40}: zeros, flagged zeros, effectively-zero entries (N <= v < inf),
 entries of K, flagged entries, and pairs whose sum cancels exactly or in
 its leading digits only.  Each sweep asserts that it met both kinds of
@@ -33,7 +33,8 @@ from hypothesis import strategies as st
 from daggerkit.linalg import _Kernel
 from daggerkit.ring import INFINITY, RingDescriptor, ScalarElem
 
-RINGS = [("padic", 2), ("padic", 5), ("eqchar", 4), ("eqchar", 9)]
+RINGS = [("padic", 2), ("padic", 5), ("eqchar", 2), ("eqchar", 4),
+         ("eqchar", 5), ("eqchar", 9)]
 PRECISIONS = (1, 3, 40)
 CASES = [(b, base, n) for b, base in RINGS for n in PRECISIONS]
 
