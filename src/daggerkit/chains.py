@@ -16,24 +16,31 @@ descriptors can differ in their flags or in the descriptor their results
 carry, and a new context replaces the chain.  The factor a step multiplies
 by (a torus generator, a substituted line) is made once per chain; it must
 not refer to the owner, which would then outlive its last use.  A link
-already built costs one lookup (``held``).  A chain is read, never
-rebuilt, so owners must not change once they have been used.
+already built costs one dict read and an identity test per entry of the
+context (``held``).  A chain is read, never rebuilt, so owners must not
+change once they have been used.
 """
 
 from __future__ import annotations
-
-import operator
 
 _NONE: dict = {}
 
 
 def held(owner, name, context: tuple, n: int):
-    """x_n if owner keeps it under name for this context, else None."""
+    """x_n if owner keeps it under name for this context, else None.  A hit
+    costs one dict read and an identity test per entry of the context."""
     chain = getattr(owner, "_chains", _NONE).get(name)
-    if chain is None or not 0 < n <= len(chain[1]) or \
-            any(map(operator.is_not, chain[0], context)):
+    if chain is None:
         return None
-    return chain[1][n - 1]
+    kept, links, _ = chain
+    if not 0 < n <= len(links) or len(kept) != len(context):
+        return None
+    i = 0  # an index loop: zip or map(operator.is_not) cost more per hit
+    for x in context:
+        if x is not kept[i]:
+            return None
+        i += 1
+    return links[n - 1]
 
 
 def link(owner, name, context: tuple, start, step, n: int, factor=None):
@@ -51,7 +58,8 @@ def link(owner, name, context: tuple, start, step, n: int, factor=None):
     if chains is None:
         chains = owner._chains = {}
     chain = chains.get(name)
-    if chain is None or any(map(operator.is_not, chain[0], context)):
+    # a chain under another context, or with no link yet, is begun anew
+    if chain is None or held(owner, name, context, 1) is None:
         chain = chains[name] = (context, [], factor and factor())
     links, g = chain[1], chain[2]
     while len(links) < n:

@@ -106,7 +106,7 @@ def _image(alpha: AffineAction, n: int, cap: int, data) -> DaggerSeries:
             packing.key([int(i == c) for c in range(alpha.k)])
             for i in range(alpha.k)]
         return DaggerSeries._of(ring, monoid, dict(zip(
-            basis, (shift[j], *matrix.raw[j]))), cap)
+            basis, (shift[j], *matrix.raw[j]))), packing)
 
     term = None
     for j, e in enumerate(data):
@@ -137,7 +137,8 @@ def _substitute(alpha: AffineAction, n: int,
             image = images[s] = _image(alpha, n, cap, packing.data(s))
         for t, y in image.raw.items():
             _add_term(acc, t, times(x, y), plus)
-    return DaggerSeries._of(ring, alpha.monoid, acc, cap)
+    return DaggerSeries._of(ring, alpha.monoid, acc,
+                            alpha.monoid.packing(cap))
 
 
 def act(alpha: AffineAction, n: int, f: DaggerSeries) -> DaggerSeries:
@@ -251,7 +252,7 @@ def crossed_mul(u: CrossedElem, v: CrossedElem, alpha: AffineAction,
     sums: dict[int, dict] = {}
     truncated_at = set()
     dropped = False
-    plus = u.ring._plus
+    plus, packing = u.ring._plus, u.monoid.packing(u.degree_cap)
     for p, a_p in u.terms.items():
         for q, b_q in v.terms.items():
             n = p + q
@@ -264,7 +265,7 @@ def crossed_mul(u: CrossedElem, v: CrossedElem, alpha: AffineAction,
                 _add_term(terms, s, x, plus)
             if coefficient.truncated:
                 truncated_at.add(n)
-    out = {n: DaggerSeries._of(u.ring, u.monoid, terms, u.degree_cap,
+    out = {n: DaggerSeries._of(u.ring, u.monoid, terms, packing,
                                truncated=n in truncated_at)
            for n, terms in sums.items()}
     return CrossedElem(u.ring, u.monoid, out, cap, u.degree_cap,

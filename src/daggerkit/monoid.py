@@ -59,12 +59,20 @@ class MonoidDescriptor:
 
     def normal(self, data):
         """(data, length) of a valid element: exponents as a tuple of ints
-        of the right rank (nonnegative for N^k), or a word."""
+        of the right rank (nonnegative for N^k), each read with
+        ``operator.index`` (so 1.5 and True are refused), or a word."""
         if self.kind == "free":
             if not isinstance(data, str):
                 raise ValueError("free monoid elements are words")
             return data, len(data)
-        data = tuple(int(c) for c in data)
+        try:
+            data = tuple(data)
+            ok = bool not in map(type, data)  # operator.index reads True as 1
+            data = tuple(map(operator.index, data))
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError("monoid exponents must be integers")
         if len(data) != self.rank:
             raise ValueError("exponent vector has wrong rank")
         if self.kind == "N" and any(c < 0 for c in data):

@@ -550,6 +550,7 @@ class RingDescriptor:
         self.precision = precision
         (self._plus, self._minus, self._times, self._over, self._split,
          self._update) = _scalar_rules(self.ops, precision)
+        self._one = self.ops.one()  # the unit residue 1, read per product
 
     def __eq__(self, other):
         return (isinstance(other, RingDescriptor)

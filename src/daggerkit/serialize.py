@@ -155,16 +155,6 @@ def element_from_json(monoid: MonoidDescriptor, obj):
         raise SchemaError(f"bad monoid element: {exc}") from exc
 
 
-def cocycle_to_json(c: Cocycle) -> dict:
-    from .monoid import BicharacterCocycle, TrivialCocycle
-    if isinstance(c, TrivialCocycle):
-        return {"kind": "trivial"}
-    if isinstance(c, BicharacterCocycle):
-        return {"kind": "bicharacter", "lambda": scalar_to_json(c.lam),
-                "Q": [list(row) for row in c.Q]}
-    raise SchemaError(f"cocycle {c!r} has no JSON form")
-
-
 def cocycle_from_json(ring: RingDescriptor, obj) -> Cocycle:
     from .monoid import BicharacterCocycle, TrivialCocycle
     if not isinstance(obj, (dict, type(None))):

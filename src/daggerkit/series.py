@@ -23,12 +23,17 @@ A product of keys is ``monoid.compose`` and each term pair's cocycle value
 is the cocycle's ``value`` on the keys; a value of exactly 1 is not
 multiplied in.  Two one-term factors (most products: torus monomials and
 chain steps) skip the accumulator and test only the length of their one
-product.  Powers are left-to-right chains 1, 1 * x, (1 * x) * x, ...
-(``chains.link``).  ``torus_monomial`` reads the powers of U1 and U2 off
-chains the cocycle keeps while it lives, where a link already made costs
-one lookup; the products are the ones repeated multiplication makes, so
-the results are the same, but a cocycle must not change once it has been
-used.  ``series_pow`` keeps nothing.
+product.  Beyond its terms, a call pays a small fixed cost: ``_of`` takes
+the packing its caller already holds, ``mul`` passes factors with the same
+ring and packing (so the same monoid and cap) on identity tests alone and
+reads the ring's 1 kept on the ring, and two series with equal raw dicts
+are equal after one dict comparison, with no triple windowed.  Powers are
+left-to-right chains 1, 1 * x, (1 * x) * x, ... (``chains.link``).
+``torus_monomial`` reads the powers of U1 and U2 off chains the cocycle
+keeps while it lives, where a link already made costs one dict read and
+two identity tests; the products are the ones repeated multiplication
+makes, so the results are the same, but a cocycle must not change once it
+has been used.  ``series_pow`` keeps nothing.
 """
 
 from __future__ import annotations
@@ -152,21 +157,22 @@ class DaggerSeries:
         self.certificate = certificate
 
     @classmethod
-    def _of(cls, ring, monoid, raw: dict, degree_cap: int,
+    def _of(cls, ring, monoid, raw: dict, packing,
             certificate: GrowthCertificate | None = None,
             truncated: bool = False) -> "DaggerSeries":
-        """A series on raw, a dict of triples keyed by the monoid's packing
-        at degree_cap; its zeros (v = inf) are removed in place."""
+        """A series on raw, a dict of triples keyed by ``packing``, the
+        monoid's packing at the series' cap, which the caller holds already
+        (so a call makes no lookup); its zeros (v = inf) are removed in
+        place."""
         for x in raw.values():  # a list of keys only when there is a zero
             if x[0] == INFINITY:
                 for key in [k for k, y in raw.items() if y[0] == INFINITY]:
                     del raw[key]
                 break
         a = object.__new__(cls)
-        a.ring, a.monoid, a.packing, a.raw = \
-            ring, monoid, monoid.packing(degree_cap), raw
+        a.ring, a.monoid, a.packing, a.raw = ring, monoid, packing, raw
         a.degree_cap, a.truncated, a.certificate, a._terms = \
-            degree_cap, truncated, None, None
+            packing.cap, truncated, None, None
         if certificate is not None:
             a._certify(certificate)
         return a
@@ -191,19 +197,18 @@ class DaggerSeries:
 
     @classmethod
     def unit(cls, ring, monoid, degree_cap) -> "DaggerSeries":
-        return cls._of(ring, monoid, {monoid.packing(degree_cap).identity:
-                                      (0, ring.ops.one(), False)}, degree_cap)
+        p = monoid.packing(degree_cap)
+        return cls._of(ring, monoid, {p.identity: (0, ring._one, False)}, p)
 
     @classmethod
     def _basis(cls, ring, monoid, data, length, degree_cap) -> "DaggerSeries":
         """delta_s for the element s of monoid with valid data and length,
         keyed through the packing with no element or scalar built."""
-        key = monoid.packing(degree_cap).key
+        p = monoid.packing(degree_cap)
         if length > degree_cap:
             raise ValueError(f"term of length {length} above the degree cap "
                              f"{degree_cap}")
-        return cls._of(ring, monoid, {key(data): (0, ring.ops.one(), False)},
-                       degree_cap)
+        return cls._of(ring, monoid, {p.key(data): (0, ring._one, False)}, p)
 
     # -- queries --
 
@@ -238,13 +243,18 @@ class DaggerSeries:
     def __eq__(self, other):
         """Coefficientwise equality at the truncation (``RingDescriptor.seen``
         on the triples); certificates and flags are metadata and do not
-        participate."""
+        participate.  Equal raw dicts are equal at once; otherwise only the
+        triples whose v or u differ are windowed."""
         if not isinstance(other, DaggerSeries):
             return NotImplemented
-        if (self.ring, self.monoid, self.degree_cap) != \
+        if (self.ring is not other.ring or self.packing is not other.packing) \
+                and (self.ring, self.monoid, self.degree_cap) != \
                 (other.ring, other.monoid, other.degree_cap):
             return False
-        seen, mine, theirs = self.ring.seen, self.raw, other.raw
+        mine, theirs = self.raw, other.raw
+        if mine == theirs:  # equal triples agree in every window
+            return True
+        seen = self.ring.seen
         for key, x in mine.items():
             y = theirs.get(key, _ZERO)
             if x[:2] != y[:2] and seen(x) != seen(y):
@@ -288,8 +298,11 @@ def mul(a: DaggerSeries, b: DaggerSeries,
     """Twisted convolution: coefficient of u is the sum over s t = u of
     x_s y_t c(s, t), truncated to lengths <= D with a flag on drops.  Two
     one-term factors make their one term with no accumulator."""
-    a._compat(b)
-    ring, cap, packing = a.ring, a.degree_cap, a.packing
+    ring, packing = a.ring, a.packing
+    # a packing belongs to one monoid at one cap, so identical rings and
+    # packings need no further test
+    if ring is not b.ring or packing is not b.packing:
+        a._compat(b)
     if cocycle is None:
         # kept on the ring: a module-level cache would keep rings alive
         cocycle = getattr(ring, "_trivial", None)
@@ -297,7 +310,8 @@ def mul(a: DaggerSeries, b: DaggerSeries,
             cocycle = ring._trivial = TrivialCocycle(ring)
     value = cocycle.value if cocycle.keyed else \
         _by_elements(cocycle, a.monoid)
-    times, one, length = ring._times, ring.ops.one(), packing.length
+    times, one, length, cap = ring._times, ring._one, packing.length, \
+        packing.cap
     out: dict = {}
     if len(a.raw) == 1 == len(b.raw):
         (s, x), = a.raw.items()
@@ -328,7 +342,7 @@ def mul(a: DaggerSeries, b: DaggerSeries,
                 if c.v or c.u != one or c.lossy:
                     xy = times(xy, (c.v, c.u, c.lossy))
                 _add_term(out, u, xy, plus)
-    return DaggerSeries._of(ring, a.monoid, out, cap,
+    return DaggerSeries._of(ring, a.monoid, out, packing,
                             _product_certificate(a.certificate,
                                                  b.certificate),
                             truncated=dropped or a.truncated or b.truncated)
@@ -347,7 +361,7 @@ def add_scale(a: DaggerSeries, b: DaggerSeries,
         for t, y in b.raw.items():
             _add_term(out, t, times(scale, y), plus)
     cert = _sum_certificate(a, b, s)
-    return DaggerSeries._of(a.ring, a.monoid, out, a.degree_cap, cert,
+    return DaggerSeries._of(a.ring, a.monoid, out, a.packing, cert,
                             truncated=a.truncated or b.truncated)
 
 
@@ -449,9 +463,10 @@ def torus_monomial(ring, monoid, cocycle, s1: int, s2: int,
     of its inverse, whichever the sign asks for.  The powers are links of
     chains the cocycle keeps while it lives, one per cap, generator and
     sign, so a table of monomials makes one product per monomial plus one
-    per new link, and reads a link already made in one lookup; a cocycle
-    of None keeps none.  The chains are read, not rebuilt, so a cocycle
-    must not change once it has been used."""
+    per new link, and reads a link already made with one dict read and
+    two identity tests (``chains.held``); a cocycle of None keeps none.
+    The chains are read, not rebuilt, so a cocycle must not change once it
+    has been used."""
     context = (ring, monoid)
     return mul(_torus_power(context, cocycle, degree_cap, 0, s1),
                _torus_power(context, cocycle, degree_cap, 1, s2), cocycle)

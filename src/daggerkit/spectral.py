@@ -84,7 +84,8 @@ class SeriesAlgebraContext:
         self.cocycle = cocycle
         self.basis = monoid.elements_up_to_length(degree_cap)
         self.dim = len(self.basis)
-        key = monoid.packing(degree_cap).key
+        self._packing = monoid.packing(degree_cap)
+        key = self._packing.key
         self._keys = [key(s.data) for s in self.basis]
         self._slots = {k: i for i, k in enumerate(self._keys)}
 
@@ -92,7 +93,7 @@ class SeriesAlgebraContext:
     def associative(self) -> bool:
         """No cocycle, and lengths add (N^k): overflow terms form an ideal."""
         return (self.cocycle is None
-                and self.monoid.packing(self.degree_cap).additive)
+                and self._packing.additive)
 
     def _vector(self, a: DaggerSeries) -> list:
         """The coordinates of a as (v, u, lossy) triples."""
@@ -103,8 +104,7 @@ class SeriesAlgebraContext:
         slots, raw = self._slots, a.raw
         if a.degree_cap != self.degree_cap:
             # a's keys have fields of another width
-            key, data = self.monoid.packing(self.degree_cap).key, \
-                a.packing.data
+            key, data = self._packing.key, a.packing.data
             raw = {key(data(s)): x for s, x in raw.items()}
         for s, x in raw.items():
             vec[slots[s]] = x
@@ -116,7 +116,7 @@ class SeriesAlgebraContext:
     def from_vector(self, vec) -> DaggerSeries:
         """The series with coordinates vec, of ScalarElem or triples."""
         return DaggerSeries._of(self.ring, self.monoid, dict(zip(
-            self._keys, _raw(self.ring, vec))), self.degree_cap)
+            self._keys, _raw(self.ring, vec))), self._packing)
 
     def product(self, a: DaggerSeries, b: DaggerSeries) -> DaggerSeries:
         return series_mul(a, b, self.cocycle)

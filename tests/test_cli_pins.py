@@ -7,7 +7,9 @@ precision and Smith forms dropped unread transforms, before lattice sums
 returned a lattice that nothing is added to and products skipped zero
 pairs, and while sums that grow still rebuilt their Hermite form.  The
 last three stdout pins were recorded once every lattice was built in the
-canonical form, one truncation window for all.
+canonical form, one truncation window for all, and the two F_q[[t]]
+``nctorus`` pins before the twisted-series products, basis series,
+equalities and chain reads paid only for their terms.
 
 The help pins were recorded while the CLI still imported every module at
 start-up; the parser's text and choices must not depend on what is loaded.
@@ -118,6 +120,15 @@ PINS = [
       "--vector", '["pi^3","0"]']),
     ("2b4168426f80a22396c89b2ecaa2d1d4b41858eb848ea2540738e42f8ab6f258", 0,
      ["lattice", "--op", "scale", "--e", "2", *P5_3, "--lattice", L]),
+    # over F_4[[t]] and F_9[[t]], lambda = 6 is not 1 (7 is 1 in
+    # characteristic 2 and 3): the p = 2 lanes and the odd-p lanes.  The
+    # output is verdicts only, so both print the same bytes
+    ("72e10b33cc193896027d2a574d84ab9ffe5553da08efb61fcf59fc3ddc9b7965", 0,
+     ["nctorus", "--q", "4", "--precision", "20", "--D", "6",
+      "--lambda", '{"v":0,"u":"6"}']),
+    ("72e10b33cc193896027d2a574d84ab9ffe5553da08efb61fcf59fc3ddc9b7965", 0,
+     ["nctorus", "--q", "9", "--precision", "20", "--D", "6",
+      "--lambda", '{"v":0,"u":"6"}']),
 ]
 
 

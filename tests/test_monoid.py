@@ -56,6 +56,19 @@ class TestCompose:
             assert inv.length == s.length
 
 
+class TestElements:
+    def test_exponents_must_be_integers(self):
+        # int() read (1.5, True) as (1, 1); operator.index refuses both
+        for monoid, data in ((Z2, (1.5, True)), (Z2, (1, True)),
+                             (Z2, (2.0, 0)), (Z2, ("1", 0)), (N2, (0, 0.5)),
+                             (N2, (False, 1))):
+            with pytest.raises(ValueError, match="must be integers"):
+                monoid.element(data)
+        s = Z2.element([3, -1])
+        assert s.data == (3, -1) and type(s.data[0]) is int
+        assert s.length == 4
+
+
 class TestLengthGe1:
     def test_identity_counts_one(self):
         assert length_ge1(Z2.identity()) == 1

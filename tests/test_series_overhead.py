@@ -6,9 +6,10 @@ unscaled basis series through the packing; ``mul`` with no cocycle reuses
 one ``TrivialCocycle`` per ring; ``BicharacterCocycle.value`` reads the
 packed fields of its keys; ``MonoidDescriptor.elements_up_to_length``
 builds level by level; ``torus_monomial`` reads a link already made in one
-lookup.  The versions these replaced are kept here, as they were, as the
-reference: the ``mul`` loop (with ``_keyed``), the recursive
-``elements_up_to_length`` and ``DaggerSeries.delta``.
+lookup; ``mul`` passes identical descriptors on identity tests.  The
+versions these replaced are kept here, as they were, as the reference: the
+``mul`` loop (with ``_keyed``), the recursive ``elements_up_to_length`` and
+``DaggerSeries.delta``.
 
 The outputs must be identical: every (key, (v, u, lossy)) of ``raw`` in
 dict order, ``truncated`` and the certificate, the enumeration order, and
@@ -25,6 +26,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from daggerkit import chains
 from daggerkit.monoid import (BicharacterCocycle, Cocycle, MonoidDescriptor,
                               MonoidElem, TableCocycle, TrivialCocycle,
                               compose)
@@ -81,7 +83,7 @@ def ref_mul(a, b, cocycle=None):
             if c.v or c.u != one or c.lossy:
                 xy = times(xy, (c.v, c.u, c.lossy))
             _add_term(out, u, xy, plus)
-    return DaggerSeries._of(ring, a.monoid, out, cap,
+    return DaggerSeries._of(ring, a.monoid, out, packing,
                             _product_certificate(a.certificate,
                                                  b.certificate),
                             truncated=dropped or a.truncated or b.truncated)
@@ -192,6 +194,15 @@ def some_cocycle(draw, ring, monoid):
         unit(draw, ring) for _ in range(draw(st.integers(1, 4)))})
 
 
+def twin(a):
+    """a under a new ring and monoid descriptor equal to its own."""
+    ring = RingDescriptor(a.ring.backend, a.ring.base, a.ring.precision)
+    monoid = MonoidDescriptor(a.monoid.kind, a.monoid.rank)
+    return DaggerSeries._of(ring, monoid, dict(a.raw),
+                            monoid.packing(a.degree_cap), a.certificate,
+                            a.truncated)
+
+
 def assert_same(got, want):
     assert (got.ring, got.monoid, got.degree_cap) == \
         (want.ring, want.monoid, want.degree_cap)
@@ -222,6 +233,16 @@ class TestMul:
         assert err == ref_err
         if err is None:
             assert_same(got, want)
+        # equal descriptors that are not the same objects give that product
+        assert_same(mul(a, twin(b), cocycle), got)
+        assert_same(mul(twin(a), b, cocycle), got)
+        # a factor at another cap is refused, identical descriptors or not
+        other = DaggerSeries._of(ring, monoid, dict(b.raw),
+                                 monoid.packing(cap + 1))
+        for x, y in ((a, other), (other, a), (twin(a), other)):
+            assert outcome(mul, x, y, cocycle)[1] == \
+                (ValueError, "degree cap mismatch") == \
+                outcome(ref_mul, x, y, cocycle)[1]
 
     @SETTINGS
     @given(st.data())
@@ -377,6 +398,29 @@ def test_chain_hits_follow_their_context():
             got = torus_monomial(r, m, cocycle, s1, s2, 4)
             assert got.ring is r and got.monoid is m
             assert_same(got, ref_torus_monomial(r, m, cocycle, s1, s2, 4))
+            # each chain read was made under this context
+            for axis, n in enumerate((s1, s2)):
+                if n:
+                    context, links, _ = cocycle._chains[
+                        (4, axis, 1 if n > 0 else -1)]
+                    assert context[0] is r and context[1] is m
+                    assert all(x.ring is r and x.monoid is m for x in links)
+    # a context of new objects, or of another length, is a miss that
+    # rebuilds the chain
+    owner = type("Owner", (), {})()
+    starts = []
+
+    def power(context, n):
+        return chains.link(owner, "x", context,
+                           lambda: starts.append(context) or 1,
+                           lambda x: 2 * x, n)
+
+    assert power((ring, Z2), 3) == 8 and len(starts) == 1
+    assert chains.held(owner, "x", (ring, Z2), 2) == 4
+    for context in ((twin_ring, Z2), (ring,), (ring, Z2, Z2), ()):
+        assert chains.held(owner, "x", context, 2) is None
+        assert power(context, 3) == 8 and starts[-1] is context
+        assert chains.held(owner, "x", context, 2) == 4
 
 
 @pytest.mark.parametrize("backend, base", RINGS)

@@ -498,7 +498,8 @@ def test_powers_and_torus_monomials(backend, base, n):
 def test_equality(backend, base, n):
     """``==`` on the triples agrees with coefficientwise ScalarElem
     equality: on random pairs, on copies that differ only in flags or in
-    digits above the window, and against terms with N <= v < inf."""
+    digits above the window, on equal raw dicts under equal or other
+    descriptors, and against terms with N <= v < inf."""
     ring = make_ring(backend, base, n)
     rng = random.Random(f"eq {backend} {base} {n}")
     met = Counter()
@@ -520,8 +521,16 @@ def test_equality(backend, base, n):
             tiny = add_scale(a, DaggerSeries.delta(
                 ring, monoid, monoid.random_element(rng, cap), cap),
                 ring.pi(n))
-            others = (a, b, flagged, nudged, tiny, mul(a, b),
-                      DaggerSeries.zero(ring, monoid, cap),
+            # equal raw dicts: a copy, the same under equal descriptors that
+            # are other objects, and the same under another precision
+            twin_monoid = MonoidDescriptor(monoid.kind, monoid.rank)
+            copy = DaggerSeries._of(ring, monoid, dict(a.raw), a.packing)
+            twin = DaggerSeries._of(make_ring(backend, base, n), twin_monoid,
+                                    dict(a.raw), twin_monoid.packing(cap))
+            finer = DaggerSeries._of(make_ring(backend, base, n + 1), monoid,
+                                     dict(a.raw), a.packing)
+            others = (a, b, flagged, nudged, tiny, mul(a, b), copy, twin,
+                      finer, DaggerSeries.zero(ring, monoid, cap),
                       DaggerSeries(ring, monoid, a.terms, cap + 1))
             for x in (a, b, tiny):
                 for y in others:
@@ -529,6 +538,7 @@ def test_equality(backend, base, n):
                     assert (y == x) == ref_eq(y, x)
                     met[x == y] += 1
             assert a == flagged and a == nudged and a == tiny
+            assert a == copy and a == twin and a != finer
     assert met[True] and met[False]
 
 
