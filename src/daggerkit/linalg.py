@@ -18,13 +18,14 @@ of ``det``, ``inverse``, ``snf``, the Hermite form behind
 *Algorithms for Matrix Canonical Forms*, 2000) and of matrix products on
 these triples.  Its parts: a pivot search for the first entry of least
 valuation below N (over a DVR it divides every entry in scope, so one pass
-per pivot suffices and precision loss is minimised), one row update
-``row + f*pivot_row`` (eliminations negate f; it is the ring's scalar rule
-``_update``), one Hermite pivot step ``settle`` that both the rebuild and
-the insertion of ``Lattice.sum`` run, one ordered dot accumulation and one
-product over nonzero pairs only, in the dot's order.  Quotients are the
-ring's rule, with no cached inverse: pivots are scaled to a unit of 1
-before rows are cleared, and ``det`` inverts each pivot once.
+per pivot suffices and precision loss is minimised), one Hermite pivot
+step ``settle`` that both the rebuild and the insertion of ``Lattice.sum``
+run, and one multiply-accumulate, the ring's scalar rule ``_accumulate``,
+that the row update ``row + f*pivot_row`` (eliminations negate f), the
+ordered dot and the product over nonzero pairs (in the dot's order) share.
+A sum in it reads a valuation only when its summands' valuations tie.
+Quotients are the ring's rule, with no cached inverse: pivots are scaled to
+a unit of 1 before rows are cleared, and ``det`` inverts each pivot once.
 
 One truncation window: every way of building a ``Lattice`` returns the
 canonical form of its docstring, which ``from_columns`` of its generators
@@ -77,17 +78,19 @@ def _eye(ring, n):
 
 class _Kernel:
     """Elimination on triples over one ring; a zero is (inf, None, lossy).
-    Its arithmetic is the ring's scalar rules: ``scale``, ``over``,
-    ``update`` (the ring's rule ``_update``) and ``dot`` give c * a, a / b,
-    [a + f * b for a, b in zip(row, prow)] and the sum of a * b over the
-    pairs without a zero factor, which ``product`` takes for each entry."""
+    Its arithmetic is the ring's scalar rules, and it binds no residue
+    operation: ``scale`` and ``over`` give c * a and a / b, and one
+    multiply-accumulate, the ring's rule ``_accumulate``, adds f * b into
+    entries in place for ``update`` (the ring's rule ``_update``, [a + f * b
+    for a, b in zip(row, prow)]), ``dot`` (the sum of a * b over the pairs
+    without a zero factor) and ``product`` (one ``dot`` per entry).  A sum
+    reads a valuation only when its summands' valuations tie."""
 
     def __init__(self, ring: RingDescriptor):
-        ops = ring.ops
-        self.N, self.one, self.mul = ring.precision, ops.one(), ops.mul
-        self.plus, self.minus, self.times, self.over, self.split = (
-            ring._plus, ring._minus, ring._times, ring._over, ring._split)
-        self.update = ring._update
+        self.N, self.one = ring.precision, ring.ops.one()
+        self.minus, self.times, self.over, self.split = (
+            ring._minus, ring._times, ring._over, ring._split)
+        self.accumulate, self.update = ring._accumulate, ring._update
 
     @staticmethod
     def of(ring):
@@ -148,24 +151,20 @@ class _Kernel:
             among)
 
     def dot(self, xs, ys):
-        plus, times, acc = self.plus, self.times, None
+        acc, accumulate = [_ZERO], self.accumulate
         for x, y in zip(xs, ys):
             if x[0] != INFINITY and y[0] != INFINITY:
-                # the first term starts the sum, as plus(_ZERO, term) would
-                acc = times(x, y) if acc is None else plus(acc, times(x, y))
-        return _ZERO if acc is None else acc
+                accumulate(acc, x, ((0, y),))
+        return acc[0]
 
     def product(self, a, b, n):
         """Rows of a * b (n columns) from ``_sparse`` rows: each entry sums
-        its pairs in increasing k, as ``dot`` (Gustavson, TOMS 1978); each
-        pair's product is built inline, as ``times`` builds it."""
-        plus, mul, out = self.plus, self.mul, []
+        its pairs in increasing k, as ``dot`` (Gustavson, TOMS 1978)."""
+        accumulate, out = self.accumulate, []
         for row in a:
-            acc = [_ZERO] * n  # the rules build new triples, never _ZERO
-            for k, (xv, xu, xl) in row:
-                for j, (yv, yu, yl) in b[k]:
-                    t, x = acc[j], (xv + yv, mul(xu, yu), xl or yl)
-                    acc[j] = x if t is _ZERO else plus(t, x)
+            acc = [_ZERO] * n
+            for k, x in row:
+                accumulate(acc, x, b[k])
             out.append(acc)
         return out
 

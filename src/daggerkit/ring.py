@@ -31,9 +31,12 @@ stored digits -- cancellation in a sum, or a residue that is
 indistinguishable from zero at precision N.  Equality compares stored
 representatives; the flag is advisory metadata.  One function,
 ``_scalar_rules``, holds the rules that set it, and both ScalarElem and the
-elimination kernel of ``linalg`` run them.  The kernel's row update
-``row + f * prow`` is one of these rules, the sum written out inline and
-each entry one ``fma``.
+elimination kernel of ``linalg`` run them.  One of these rules,
+``accumulate``, adds f * b into entries in place, the sum written out and
+each sum of two nonzero entries one ``fma``; matrix products, dots and the
+row update ``row + f * prow`` all run it.  A sum reads the valuation of its
+residue only when the summands' valuations tie: an untied sum of units is a
+unit.
 
 Both backends invert a unit by Newton iteration at doubling precision,
 from its inverse modulo pi.
@@ -182,44 +185,94 @@ class FiniteField:
         raise RuntimeError(f"no irreducible polynomial of degree {m} over F_{p}")
 
 
+class _Powers(dict):
+    """p^k for k >= 0, each computed on its first read."""
+
+    def __init__(self, p: int):
+        super().__init__()
+        self.p = p
+
+    def __missing__(self, k):
+        self[k] = power = self.p**k
+        return power
+
+
 class _PadicOps:
-    """Unit-residue arithmetic for V = Z_p: residues are ints in [0, p^N)."""
+    """Unit-residue arithmetic for V = Z_p: residues are ints in [0, p^N).
+
+    ``add``, ``neg``, ``mul``, ``fma``, ``val``, ``shift_up``,
+    ``shift_down`` and ``mod_pi_power`` are closures built once per ring
+    over the modulus p^N and a table of p^0, ..., p^N, so no call computes
+    a power of p.  The table is a list built up front when it holds at most
+    about 2^24 bits, N^2 log2(p) / 2, and otherwise a ``_Powers`` that
+    computes each power on its first read.  ``val`` tests divisibility by
+    powers from the table, doubling the exponent and then bisecting, so a
+    residue of valuation v costs about 2 log2(v) reductions rather than v
+    divisions by p.  A shift or a window at or past N needs no power: a
+    residue below p^N has no digit there.
+    """
 
     def __init__(self, p: int, precision: int):
+        n = precision
         self.p = p
-        self.precision = precision
-        self.modulus = p**precision
+        self.precision = n
+        self.modulus = modulus = p**n
+        pk = ([p**k for k in range(n + 1)]
+              if n * n * p.bit_length() <= 1 << 25 else _Powers(p))
         # the modulus p^k of each Newton step of ``inv``, k = 2, ..., N
-        ks = (-(-precision >> i) for i in range(precision.bit_length()))
-        self._newton = [p**k for k in ks if k > 1][::-1]
+        ks = (-(-n >> i) for i in range(n.bit_length()))
+        self._newton = [pk[k] for k in ks if k > 1][::-1]
+
+        def add(a, b):
+            return (a + b) % modulus
+
+        def neg(a):
+            return -a % modulus
+
+        def mul(a, b):
+            return a * b % modulus
+
+        def fma(a, f, b):
+            return (a + f * b) % modulus
+
+        def val(r):
+            """Valuation of a residue, capped at the precision: p^lo
+            divides r, and p^hi doubles until it does not (r < p^N does
+            not divide by p^N), then bisection."""
+            if r % p:
+                return 0
+            if not r:
+                return n
+            lo, hi = 1, 2
+            while hi < n and not r % pk[hi]:
+                lo, hi = hi, 2 * hi
+            hi = min(hi, n)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if r % pk[mid]:
+                    hi = mid
+                else:
+                    lo = mid
+            return lo
+
+        def shift_up(a, d):
+            return a * pk[d] % modulus if d < n else 0
+
+        def shift_down(a, w):
+            return a // pk[w] if w < n else 0
+
+        def mod_pi_power(a, e):
+            return a % pk[e] if e < n else a
+
+        (self.add, self.neg, self.mul, self.fma, self.val, self.shift_up,
+         self.shift_down, self.mod_pi_power) = (
+            add, neg, mul, fma, val, shift_up, shift_down, mod_pi_power)
 
     def one(self):
         return 1
 
     def is_zero(self, r) -> bool:
         return r == 0
-
-    def val(self, r: int) -> int:
-        """Valuation of a residue, capped at the precision."""
-        if r == 0:
-            return self.precision
-        v = 0
-        while r % self.p == 0:
-            r //= self.p
-            v += 1
-        return v
-
-    def add(self, a, b):
-        return (a + b) % self.modulus
-
-    def neg(self, a):
-        return (-a) % self.modulus
-
-    def mul(self, a, b):
-        return (a * b) % self.modulus
-
-    def fma(self, a, f, b):
-        return (a + f * b) % self.modulus
 
     def inv(self, a):
         """Newton iteration g <- g (2 - a g) modulo p^k at doubling
@@ -232,15 +285,6 @@ class _PadicOps:
 
     def pow(self, a, e: int):
         return pow(a, e, self.modulus)
-
-    def shift_up(self, a, d: int):
-        return (a * self.p**d) % self.modulus if d < self.precision else 0
-
-    def shift_down(self, a, w: int):
-        return a // self.p**w
-
-    def mod_pi_power(self, a, e: int):
-        return a % self.p**e
 
     def is_unit(self, a) -> bool:
         return a % self.p != 0
@@ -425,10 +469,15 @@ class _EqcharOps:
 
 def _scalar_rules(ops, N):
     """The sum, negation, product, quotient and split at a power of pi of
-    (v, u, lossy) triples at precision N, and the row update of
-    elimination, with the residue operations of ``ops`` bound once; a zero
-    is (inf, None, lossy).  This is the one place that decides which digits
-    of a result are known."""
+    (v, u, lossy) triples at precision N, and the multiply-accumulate and
+    row update of elimination, with the residue operations of ``ops`` bound
+    once; a zero is (inf, None, lossy).  This is the one place that decides
+    which digits of a result are known.
+
+    A sum reads ``val`` only when its summands' valuations tie.  Otherwise
+    it is pi^min (u + pi^d u') with d >= 1 for units u, u', and that is a
+    unit again (or u itself when d >= N), the invariant ``times`` and
+    ``over`` rely on for their inputs too."""
     add, neg, mul, fma, val = ops.add, ops.neg, ops.mul, ops.fma, ops.val
     one = ops.one()
     up, down, mod = ops.shift_up, ops.shift_down, ops.mod_pi_power
@@ -442,15 +491,17 @@ def _scalar_rules(ops, N):
             return (bv, bu, bl or al)
         if bv == INFINITY:
             return (av, au, al or bl)
-        v = av if av < bv else bv  # a shift by 0 is the identity
-        s = add(au if av == v else up(au, av - v),
-                bu if bv == v else up(bu, bv - v))
+        if av < bv:
+            return (av, add(au, up(bu, bv - av)), al or bl)
+        if bv < av:
+            return (bv, add(up(au, av - bv), bu), al or bl)
+        s = add(au, bu)
         w = val(s)
         if not w:
-            return (v, s, al or bl)
+            return (av, s, al or bl)
         if w >= N:
             return (INFINITY, None, True)
-        return (v + w, down(s, w), True)
+        return (av + w, down(s, w), True)
 
     def minus(a):
         """-a; a zero stays as it is, flag included."""
@@ -474,37 +525,42 @@ def _scalar_rules(ops, N):
         u = a[1] if b[1] == one else mul(a[1], ops.inv(b[1]))
         return (a[0] - b[0], u, a[2] or b[2])
 
+    def accumulate(acc, f, pairs):
+        """acc[j] = plus(acc[j], times(f, b)) for each (j, b) of pairs, in
+        place, f nonzero: ``plus`` written out, each sum of two nonzero
+        entries one ``fma`` and a zero b passing on its flag only.  The
+        multiply-accumulate of matrix products, dots and row updates."""
+        fv, fu, fl = f
+        for j, (bv, bu, bl) in pairs:
+            if bv == INFINITY:
+                if fl or bl:  # f * b is a flagged zero, which flags acc[j]
+                    av, au, _ = acc[j]
+                    acc[j] = (av, au, True)
+                continue
+            tv, tl = fv + bv, fl or bl
+            av, au, al = acc[j]
+            # modulo pi^N, up(x * y, d) = up(x, d) * y
+            if av < tv:
+                acc[j] = (av, fma(au, up(fu, tv - av), bu), al or tl)
+            elif av == INFINITY:
+                acc[j] = (tv, mul(fu, bu), tl or al)
+            elif tv < av:
+                acc[j] = (tv, fma(up(au, av - tv), fu, bu), al or tl)
+            else:
+                s = fma(au, fu, bu)
+                w = val(s)
+                if not w:
+                    acc[j] = (av, s, al or tl)
+                elif w >= N:
+                    acc[j] = (INFINITY, None, True)
+                else:
+                    acc[j] = (av + w, down(s, w), True)
+
     def update(row, f, prow):
         """[plus(a, times(f, b)) for a, b in zip(row, prow)], f nonzero: the
-        row update of elimination, with ``plus`` written out and each sum
-        of two nonzero entries one ``fma``."""
-        fv, fu, fl = f
-        out = []
-        for a, (bv, bu, bl) in zip(row, prow):
-            if bv == INFINITY:
-                if fl or bl:  # f * b is a flagged zero, which flags a
-                    a = (a[0], a[1], True)
-            else:
-                tv, tl = fv + bv, fl or bl
-                av, au, al = a
-                if av == INFINITY:
-                    a = (tv, mul(fu, bu), tl or al)
-                else:
-                    # one fused residue operation; modulo pi^N,
-                    # up(x * y, d) = up(x, d) * y
-                    if av < tv:
-                        v, s = av, fma(au, up(fu, tv - av), bu)
-                    else:
-                        v, s = tv, fma(au if av == tv else up(au, av - tv),
-                                       fu, bu)
-                    w = val(s)
-                    if not w:
-                        a = (v, s, al or tl)
-                    elif w >= N:
-                        a = (INFINITY, None, True)
-                    else:
-                        a = (v + w, down(s, w), True)
-            out.append(a)
+        row update of elimination."""
+        out = list(row)
+        accumulate(out, f, enumerate(prow))
         return out
 
     def canonical(r, lossy):
@@ -523,7 +579,7 @@ def _scalar_rules(ops, N):
         full = up(u, v)
         return canonical(down(full, e), lossy), canonical(mod(full, e), lossy)
 
-    return plus, minus, times, over, split, update
+    return plus, minus, times, over, split, accumulate, update
 
 
 class RingDescriptor:
@@ -549,7 +605,7 @@ class RingDescriptor:
         self.base = base
         self.precision = precision
         (self._plus, self._minus, self._times, self._over, self._split,
-         self._update) = _scalar_rules(self.ops, precision)
+         self._accumulate, self._update) = _scalar_rules(self.ops, precision)
         self._one = self.ops.one()  # the unit residue 1, read per product
 
     def __eq__(self, other):

@@ -1,11 +1,15 @@
 """The exit-code contract under wrong-typed JSON: each subcommand's
 known-good argv keeps exiting 0, 1, 2 or 3 with one JSON object on stdout
 when any one of its JSON arguments is replaced by a value of the wrong
-type.  Every argv runs in-process through ``dispatch``."""
+type.  A hypothesis test then varies each known-good argv further: a JSON
+argument or any part of it, an integer option, a free-text option.  Every
+argv runs in-process through ``dispatch``."""
 
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from daggerkit import cli, serialize
 from daggerkit.cli import dispatch
@@ -65,9 +69,11 @@ def contract_breach(argv, capsys):
     except (Exception, SystemExit) as exc:  # argparse exits too
         capsys.readouterr()
         return f"{type(exc).__name__}: {exc}"
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     if code not in (0, 1, 2, 3):
         return f"exit {code}"
+    if "Traceback" in err:
+        return f"traceback on stderr: {err!r}"
     if out.count("\n") != 1 or not isinstance(json.loads(out), dict):
         return f"stdout is not one JSON object: {out!r}"
     return None
@@ -152,3 +158,95 @@ def test_deeply_nested_json_is_bad_input(tmp_path, capsys):
         assert dispatch(["snf", *R, "--matrix", blob]) == 2
         out = json.loads(capsys.readouterr().out)
         assert out["error"] == "input" and "nested" in out["detail"]
+
+
+# -- a fuzz test of the contract over every row --
+
+# the keys of the JSON schemas, so generated objects reach past the
+# first missing key
+KEYS = ["v", "u", "kind", "rank", "monoid", "D", "terms", "s", "x",
+        "ambient_rank", "generators", "pi_exponent", "lambda", "Q", "a", "b",
+        "Dz", "n", "series", "certificate", "c", "k", "truncated", "word",
+        "backend", "p", "q", "precision", "ring"]
+# leaves: small integers (sizes stay small), floats with their extremes,
+# and strings the scalar and rational parsers read
+LEAVES = (st.none() | st.booleans() | st.integers(-3, 9)
+          | st.sampled_from([10**20, -10**20, 0.5, 1e400, -1e400])
+          | st.floats(allow_nan=True, allow_infinity=True)
+          | st.sampled_from(["pi", "pi^2", "pi^-1", "1", "-1", "0", "7",
+                             "1/2", "1/0", "inf", "Z", "N", "free",
+                             "bicharacter", "trivial", "padic", "", "x"]))
+JSON_VALUES = st.recursive(
+    LEAVES, lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(KEYS), kids, max_size=3),
+    max_leaves=6)
+# free text stays short: a long run of digits given to probe --j asks
+# for that many lattice powers
+TEXT = st.text(alphabet="0123456789-/,.pi^ x", max_size=3)
+FUZZ_SETTINGS = settings(max_examples=20, deadline=None, derandomize=True,
+                         database=None,
+                         suppress_health_check=[HealthCheck.too_slow])
+
+
+def options(name):
+    """(integer flags, free-text flags) of a row: text flags are the ones
+    no known-good argv passes JSON to."""
+    blobs = {flag for _, b in GOOD[name] for flag in b}
+    ints, texts = [], []
+    for flag, kwargs in cli.COMMANDS[name][2]:
+        if not flag.startswith("--") or "action" in kwargs \
+                or "choices" in kwargs or flag in blobs:
+            continue
+        (ints if kwargs.get("type") is int else texts).append(flag)
+    return ints, texts
+
+
+def replaced(draw, obj, value):
+    """obj with one part, drawn by a walk from the root, set to value."""
+    if isinstance(obj, (list, dict)) and obj and draw(st.booleans()):
+        key = draw(st.sampled_from(range(len(obj)) if isinstance(obj, list)
+                                   else sorted(obj)))
+        out = obj.copy()
+        out[key] = replaced(draw, obj[key], value)
+        return out
+    return value
+
+
+@st.composite
+def fuzzed_argv(draw, name):
+    """A known-good argv of the row with one argument changed, passed again
+    at the end (argparse keeps the last) as --flag=value, so that a value
+    that starts with "-" is not read as an option: a usage error has its
+    own pinned output (``test_cli_pins``)."""
+    others, blobs = draw(st.sampled_from(GOOD[name]))
+    ints, texts = options(name)
+    kinds = ["json"] * bool(blobs) + ["int"] * bool(ints) \
+        + ["text"] * bool(texts)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "json":
+        flag = draw(st.sampled_from(sorted(blobs)))
+        value = json.dumps(replaced(draw, json.loads(blobs[flag]),
+                                    draw(JSON_VALUES)))
+    elif kind == "int":
+        flag = draw(st.sampled_from(ints))
+        value = str(draw(st.integers(-2, 4)))
+    else:
+        flag, value = draw(st.sampled_from(texts)), draw(TEXT)
+    return [*argv_of(name, others, blobs), f"{flag}={value}"]
+
+
+@pytest.mark.parametrize("name", sorted(GOOD))
+def test_fuzzed_argv_keeps_the_contract(name, capsys):
+    """Exit 0, 1, 2 or 3, one JSON object on stdout and no traceback on
+    stderr, for argv near a known-good one."""
+    breaches = []
+
+    @FUZZ_SETTINGS
+    @given(fuzzed_argv(name))
+    def run(argv):
+        breach = contract_breach(argv, capsys)
+        if breach:
+            breaches.append((argv, breach))
+
+    run()
+    assert not breaches, breaches

@@ -16,11 +16,15 @@ entries of K, flagged entries, and pairs whose sum cancels exactly or in
 its leading digits only.  Each sweep asserts that it met both kinds of
 cancellation.
 
-Two rules are checked against the rules themselves.  The row update of
-elimination, ``row + f * prow``, is a rule of its own with the sum
-written out, so a hypothesis test compares it with ``plus(a, times(f,
-b))`` entry by entry.  The Z_p inverse runs Newton iteration, so it is
-compared with ``pow(a, -1, p^N)``, the inverse it replaced.
+Three rules are checked against the rules themselves.  The
+multiply-accumulate ``acc[j] += f * b`` is a rule of its own with the sum
+written out, and the row update ``row + f * prow``, ``_Kernel.dot`` and
+``_Kernel.product`` run it, so hypothesis tests compare each with
+``plus(acc, times(x, y))`` summed in the same order.  ``plus`` and the
+multiply-accumulate read a valuation only when the summands' valuations
+tie; a premise test checks, on the residues of both backends, that every
+untied sum of units is a unit.  The Z_p inverse runs Newton iteration, so
+it is compared with ``pow(a, -1, p^N)``, the inverse it replaced.
 """
 
 import random
@@ -30,7 +34,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from daggerkit.linalg import _Kernel
+from daggerkit.linalg import _ZERO, _Kernel, _sparse
 from daggerkit.ring import INFINITY, RingDescriptor, ScalarElem
 
 RINGS = [("padic", 2), ("padic", 5), ("eqchar", 2), ("eqchar", 4),
@@ -293,6 +297,22 @@ def test_padic_non_unit_raises_as_pow_does(p, n):
             ops.inv(a)
 
 
+@pytest.mark.parametrize("n", INVERSE_PRECISIONS)
+@pytest.mark.parametrize("p", INVERSE_PRIMES)
+def test_padic_valuation_counts_factors_of_p(p, n):
+    """``val`` of u p^v mod p^N, u a unit, is v for every v < N, and N for
+    zero: the count of factors of p, found by division."""
+    ops, rng = RingDescriptor("padic", p, n).ops, random.Random(f"v{p}-{n}")
+    modulus = p ** n
+    assert ops.val(0) == n
+    for v in range(n):
+        u = rng.randrange(1, p) + p * rng.randrange(p ** (n - 1))
+        r, count = u * p ** v % modulus, 0
+        while r % p ** (count + 1) == 0:
+            count += 1
+        assert count == v and ops.val(r) == v, (p, n, v)
+
+
 def test_large_prime_ring_allocates_nothing_sized_by_p():
     """Building Z_p for p = 2^31 - 1 (and inverting in it) allocates a
     few kilobytes, not a table with one entry per class mod p."""
@@ -304,6 +324,19 @@ def test_large_prime_ring_allocates_nothing_sized_by_p():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024, peak
+
+
+def test_high_precision_ring_builds_powers_on_demand():
+    """Z_5 at N = 20000 keeps no list of every p^k (about 58 MB): its table
+    builds each power on first read."""
+    tracemalloc.start()
+    try:
+        ops = RingDescriptor("padic", 5, 20000).ops
+        assert ops.val(ops.shift_up(3, 7)) == 7
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024, peak
 
 
 # -- the row update rule against plus(a, times(f, b)) --
@@ -391,3 +424,117 @@ def test_row_update_is_plus_of_times(backend, base):
     run()
     assert met == {"cancel_some", "cancel_all", "flagged_zero_b", "K",
                    "flagged_f"}
+
+
+# -- the multiply-accumulate against plus(acc, times(x, y)) --
+
+# what a sum plus(acc, x * y) met: "untied" valuations, a tie that cancels
+# some or all of the leading digits (over F_2 every tie cancels one), a
+# flagged zero summand, and an entry of K among the summands
+SUM_KINDS = {"untied", "tie_cancel_some", "tie_cancel_all", "flagged_zero",
+             "K"}
+
+
+def recording(plus, met):
+    """``plus`` that adds to met what each sum was (``SUM_KINDS``)."""
+
+    def summed(a, b):
+        s = plus(a, b)
+        if min(a[0], b[0]) < 0:
+            met.add("K")
+        if INFINITY in (a[0], b[0]):
+            if (a[0] == INFINITY and a[2]) or (b[0] == INFINITY and b[2]):
+                met.add("flagged_zero")
+        elif a[0] != b[0]:
+            met.add("untied")
+        elif s[0] == INFINITY:
+            met.add("tie_cancel_all")
+        elif s[0] > a[0]:
+            met.add("tie_cancel_some")
+        return s
+
+    return summed
+
+
+@st.composite
+def accumulate_cases(draw, ring):
+    """An ``update_cases`` case whose pairs go to entries drawn with
+    repeats, so one entry can take several products in turn."""
+    row, f, prow = draw(update_cases(ring))
+    js = draw(st.lists(st.integers(0, len(row) - 1), min_size=len(prow),
+                       max_size=len(prow)))
+    return row, f, list(zip(js, prow))
+
+
+def ref_sum(plus, times, xs, ys):
+    """plus(acc, times(x, y)) over the pairs without a zero factor, from an
+    unflagged zero: ``dot``'s definition."""
+    acc = _ZERO
+    for x, y in zip(xs, ys):
+        if x[0] != INFINITY and y[0] != INFINITY:
+            acc = plus(acc, times(x, y))
+    return acc
+
+
+@pytest.mark.parametrize("backend,base", RINGS)
+def test_multiply_accumulate_is_plus_of_times(backend, base):
+    """``ring._accumulate(acc, f, pairs)`` equals acc[j] = plus(acc[j],
+    times(f, b)) for each (j, b) in turn, and ``_Kernel.product`` and
+    ``_Kernel.dot`` equal ``ref_sum`` entry by entry, in increasing k: raw
+    triples and flags alike.  The row [1, f, 1] times the rows [row, prow,
+    row] of the case makes entry j a + f * b + a, so the case's
+    cancellations reach the products and a sum cancelled to a flagged zero
+    takes one more term; the zeros of the case, and a flagged zero factor,
+    are zero factors that neither reads."""
+    rings = [RingDescriptor(backend, base, n) for n in (1, 3, 12, 40)]
+    met = set()
+
+    @UPDATE_SETTINGS
+    @given(st.sampled_from(rings).flatmap(
+        lambda r: accumulate_cases(r).map(lambda case: (r, case))))
+    def run(ring_case):
+        ring, (row, f, pairs) = ring_case
+        kern, times = _Kernel.of(ring), ring._times
+        plus = recording(ring._plus, met)
+        ref = list(row)
+        for j, b in pairs:
+            ref[j] = plus(ref[j], times(f, b))
+        acc = list(row)
+        ring._accumulate(acc, f, pairs)
+        assert acc == ref
+
+        prow = [b for _, b in pairs]
+        one, flagged = (0, ring.ops.one(), False), (INFINITY, None, True)
+        a = [[one, f, one], [f, one, flagged], [row[0], prow[-1], f]]
+        b = [row, prow, row]
+        cols = list(zip(*b))
+        ref = [[ref_sum(plus, times, r, c) for c in cols] for r in a]
+        assert kern.product(_sparse(a), _sparse(b), len(row)) == ref
+        assert [[kern.dot(r, c) for c in cols] for r in a] == ref
+        assert kern.dot(row, prow) == ref_sum(plus, times, row, prow)
+
+    run()
+    assert met == SUM_KINDS
+
+
+@pytest.mark.parametrize("backend,base", RINGS)
+def test_untied_sums_of_units_are_units(backend, base):
+    """The premise of reading ``val`` only on a tie: for units a, f, b and
+    every d >= 1, past N too, a + pi^d b, a + pi^d f b and pi^d a + f b
+    have valuation 0."""
+    rng = random.Random(f"untied-{backend}-{base}")
+    for n in (1, 3, 12, 40):
+        ring = RingDescriptor(backend, base, n)
+        ops, q = ring.ops, ring.base
+
+        def unit():
+            enc = rng.randrange(1, q ** n)
+            return ops.decode(enc if enc % q else enc + 1)
+
+        for _ in range(8):
+            a, f, b = unit(), unit(), unit()
+            for d in range(1, n + 3):
+                up = ops.shift_up
+                assert ops.val(ops.add(a, up(b, d))) == 0, (n, d)
+                assert ops.val(ops.fma(a, up(f, d), b)) == 0, (n, d)
+                assert ops.val(ops.fma(up(a, d), f, b)) == 0, (n, d)

@@ -8,9 +8,10 @@ from fractions import Fraction
 import pytest
 
 from daggerkit import linalg, spectral
+from daggerkit import ring as ring_module
 from daggerkit.linalg import Lattice, MatrixV
 from daggerkit.monoid import MonoidDescriptor
-from daggerkit.ring import INFINITY, RingDescriptor, _PadicOps
+from daggerkit.ring import INFINITY, RingDescriptor
 from daggerkit.series import DaggerSeries
 from daggerkit.spectral import (MatrixAlgebraContext, SeriesAlgebraContext,
                                 characteristic_polynomial,
@@ -269,15 +270,20 @@ class TestCharacteristicPolynomial:
         # a dense 8 x 8 matrix needs about 10^3 residue products here and
         # about 10^5 by cofactor expansion; n^4 separates the two.  The
         # scalar rules bind the residue operations when the ring is built,
-        # so the count goes on the class before that.
+        # so every residue product (``mul``, and ``fma`` a + f b) is
+        # counted on the ring's ops before they are bound.
         calls = []
-        mul = _PadicOps.mul
+        bind = ring_module._scalar_rules
 
-        def counting_mul(ops, x, y):
-            calls.append(1)
-            return mul(ops, x, y)
+        def counting_rules(ops, N):
+            for name in ("mul", "fma"):
+                def counted(*xs, op=getattr(ops, name)):
+                    calls.append(1)
+                    return op(*xs)
+                setattr(ops, name, counted)
+            return bind(ops, N)
 
-        monkeypatch.setattr(_PadicOps, "mul", counting_mul)
+        monkeypatch.setattr(ring_module, "_scalar_rules", counting_rules)
         ring = RingDescriptor("padic", 5, 40)
         rng = random.Random(8)
         a = MatrixV(ring, [[random_entry(rng, ring, zeros=0)
