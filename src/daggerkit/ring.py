@@ -202,10 +202,9 @@ class _PadicOps:
 
     ``add``, ``neg``, ``mul``, ``fma``, ``val``, ``shift_up``,
     ``shift_down`` and ``mod_pi_power`` are closures built once per ring
-    over the modulus p^N and a table of p^0, ..., p^N, so no call computes
-    a power of p.  The table is a list built up front when it holds at most
-    about 2^24 bits, N^2 log2(p) / 2, and otherwise a ``_Powers`` that
-    computes each power on its first read.  ``val`` tests divisibility by
+    over the modulus p^N and a ``_Powers`` table of p^k, which computes
+    each power once, on its first read, so a ring of high precision holds
+    only the powers it uses.  ``val`` tests divisibility by
     powers from the table, doubling the exponent and then bisecting, so a
     residue of valuation v costs about 2 log2(v) reductions rather than v
     divisions by p.  A shift or a window at or past N needs no power: a
@@ -217,8 +216,7 @@ class _PadicOps:
         self.p = p
         self.precision = n
         self.modulus = modulus = p**n
-        pk = ([p**k for k in range(n + 1)]
-              if n * n * p.bit_length() <= 1 << 25 else _Powers(p))
+        pk = _Powers(p)
         # the modulus p^k of each Newton step of ``inv``, k = 2, ..., N
         ks = (-(-n >> i) for i in range(n.bit_length()))
         self._newton = [pk[k] for k in ks if k > 1][::-1]
