@@ -26,7 +26,7 @@ rules of ``series``.
 from __future__ import annotations
 
 from . import chains
-from .linalg import Lattice, MatrixV, _Kernel, _raw
+from .linalg import Lattice, MatrixV, _raw
 from .monoid import MonoidDescriptor
 from .ring import RingDescriptor
 from .series import (DaggerSeries, GrowthCertificate, _add_term,
@@ -76,7 +76,7 @@ class AffineAction:
         """Affine pair of x |-> second(first(x))."""
         m1, v1 = first
         m2, v2 = second
-        dot, plus = _Kernel.of(self.ring).dot, self.ring._plus
+        dot, plus = self.ring._dot, self.ring._plus
         return m2 * m1, tuple(plus(dot(row, v1), y)
                               for row, y in zip(m2.raw, v2))
 

@@ -12,20 +12,21 @@ Hermite columns in ``cols``; the ScalarElem values a caller reads
 built from them.  Equality of matrices and lattices is
 ``RingDescriptor.same`` on the triples, the rule ScalarElem's ``==`` uses.
 
-One elimination kernel per ring, ``_Kernel.of(ring)``, does the arithmetic
-of ``det``, ``inverse``, ``snf``, the Hermite form behind
+One elimination kernel, four functions over the ring's scalar rules, does
+the arithmetic of ``det``, ``inverse``, ``snf`` and the Hermite form behind
 ``Lattice.from_columns`` and ``Lattice.membership`` (after Storjohann,
-*Algorithms for Matrix Canonical Forms*, 2000) and of matrix products on
-these triples.  Its parts: a pivot search for the first entry of least
-valuation below N (over a DVR it divides every entry in scope, so one pass
-per pivot suffices and precision loss is minimised), one Hermite pivot
-step ``settle`` that both the rebuild and the insertion of ``Lattice.sum``
-run, and one multiply-accumulate, the ring's scalar rule ``_accumulate``,
-that the row update ``row + f*pivot_row`` (eliminations negate f), the
-ordered dot and the product over nonzero pairs (in the dot's order) share.
-A sum in it reads a valuation only when its summands' valuations tie.
-Quotients are the ring's rule, with no cached inverse: pivots are scaled to
-a unit of 1 before rows are cleared, and ``det`` inverts each pivot once.
+*Algorithms for Matrix Canonical Forms*, 2000): ``_pivot`` finds the first
+entry of least valuation below N (over a DVR it divides every entry in
+scope, so one pass per pivot suffices and precision loss is minimised),
+``_scale`` and ``_eliminate`` scale a pivot row and clear its column, and
+``_settle`` is the Hermite pivot step that both the rebuild and the
+insertion of ``Lattice.sum`` run.  The row update ``row + f*pivot_row``
+(eliminations negate f) and the ring's rules ``_dot`` and ``_product``
+(over nonzero pairs, in the dot's order) share one multiply-accumulate,
+the ring's rule ``_accumulate``, whose sums read a valuation only when the
+summands' valuations tie.  Quotients are the ring's rule, with no cached
+inverse: pivots are scaled to a unit of 1 before rows are cleared, and
+``det`` inverts each pivot once.
 
 One truncation window: every way of building a ``Lattice`` returns the
 canonical form of its docstring, which ``from_columns`` of its generators
@@ -37,7 +38,7 @@ generators clear down its pivot rows (``membership``'s walk); one that first
 stays below N at a row no pivot takes is inserted by ``settle``; any other
 sum is rebuilt.  ``Lattice.pivots`` is built once and handed on by scaling.
 
-Exactness contract: the kernel computes every entry of ``a + f*b``,
+Exactness contract: elimination computes every entry of ``a + f*b``,
 ``acc + a*b``, ``c * x``, ``x / p`` and the quotient of
 ``split_at_pi_power`` with the ring's scalar rules (``_scalar_rules`` in
 ``ring.py``, which ScalarElem's arithmetic runs too), so which digits are
@@ -76,97 +77,60 @@ def _eye(ring, n):
     return [[one if i == j else _ZERO for j in range(n)] for i in range(n)]
 
 
-class _Kernel:
-    """Elimination on triples over one ring; a zero is (inf, None, lossy).
-    Its arithmetic is the ring's scalar rules, and it binds no residue
-    operation: ``scale`` and ``over`` give c * a and a / b, and one
-    multiply-accumulate, the ring's rule ``_accumulate``, adds f * b into
-    entries in place for ``update`` (the ring's rule ``_update``, [a + f * b
-    for a, b in zip(row, prow)]), ``dot`` (the sum of a * b over the pairs
-    without a zero factor) and ``product`` (one ``dot`` per entry).  A sum
-    reads a valuation only when its summands' valuations tie."""
+def _pivot(entries, N):
+    """(key, v) of the first entry of least valuation below N among
+    (key, triple) pairs; (None, N) when all are effectively zero."""
+    best, best_v = None, N
+    for key, (v, _, _) in entries:
+        if v < best_v:
+            best, best_v = key, v
+    return best, best_v
 
-    def __init__(self, ring: RingDescriptor):
-        self.N, self.one = ring.precision, ring.ops.one()
-        self.minus, self.times, self.over, self.split = (
-            ring._minus, ring._times, ring._over, ring._split)
-        self.accumulate, self.update = ring._accumulate, ring._update
 
-    @staticmethod
-    def of(ring):
-        """The ring's one kernel, kept on it: a kernel holds no state."""
-        if (kern := getattr(ring, "_kernel", None)) is None:
-            kern = ring._kernel = _Kernel(ring)
-        return kern
+def _scale(ring, mats, k, c):
+    """Row k of every matrix in mats times c, which is nonzero; an
+    unflagged 1 (a pivot already a power of pi) changes nothing."""
+    if c == (0, ring._one, False):
+        return
+    times = ring._times
+    for M in mats:
+        M[k] = [times(c, x) for x in M[k]]
 
-    def pivot(self, entries):
-        """(key, v) of the first entry of least valuation below N among
-        (key, triple) pairs; (None, N) when all are effectively zero."""
-        best, best_v = None, self.N
-        for key, (v, _, _) in entries:
-            if v < best_v:
-                best, best_v = key, v
-        return best, best_v
 
-    def scale(self, mats, k, c):
-        """Row k of every matrix in mats times c, which is nonzero; an
-        unflagged 1 (a pivot already a power of pi) changes nothing."""
-        if c == (0, self.one, False):
-            return
-        times = self.times
-        for M in mats:
-            M[k] = [times(c, x) for x in M[k]]
+def _eliminate(ring, mats, k, c, factor, among):
+    """Clear column c of mats[0] against row k: each other row i of
+    ``among`` with entry x below N and f = factor(i, x) != 0 becomes
+    row i - f * row k, in every matrix of mats alike.  Returns the rows
+    it updated."""
+    N, minus, update = ring.precision, ring._minus, ring._update
+    updated = []
+    for i in among:
+        x = mats[0][i][c]
+        if i != k and x[0] < N:
+            f = factor(i, x)
+            if f[0] != INFINITY:
+                # (-f) * b is the residue of -(f * b) on both backends
+                f = minus(f)
+                for M in mats:
+                    M[i] = update(M[i], f, M[k])
+                updated.append(i)
+    return updated
 
-    def eliminate(self, mats, k, c, factor, among):
-        """Clear column c of mats[0] against row k: each other row i of
-        ``among`` with entry x below N and f = factor(i, x) != 0 becomes
-        row i - f * row k, in every matrix of mats alike.  Returns the rows
-        it updated."""
-        updated = []
-        for i in among:
-            x = mats[0][i][c]
-            if i != k and x[0] < self.N:
-                f = factor(i, x)
-                if f[0] != INFINITY:
-                    # (-f) * b is the residue of -(f * b) on both backends
-                    f = self.minus(f)
-                    for M in mats:
-                        M[i] = self.update(M[i], f, M[k])
-                    updated.append(i)
-        return updated
 
-    def settle(self, cols, k, row, among):
-        """Fix the Hermite pivot of column k at ``row``: scale the column so
-        its entry there is pi^v exactly (a flagged pivot flags its column),
-        then clear ``row`` in the columns of ``among`` by the quotient, an
-        earlier pivot column modulo pi^v only (``split``'s quotient, unless
-        pi^v divides its entry).  Returns the columns it changed.  Column k
-        must hold no entry N <= v < inf (``_cleared``), which would reach
-        the pivots of the columns it changes."""
-        v = cols[k][row][0]
-        self.scale([cols], k, self.over((v, self.one, False), cols[k][row]))
-        p = cols[k][row]
-        return self.eliminate([cols], k, row, lambda m, x: (
-            self.over(x, p) if m > k or x[0] >= v else self.split(x, v)[0]),
-            among)
-
-    def dot(self, xs, ys):
-        acc, accumulate = [_ZERO], self.accumulate
-        for x, y in zip(xs, ys):
-            if x[0] != INFINITY and y[0] != INFINITY:
-                accumulate(acc, x, ((0, y),))
-        return acc[0]
-
-    def product(self, a, b, n):
-        """Rows of a * b (n columns) from ``_sparse`` rows: each entry sums
-        its pairs in increasing k, as ``dot`` (Gustavson, TOMS 1978)."""
-        accumulate, out = self.accumulate, []
-        for row in a:
-            acc = [_ZERO] * n
-            for k, x in row:
-                accumulate(acc, x, b[k])
-            out.append(acc)
-        return out
+def _settle(ring, cols, k, row, among):
+    """Fix the Hermite pivot of column k at ``row``: scale the column so
+    its entry there is pi^v exactly (a flagged pivot flags its column),
+    then clear ``row`` in the columns of ``among`` by the quotient, an
+    earlier pivot column modulo pi^v only (``split``'s quotient, unless
+    pi^v divides its entry).  Returns the columns it changed.  Column k
+    must hold no entry N <= v < inf (``_cleared``), which would reach
+    the pivots of the columns it changes."""
+    over, split = ring._over, ring._split
+    v = cols[k][row][0]
+    _scale(ring, [cols], k, over((v, ring._one, False), cols[k][row]))
+    p = cols[k][row]
+    return _eliminate(ring, [cols], k, row, lambda m, x: (
+        over(x, p) if m > k or x[0] >= v else split(x, v)[0]), among)
 
 
 class MatrixV:
@@ -253,7 +217,7 @@ class MatrixV:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
         self._shape_check(other)
-        return MatrixV._of(self.ring, _Kernel.of(self.ring).product(
+        return MatrixV._of(self.ring, self.ring._product(
             _sparse(self.raw), _sparse(other.raw), other.cols), other.cols)
 
     def _shape_check(self, other, same=False):
@@ -280,7 +244,7 @@ class MatrixV:
         """Matrix-vector product."""
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
-        dot, col = _Kernel.of(self.ring).dot, _raw(self.ring, vec)
+        dot, col = self.ring._dot, _raw(self.ring, vec)
         return [ScalarElem(self.ring, *dot(row, col)) for row in self.raw]
 
     def det(self) -> ScalarElem:
@@ -288,38 +252,41 @@ class MatrixV:
         pivoting; exact at precision N."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n, kern = self.rows, _Kernel.of(self.ring)
-        work, det = list(self.raw), (0, kern.one, False)
+        ring, n = self.ring, self.rows
+        minus, times, one = ring._minus, ring._times, (0, ring._one, False)
+        work, det = list(self.raw), one
         for k in range(n):
-            i0, _ = kern.pivot((i, work[i][k]) for i in range(k, n))
+            i0, _ = _pivot(((i, work[i][k]) for i in range(k, n)),
+                           ring.precision)
             if i0 is None:
-                return self.ring.zero()
+                return ring.zero()
             if i0 != k:
                 work[k], work[i0] = work[i0], work[k]
-                det = kern.minus(det)
+                det = minus(det)
             pivot = work[k][k]
-            det = kern.times(det, pivot)
-            inv = kern.over((0, kern.one, False), pivot)
-            kern.eliminate([work], k, k, lambda i, x: kern.times(x, inv),
-                           range(k + 1, n))
-        return ScalarElem(self.ring, *det)
+            det = times(det, pivot)
+            inv = ring._over(one, pivot)
+            _eliminate(ring, [work], k, k, lambda i, x: times(x, inv),
+                       range(k + 1, n))
+        return ScalarElem(ring, *det)
 
     def inverse(self) -> "MatrixV":
         """Inverse over K (entries may leave V); pivot of minimal valuation."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        n, kern = self.rows, _Kernel.of(self.ring)
-        work, aug = list(self.raw), _eye(self.ring, n)
+        ring, n = self.ring, self.rows
+        work, aug = list(self.raw), _eye(ring, n)
         for k in range(n):
-            i0, _ = kern.pivot((i, work[i][k]) for i in range(k, n))
+            i0, _ = _pivot(((i, work[i][k]) for i in range(k, n)),
+                           ring.precision)
             if i0 is None:
                 raise ZeroDivisionError("matrix is singular at precision N")
             work[k], work[i0] = work[i0], work[k]
             aug[k], aug[i0] = aug[i0], aug[k]
-            kern.scale([work, aug], k,
-                       kern.over((0, kern.one, False), work[k][k]))
-            kern.eliminate([work, aug], k, k, lambda i, x: x, range(n))
-        return MatrixV(self.ring, aug)
+            _scale(ring, [work, aug], k,
+                   ring._over((0, ring._one, False), work[k][k]))
+            _eliminate(ring, [work, aug], k, k, lambda i, x: x, range(n))
+        return MatrixV(ring, aug)
 
     def kronecker(self, other: "MatrixV") -> "MatrixV":
         self._shape_check(other)
@@ -371,14 +338,14 @@ def _smith_form(A, left, right):
     ring = A.ring
     if A.min_valuation() < 0:
         raise ValueError("snf needs entries in V (nonnegative valuations)")
-    m, n, kern = A.rows, A.cols, _Kernel.of(ring)
+    m, n, N, over = A.rows, A.cols, ring.precision, ring._over
     work = [list(row) for row in A.raw]
     U, W = left and _eye(ring, m), right and _eye(ring, n)
     rowed, colled = [work, U][:1 + left], [work, W][:1 + right]
     flagged = A.lossy
     for k in range(min(m, n)):
-        piv, piv_v = kern.pivot(((i, j), work[i][j]) for i in range(k, m)
-                                for j in range(k, n))
+        piv, piv_v = _pivot((((i, j), work[i][j]) for i in range(k, m)
+                             for j in range(k, n)), N)
         if piv is None:
             break
         i0, j0 = piv
@@ -387,16 +354,14 @@ def _smith_form(A, left, right):
         for row in chain.from_iterable(colled):
             row[k], row[j0] = row[j0], row[k]
         # pivot to an exact power of pi; clear its row, then its column
-        kern.scale(rowed, k, kern.over((piv_v, kern.one, False), work[k][k]))
+        _scale(ring, rowed, k, over((piv_v, ring._one, False), work[k][k]))
         pivot = work[k][k]
-        kern.eliminate(rowed, k, k, lambda i, x: kern.over(x, pivot),
-                       range(m))
+        _eliminate(ring, rowed, k, k, lambda i, x: over(x, pivot), range(m))
         cols = [[list(c) for c in zip(*M)] for M in colled]
-        kern.eliminate(cols, k, k, lambda j, x: kern.over(x, pivot),
-                       range(n))
+        _eliminate(ring, cols, k, k, lambda j, x: over(x, pivot), range(n))
         for M, C in zip(colled, cols):
             M[:] = map(list, zip(*C))
-    D = [_cleared(row, kern.N) for row in work]
+    D = [_cleared(row, N) for row in work]
     # clearing an effectively-zero entry flags the form, as does any flag
     flagged = flagged or D != work or any(x[2] for row in D for x in row)
     return SNFResult(MatrixV(ring, U) if left else None,
@@ -567,24 +532,25 @@ class Lattice:
         if len(vec) != self.ambient_rank:
             raise ValueError("ambient rank mismatch")
         vec = _raw(self.ring, vec)
-        return (self._walk(_Kernel.of(self.ring), vec) is None
+        return (self._walk(vec) is None
                 or _zero_at(vec, self.ring.precision))
 
-    def _walk(self, kern, vec):
+    def _walk(self, vec):
         """Back-substitution of vec (triples) against H's ``pivots`` in vec's
         own frame (the rules commute with pi^e, so only the row tests add
         e): None if it clears, else (row, residual shifted to H's frame) at
         the first row left below N in H's frame, which no later column
         (past N there) moves."""
-        e, pivots = self.pi_exponent, self.pivots
-        top, res = kern.N + e, vec
+        ring, e, pivots = self.ring, self.pi_exponent, self.pivots
+        minus, over, update = ring._minus, ring._over, ring._update
+        top, res = ring.precision + e, vec
         for r in range(len(res)):
             x = res[r]
             if x[0] < top:
                 col = pivots.get(r)
                 if col is None or x[0] < col[r][0] + e:
                     return r, _shifted([res], -e)[0]
-                res = kern.update(res, kern.minus(kern.over(x, col[r])), col)
+                res = update(res, minus(over(x, col[r])), col)
         return None
 
     def contains(self, other: "Lattice") -> bool:
@@ -622,35 +588,34 @@ class Lattice:
         L's frame, that first stays below N at a row no pivot takes; else a
         rebuild (a pivot row taken, more generators, L zero)."""
         self._compat(other)
-        kern, gens, pivots = (_Kernel.of(self.ring),
-                              other.generator_triples(), self.pivots)
-        stop = next(filter(None, (self._walk(kern, g) for g in gens)), None)
+        gens, pivots = other.generator_triples(), self.pivots
+        stop = next(filter(None, map(self._walk, gens)), None)
         if stop is None:
             return self
         if len(gens) == 1 and self.cols and stop[0] not in pivots \
                 and _least_v(gens[0]) >= self.pi_exponent:
-            return self._insert(kern, *stop, pivots)
+            return self._insert(*stop, pivots)
         return Lattice.from_columns(self.ring, self.ambient_rank,
                                     [*self.generator_triples(), *gens])
 
-    def _insert(self, kern, r, new, pivots):
+    def _insert(self, r, new, pivots):
         """``_column_hermite`` of H and ``new``, a ``_walk`` residual, as the
-        pivot at row r, by ``_Kernel.settle`` on each pivot: the pivots
-        before r are only scaled, the new one clears r in the columns before
-        it, and each later one clears its row in the columns r changed (the
-        others are canonical there already)."""
+        pivot at row r, by ``_settle`` on each pivot: the pivots before r
+        are only scaled, the new one clears r in the columns before it, and
+        each later one clears its row in the columns r changed (the others
+        are canonical there already)."""
+        ring, N = self.ring, self.ring.precision
         rows, cols = [*pivots], [*pivots.values()]
         j = sum(p < r for p in rows)
-        rows[j:j], cols[j:j] = [r], [_cleared(new, kern.N)]
+        rows[j:j], cols[j:j] = [r], [_cleared(new, N)]
         for i in range(j):
-            kern.settle(cols, i, rows[i], ())
-        changed = [j, *kern.settle(cols, j, r, range(j))]
+            _settle(ring, cols, i, rows[i], ())
+        changed = [j, *_settle(ring, cols, j, r, range(j))]
         for i in range(j + 1, len(cols)):
-            kern.settle(cols, i, rows[i], changed)
+            _settle(ring, cols, i, rows[i], changed)
         for m in changed:
-            cols[m] = _cleared(cols[m], kern.N)
-        return Lattice._folded(self.ring, self.ambient_rank, self.pi_exponent,
-                               cols)
+            cols[m] = _cleared(cols[m], N)
+        return Lattice._folded(ring, self.ambient_rank, self.pi_exponent, cols)
 
     def scale_by_pi(self, e: int) -> "Lattice":
         """pi^e * L, less each column this moves to or past pi^N."""
@@ -675,7 +640,7 @@ class Lattice:
         if self.is_zero or other.is_zero:
             return Lattice.zero(self.ring, self.ambient_rank)
         e = min(self.pi_exponent, other.pi_exponent)
-        minus, kern = self.ring._minus, _Kernel.of(self.ring)
+        minus, update = self.ring._minus, self.ring._update
         g1 = _shifted(self.cols, self.pi_exponent - e)
         g2 = [list(map(minus, c))
               for c in _shifted(other.cols, other.pi_exponent - e)]
@@ -684,7 +649,7 @@ class Lattice:
             vec = [_ZERO] * self.ambient_rank
             for x, col in zip(z, g1):
                 if x[0] != INFINITY:
-                    vec = kern.update(vec, x, col)
+                    vec = update(vec, x, col)
             gens.append(vec)
         return Lattice.from_columns(self.ring, self.ambient_rank,
                                     _shifted(gens, e))
@@ -757,17 +722,16 @@ def _column_hermite(ring, rank, cols):
     exact powers of pi, zero entries to the right of each pivot and
     canonical residues to the left.
     """
-    kern = _Kernel.of(ring)
-    n_pivots = 0
+    N, n_pivots = ring.precision, 0
     for row in range(rank):
         if n_pivots == len(cols):  # no free column is left
             break
         # choose the minimal-valuation entry of this row among free columns
-        piv, _ = kern.pivot((j, cols[j][row])
-                            for j in range(n_pivots, len(cols)))
+        piv, _ = _pivot(((j, cols[j][row])
+                         for j in range(n_pivots, len(cols))), N)
         if piv is None:
             continue
-        cols[piv], cols[n_pivots] = cols[n_pivots], _cleared(cols[piv], kern.N)
-        kern.settle(cols, n_pivots, row, range(len(cols)))
+        cols[piv], cols[n_pivots] = cols[n_pivots], _cleared(cols[piv], N)
+        _settle(ring, cols, n_pivots, row, range(len(cols)))
         n_pivots += 1
-    return [_cleared(c, kern.N) for c in cols[:n_pivots]]
+    return [_cleared(c, N) for c in cols[:n_pivots]]

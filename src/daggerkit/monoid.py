@@ -60,10 +60,14 @@ class MonoidDescriptor:
     def normal(self, data):
         """(data, length) of a valid element: exponents as a tuple of ints
         of the right rank (nonnegative for N^k), each read with
-        ``operator.index`` (so 1.5 and True are refused), or a word."""
+        ``operator.index`` (so 1.5 and True are refused), or a word in the
+        first ``rank`` letters of a..z."""
         if self.kind == "free":
             if not isinstance(data, str):
                 raise ValueError("free monoid elements are words")
+            letters = self._ALPHABET[:self.rank]
+            if data.strip(letters):  # what is left holds a foreign letter
+                raise ValueError(f"free monoid words use only {letters!r}")
             return data, len(data)
         try:
             data = tuple(data)

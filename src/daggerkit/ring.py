@@ -30,13 +30,14 @@ an operation produces digits that are no longer determined by the inputs'
 stored digits -- cancellation in a sum, or a residue that is
 indistinguishable from zero at precision N.  Equality compares stored
 representatives; the flag is advisory metadata.  One function,
-``_scalar_rules``, holds the rules that set it, and both ScalarElem and the
-elimination kernel of ``linalg`` run them.  One of these rules,
-``accumulate``, adds f * b into entries in place, the sum written out and
-each sum of two nonzero entries one ``fma``; matrix products, dots and the
-row update ``row + f * prow`` all run it.  A sum reads the valuation of its
-residue only when the summands' valuations tie: an untied sum of units is a
-unit.
+``_scalar_rules``, holds the rules that set it; ``RingDescriptor`` binds
+them once (``_plus``, ``_times``, ``_dot``, ...), and ScalarElem, the
+elimination of ``linalg`` and the algebra contexts all run them.  One of
+these rules, ``accumulate``, adds f * b into entries in place, the sum
+written out and each sum of two nonzero entries one ``fma``; the rules
+``product`` (of matrices), ``dot`` and ``update`` (the row update
+``row + f * prow``) all run it.  A sum reads the valuation of its residue
+only when the summands' valuations tie: an untied sum of units is a unit.
 
 Both backends invert a unit by Newton iteration at doubling precision,
 from its inverse modulo pi.
@@ -467,17 +468,17 @@ class _EqcharOps:
 
 def _scalar_rules(ops, N):
     """The sum, negation, product, quotient and split at a power of pi of
-    (v, u, lossy) triples at precision N, and the multiply-accumulate and
-    row update of elimination, with the residue operations of ``ops`` bound
-    once; a zero is (inf, None, lossy).  This is the one place that decides
-    which digits of a result are known.
+    (v, u, lossy) triples at precision N, and the multiply-accumulate, row
+    update, dot and matrix product of elimination, with the residue
+    operations of ``ops`` bound once; a zero is (inf, None, lossy).  This
+    is the one place that decides which digits of a result are known.
 
     A sum reads ``val`` only when its summands' valuations tie.  Otherwise
     it is pi^min (u + pi^d u') with d >= 1 for units u, u', and that is a
     unit again (or u itself when d >= N), the invariant ``times`` and
     ``over`` rely on for their inputs too."""
     add, neg, mul, fma, val = ops.add, ops.neg, ops.mul, ops.fma, ops.val
-    one = ops.one()
+    one, zero = ops.one(), (INFINITY, None, False)
     up, down, mod = ops.shift_up, ops.shift_down, ops.mod_pi_power
 
     def plus(a, b):
@@ -561,6 +562,25 @@ def _scalar_rules(ops, N):
         accumulate(out, f, enumerate(prow))
         return out
 
+    def dot(xs, ys):
+        """The sum of x * y over the pairs without a zero factor, in order."""
+        acc = [zero]
+        for x, y in zip(xs, ys):
+            if x[0] != INFINITY and y[0] != INFINITY:
+                accumulate(acc, x, ((0, y),))
+        return acc[0]
+
+    def product(a, b, n):
+        """Rows of a * b (n columns) from ``linalg._sparse`` rows: each entry
+        sums its pairs in increasing k, as ``dot`` (Gustavson, TOMS 1978)."""
+        out = []
+        for row in a:
+            acc = [zero] * n
+            for k, x in row:
+                accumulate(acc, x, b[k])
+            out.append(acc)
+        return out
+
     def canonical(r, lossy):
         """A residue of V/pi^N as pi^w * unit, or a zero."""
         w = val(r)
@@ -577,7 +597,7 @@ def _scalar_rules(ops, N):
         full = up(u, v)
         return canonical(down(full, e), lossy), canonical(mod(full, e), lossy)
 
-    return plus, minus, times, over, split, accumulate, update
+    return plus, minus, times, over, split, accumulate, update, dot, product
 
 
 class RingDescriptor:
@@ -603,7 +623,8 @@ class RingDescriptor:
         self.base = base
         self.precision = precision
         (self._plus, self._minus, self._times, self._over, self._split,
-         self._accumulate, self._update) = _scalar_rules(self.ops, precision)
+         self._accumulate, self._update, self._dot,
+         self._product) = _scalar_rules(self.ops, precision)
         self._one = self.ops.one()  # the unit residue 1, read per product
 
     def __eq__(self, other):

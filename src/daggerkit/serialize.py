@@ -4,9 +4,10 @@ Schemas:
   ring     {"backend": "padic"|"eqchar", "p"|"q": int, "precision": int}
   scalar   {"v": int | "inf", "u": "<decimal digits of unit residue>"}
   matrix   [[scalar, ...], ...]
-  lattice  {"ambient_rank": r, "pi_exponent": e, "generators": matrix}
+  lattice  {"ambient_rank": r >= 1, "pi_exponent": e, "generators": matrix
+           of r rows, r empty rows [[], ...] for the zero lattice}
   monoid   {"kind": "N"|"Z"|"free", "rank": int}
-  element  [int, ...] (exponents) or "word"
+  element  [int, ...] (exponents) or "word" in the first rank letters of a..z
   cocycle  {"kind": "trivial"} or
            {"kind": "bicharacter", "lambda": scalar, "Q": [[int, ...], ...]}
   series   {"monoid": monoid, "ring": ring, "D": int,
@@ -120,6 +121,12 @@ def lattice_from_json(ring: RingDescriptor, obj) -> Lattice:
         rank = _int(obj["ambient_rank"], "ambient_rank")
         e = _int(obj.get("pi_exponent", 0), "pi_exponent")
         gens = matrix_from_json(ring, obj["generators"])
+        if rank < 1:
+            raise SchemaError(f"ambient_rank must be at least 1, not {rank}")
+        # from_columns checks the length of each column there is
+        if not gens.cols and gens.rows != rank:
+            raise SchemaError(f"a lattice with no generators has {rank} "
+                              f"empty rows, not {gens.rows}")
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad lattice: {exc}") from exc
     cols = [gens.column(j) for j in range(gens.cols)]

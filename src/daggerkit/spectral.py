@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import chains
-from .linalg import Lattice, MatrixV, _Kernel, _raw, _sparse
+from .linalg import Lattice, MatrixV, _raw, _sparse
 from .monoid import MonoidDescriptor
 from .ring import INFINITY, PrecisionExhausted, RingDescriptor, ScalarElem
 from .series import DaggerSeries, _lower_hull, mul as series_mul
@@ -59,7 +59,7 @@ class MatrixAlgebraContext:
         """Vectors of a * b for a in xs, then b in ys, all vectors of
         triples; the product visits only the nonzero pairs of the factors,
         each cut into sparse rows once per call."""
-        d, product = self.d, _Kernel.of(self.ring).product
+        d, product = self.d, self.ring._product
         left, right = ([_sparse(x[i:i + d] for i in range(0, self.dim, d))
                         for x in vs] for vs in (xs, ys))
         return [[x for row in product(a, b, d) for x in row]
@@ -249,7 +249,7 @@ def characteristic_polynomial(a: MatrixV):
     ring = a.ring
     if a.rows != a.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    dot, minus, rows = _Kernel.of(ring).dot, ring._minus, a.raw
+    dot, minus, rows = ring._dot, ring._minus, a.raw
     one = (0, ring.ops.one(), False)
     poly = [one]  # highest degree first while the block grows
     for r, row in enumerate(rows):

@@ -287,6 +287,51 @@ class TestExitCodeContract:
             assert out["error"] == "input"
             assert "wrong ambient rank" in out["detail"]
 
+    def test_free_word_outside_the_alphabet_is_schema_error(self, capsys):
+        # "zz" used to be a word of F_2 (length 2), and "q" times "zz" in
+        # F_1 the word "qzz"
+        free = '{"kind":"free","rank":2}'
+        code, out = run_child(["monoid", "--monoid", free, "--op", "length",
+                               "--s", '"zz"'])
+        assert code == 2
+        assert "use only 'ab'" in out["detail"]
+
+        def series(word):
+            return json.dumps({"monoid": {"kind": "free", "rank": 1},
+                               "D": 3, "terms": [{"s": word, "x": "1"}]})
+        code, out = run(capsys, ["series-mul", *RING, "--a", series("q"),
+                                 "--b", series("zz")])
+        assert code == 2
+        assert out["error"] == "input"
+        code, out = run(capsys, ["series-mul", *RING, "--a", series("a"),
+                                 "--b", series("aa")])
+        assert code == 0
+        assert out["product"]["terms"][0]["s"] == "aaa"
+
+    def test_lattice_ambient_rank_is_checked(self, capsys):
+        # ambient_rank -3 used to print back as -3, and one empty row read
+        # as a zero lattice of rank 5
+        for rank, gens in ((-3, [[]]), (0, [[]]), (0, [["1"]]), (5, [[]]),
+                           (1, [[], []])):
+            lattice = json.dumps({"ambient_rank": rank, "generators": gens})
+            code, out = run(capsys, ["lattice", *RING, "--op",
+                                     "intersect-standard", "--lattice",
+                                     lattice])
+            assert code == 2, (rank, gens)
+            assert ("at least 1" if rank < 1 else "empty rows") \
+                in out["detail"]
+        code, out = run_child(["lattice", *RING, "--op", "intersect-standard",
+                               "--lattice",
+                               '{"ambient_rank":-3,"generators":[[]]}'])
+        assert code == 2
+        assert "ambient_rank must be at least 1" in out["detail"]
+        # the zero lattice keeps its form: ambient_rank empty rows
+        code, out = run(capsys, ["lattice", *RING, "--op",
+                                 "intersect-standard", "--lattice",
+                                 '{"ambient_rank":3,"generators":[[],[],[]]}'])
+        assert code == 0
+        assert out["lattice"]["generators"] == [[], [], []]
+
     def test_probe_j_zero_is_input_error(self):
         code, out = run_child(["probe", *RING, "--d", "2", "--j", "0",
                                "--lattice", '[[["pi","0"],["0","1"]]]'])

@@ -216,9 +216,9 @@ def traced_sum(L, M):
         forms.append(1)
         return hermite(*args)
 
-    def spying(self, kern, r, new, pivots):
+    def spying(self, r, new, pivots):
         inserts.append(sum(p < r for p in pivots))
-        return insert(self, kern, r, new, pivots)
+        return insert(self, r, new, pivots)
 
     linalg._column_hermite, Lattice._insert = counting, spying
     try:

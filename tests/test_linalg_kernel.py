@@ -1,6 +1,8 @@
 """Differential tests of the raw-residue elimination kernel in ``linalg``.
 
-The ScalarElem loops that the kernel replaced are kept here as the
+The ScalarElem loops that the kernel (the ring's scalar rules and the
+elimination functions ``_pivot``, ``_scale``, ``_eliminate`` and
+``_settle``) replaced are kept here as the
 reference.  For matmul, ``apply``, ``det``, ``inverse``, ``snf``, the
 column Hermite form of ``Lattice.from_columns`` and ``membership``, and for
 ``+``, ``-``, unary ``-``, ``scale``, ``kronecker`` and
@@ -11,9 +13,8 @@ valuation, unit residue and ``lossy`` flag in every entry, the same
 zeros, effectively-zero entries (N <= v < inf), entries of K, flagged
 entries, exact cancellations and rank deficiency, over padic p in {2, 5}
 and eqchar q in {4, 5, 9} at N in {1, 3, 12, 40, 160}.  A sympy oracle
-checks Smith exponents of integer matrices.  Each ring builds its kernel
-once (``_Kernel.of``), and a lattice equals itself without reading its
-entries.
+checks Smith exponents of integer matrices.  A lattice equals itself
+without reading its entries.
 """
 
 import random
@@ -21,10 +22,8 @@ import random
 import pytest
 
 from daggerkit.linalg import (Lattice, MatrixV, ModulePresentation,
-                              _Kernel, _smith_form, kernel_basis, snf)
+                              _smith_form, kernel_basis, snf)
 from daggerkit.ring import INFINITY, RingDescriptor, ScalarElem
-from daggerkit.spectral import (MatrixAlgebraContext, lattice_from_elements,
-                                pi_multiplicative)
 
 RINGS = [("padic", 2), ("padic", 5), ("eqchar", 4), ("eqchar", 5),
          ("eqchar", 9)]
@@ -478,29 +477,6 @@ def test_each_pivot_is_inverted_at_most_once(backend, base, monkeypatch):
             assert 0 < len(calls) <= d, (t, d, len(calls))
     assert len(powers) == len(set(powers)) <= base - 1
     assert bool(powers) is (backend == "eqchar")  # padic inverts by pow()
-
-
-def test_one_kernel_per_ring(monkeypatch):
-    """A fresh ring builds one kernel over a lattice and a whole
-    ``pi_multiplicative`` (r^2 products and memberships), keeps it on the
-    descriptor, and an equal but distinct descriptor builds its own."""
-    built, init = [], _Kernel.__init__
-
-    def counting(self, ring):
-        built.append(ring)
-        init(self, ring)
-    monkeypatch.setattr(_Kernel, "__init__", counting)
-    ring = RingDescriptor("padic", 5, 40)
-    gen = Inputs(ring, "one-kernel")
-    ctx = MatrixAlgebraContext(ring, 3)
-    U = lattice_from_elements(ctx, [gen.matrix(3, 3), gen.matrix(3, 3)])
-    assert U.rank == 2
-    pi_multiplicative(ctx, U)
-    assert built == [ring] and ring._kernel is _Kernel.of(ring)
-    twin = RingDescriptor("padic", 5, 40)
-    assert twin == ring and _Kernel.of(twin) is not _Kernel.of(ring)
-    assert len(built) == 2 and built[1] is twin
-    assert _Kernel.of(twin) is twin._kernel and len(built) == 2
 
 
 def test_a_lattice_equals_itself_without_reading_it(monkeypatch):

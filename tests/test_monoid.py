@@ -68,6 +68,16 @@ class TestElements:
         assert s.data == (3, -1) and type(s.data[0]) is int
         assert s.length == 4
 
+    def test_free_words_use_the_first_rank_letters(self):
+        # any string used to be a word, so "zz" had length 2 in F_2
+        for monoid, word in ((F2, "zz"), (F2, "abc"), (F2, "aZb"),
+                             (F2, "a b"), (MonoidDescriptor("free", 1), "q")):
+            with pytest.raises(ValueError, match="use only"):
+                monoid.element(word)
+        for word in ("", "a", "abba"):
+            assert F2.element(word).length == len(word)
+        assert MonoidDescriptor("free", 26).element("az").length == 2
+
 
 class TestLengthGe1:
     def test_identity_counts_one(self):

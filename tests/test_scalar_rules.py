@@ -2,7 +2,8 @@
 
 The sum, product, quotient and split at a power of pi have one
 implementation, ``ring._scalar_rules``; ScalarElem's ``+ - * / **`` and
-``split_at_pi_power`` and the elimination kernel of ``linalg`` all run it.
+``split_at_pi_power`` and the elimination functions of ``linalg`` all run
+it.
 The other differential tests (``test_linalg_kernel``, ``test_lattice_raw``,
 ``test_series_rules``) take ScalarElem as their reference, so this file is
 the one that checks the rules themselves against independent code: the
@@ -18,8 +19,8 @@ cancellation.
 
 Three rules are checked against the rules themselves.  The
 multiply-accumulate ``acc[j] += f * b`` is a rule of its own with the sum
-written out, and the row update ``row + f * prow``, ``_Kernel.dot`` and
-``_Kernel.product`` run it, so hypothesis tests compare each with
+written out, and the row update ``row + f * prow`` and the rules ``dot``
+and ``product`` run it, so hypothesis tests compare each with
 ``plus(acc, times(x, y))`` summed in the same order.  ``plus`` and the
 multiply-accumulate read a valuation only when the summands' valuations
 tie; a premise test checks, on the residues of both backends, that every
@@ -34,7 +35,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from daggerkit.linalg import _ZERO, _Kernel, _sparse
+from daggerkit.linalg import _ZERO, _scale, _sparse
 from daggerkit.ring import INFINITY, RingDescriptor, ScalarElem
 
 RINGS = [("padic", 2), ("padic", 5), ("eqchar", 2), ("eqchar", 4),
@@ -230,11 +231,12 @@ def test_powers_and_splits_match_reference(backend, base, n):
 
 @pytest.mark.parametrize("backend,base,n", CASES)
 def test_kernel_runs_the_same_rules(backend, base, n):
-    """``_Kernel`` row updates, dots, scaling and quotients agree with the
-    reference entry by entry."""
+    """The ring's row updates (``_update``), dots (``_dot``) and quotients
+    (``_over``), and ``linalg._scale``, agree with the reference entry by
+    entry."""
     ring = RingDescriptor(backend, base, n)
     xs = pool(ring, f"kernel-{backend}-{base}-{n}")
-    kern, rng = _Kernel(ring), random.Random(f"rows-{backend}-{base}-{n}")
+    rng = random.Random(f"rows-{backend}-{base}-{n}")
     nonzero = [x for x in xs if x[0] != INFINITY]
     ref = [RefScalar(ring, *x) for x in xs]
     for _ in range(40):
@@ -243,21 +245,21 @@ def test_kernel_runs_the_same_rules(backend, base, n):
         f = rng.choice(nonzero)
         rf = RefScalar(ring, *f)
         row, prow = [xs[k] for k in i], [xs[k] for k in j]
-        assert kern.update(row, f, prow) == \
+        assert ring._update(row, f, prow) == \
             [sig(ref[a] + rf * ref[b]) for a, b in zip(i, j)]
         acc = RefScalar(ring, INFINITY, None)
         for a, b in zip(i, j):
             if not (ref[a].is_zero or ref[b].is_zero):
                 acc = acc + ref[a] * ref[b]
-        assert kern.dot(row, prow) == sig(acc)
+        assert ring._dot(row, prow) == sig(acc)
         rows = [list(row)]
-        kern.scale([rows], 0, f)
+        _scale(ring, [rows], 0, f)
         assert rows[0] == [sig(rf * ref[a]) for a in i]
         for a in i:
-            assert outcome(kern.over, xs[a], f, to=tuple) == outcome(
+            assert outcome(ring._over, xs[a], f, to=tuple) == outcome(
                 RefScalar.__truediv__, ref[a], rf)
     with pytest.raises(ZeroDivisionError, match="division by zero"):
-        kern.over(nonzero[0], (INFINITY, None, False))
+        ring._over(nonzero[0], (INFINITY, None, False))
 
 
 # -- the Z_p inverse: Newton iteration against pow(a, -1, p^N) --
@@ -405,7 +407,7 @@ def covered(f, row, prow, out):
 
 @pytest.mark.parametrize("backend,base", RINGS)
 def test_row_update_is_plus_of_times(backend, base):
-    """``ring._update(row, f, prow)`` (``_Kernel.update``) equals
+    """``ring._update(row, f, prow)``, the row update of elimination, equals
     [plus(a, times(f, b)) for a, b in zip(row, prow)], raw triples and
     flags alike, and the cases met every kind of entry it must handle."""
     rings = [RingDescriptor(backend, base, n) for n in (1, 3, 12, 40)]
@@ -418,7 +420,7 @@ def test_row_update_is_plus_of_times(backend, base):
         ring, (row, f, prow) = ring_case
         plus, times = ring._plus, ring._times
         ref = [plus(a, times(f, b)) for a, b in zip(row, prow)]
-        assert _Kernel(ring).update(row, f, prow) == ref
+        assert ring._update(row, f, prow) == ref
         met.update(covered(f, row, prow, ref))
 
     run()
@@ -479,8 +481,8 @@ def ref_sum(plus, times, xs, ys):
 @pytest.mark.parametrize("backend,base", RINGS)
 def test_multiply_accumulate_is_plus_of_times(backend, base):
     """``ring._accumulate(acc, f, pairs)`` equals acc[j] = plus(acc[j],
-    times(f, b)) for each (j, b) in turn, and ``_Kernel.product`` and
-    ``_Kernel.dot`` equal ``ref_sum`` entry by entry, in increasing k: raw
+    times(f, b)) for each (j, b) in turn, and ``ring._product`` and
+    ``ring._dot`` equal ``ref_sum`` entry by entry, in increasing k: raw
     triples and flags alike.  The row [1, f, 1] times the rows [row, prow,
     row] of the case makes entry j a + f * b + a, so the case's
     cancellations reach the products and a sum cancelled to a flagged zero
@@ -494,7 +496,7 @@ def test_multiply_accumulate_is_plus_of_times(backend, base):
         lambda r: accumulate_cases(r).map(lambda case: (r, case))))
     def run(ring_case):
         ring, (row, f, pairs) = ring_case
-        kern, times = _Kernel.of(ring), ring._times
+        times = ring._times
         plus = recording(ring._plus, met)
         ref = list(row)
         for j, b in pairs:
@@ -509,9 +511,9 @@ def test_multiply_accumulate_is_plus_of_times(backend, base):
         b = [row, prow, row]
         cols = list(zip(*b))
         ref = [[ref_sum(plus, times, r, c) for c in cols] for r in a]
-        assert kern.product(_sparse(a), _sparse(b), len(row)) == ref
-        assert [[kern.dot(r, c) for c in cols] for r in a] == ref
-        assert kern.dot(row, prow) == ref_sum(plus, times, row, prow)
+        assert ring._product(_sparse(a), _sparse(b), len(row)) == ref
+        assert [[ring._dot(r, c) for c in cols] for r in a] == ref
+        assert ring._dot(row, prow) == ref_sum(plus, times, row, prow)
 
     run()
     assert met == SUM_KINDS

@@ -2,7 +2,9 @@
 invariants are explicit checks: ``python -O`` strips ``assert``
 statements, so none may appear in the package source.  Residue arithmetic
 runs in ``ring.py`` only, so the scalar rules stay the one place that
-decides which digits are known."""
+decides which digits are known.  The elimination steps stay inside
+``linalg.py``: the algebra contexts reach products and dots through the
+ring's rules."""
 
 import ast
 import pathlib
@@ -43,3 +45,38 @@ def test_only_ring_reads_residue_arithmetic_off_ops():
                   or isinstance(node.value, ast.Attribute)
                   and node.value.attr == "ops")]
     assert not found, f"residue arithmetic read outside ring.py: {found}"
+
+
+# the pivot steps of elimination, private to linalg.py
+ELIMINATION_STEPS = {"_pivot", "_scale", "_eliminate", "_settle"}
+
+
+def linalg_names(path):
+    """(line, name) of each name ``path`` takes from linalg: imported from
+    it, or read as ``linalg.<name>``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) \
+                and node.module in ("linalg", "daggerkit.linalg"):
+            yield from ((node.lineno, a.name) for a in node.names)
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == "linalg":
+            yield node.lineno, node.attr
+
+
+def test_only_linalg_runs_elimination_steps():
+    """No module but linalg.py takes a pivot step from linalg, and the
+    algebra contexts take from it only public names plus the triple
+    helpers ``_raw`` and ``_sparse``."""
+    steps = [f"{path.name}:{line} {name}"
+             for path in SOURCES if path.name != "linalg.py"
+             for line, name in linalg_names(path)
+             if name in ELIMINATION_STEPS]
+    assert not steps, f"elimination steps used outside linalg.py: {steps}"
+    contexts = [path for path in SOURCES
+                if path.name in ("spectral.py", "crossed.py")]
+    assert len(contexts) == 2
+    private = [f"{path.name}:{line} {name}"
+               for path in contexts for line, name in linalg_names(path)
+               if name.startswith("_") and name not in ("_raw", "_sparse")]
+    assert not private, f"private linalg names in the contexts: {private}"

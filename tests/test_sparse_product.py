@@ -1,9 +1,9 @@
-"""Differential tests of the kernel's one matrix product.
+"""Differential tests of the ring's one matrix product.
 
 ``MatrixV.__mul__`` and ``MatrixAlgebraContext._products`` multiply rows
 cut into (k, triple) pairs without their zeros (``linalg._sparse``,
-``_Kernel.product``).  The reference is the product they replaced: entry
-(i, j) is the kernel's ``dot`` of row i and column j.  Every entry must be
+``ring._product``).  The reference is the product they replaced: entry
+(i, j) is the ring's ``_dot`` of row i and column j.  Every entry must be
 the same raw (v, u, lossy) triple, flag included, and every shape the same.
 Inputs mix zeros, flagged zeros, effectively-zero entries (N <= v < inf),
 entries of K, flagged entries, repeated and negated entries (so that sums
@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from daggerkit.linalg import MatrixV, _Kernel
+from daggerkit.linalg import MatrixV
 from daggerkit.ring import INFINITY, RingDescriptor
 from daggerkit.spectral import MatrixAlgebraContext
 
@@ -24,13 +24,13 @@ CASES = [(b, base, n) for b, base in RINGS for n in (1, 3, 12, 40)]
 
 
 def ref_mul(A, B):
-    dot = _Kernel(A.ring).dot
+    dot = A.ring._dot
     cols = [[row[j] for row in B.raw] for j in range(B.cols)]
     return [[dot(row, col) for col in cols] for row in A.raw]
 
 
 def ref_products(ctx, xs, ys):
-    d, dot = ctx.d, _Kernel(ctx.ring).dot
+    d, dot = ctx.d, ctx.ring._dot
     return [[dot(x[i * d:i * d + d], y[j::d])
              for i in range(d) for j in range(d)] for x in xs for y in ys]
 
