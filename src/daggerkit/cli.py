@@ -456,6 +456,13 @@ def dispatch(argv=None) -> int:
 
 
 def main() -> None:
+    # a valid query can print or parse a unit of more decimal digits than
+    # CPython's int/str limit (4,300 by default; over Z_5 from N = 6,152
+    # on), so the process entry lifts it; ``dispatch`` does not, since
+    # tests and other callers share it in-process (3.10 builds lack it)
+    lift = getattr(sys, "set_int_max_str_digits", None)
+    if lift is not None:
+        lift(0)
     sys.exit(dispatch())
 
 

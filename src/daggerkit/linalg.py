@@ -24,15 +24,18 @@ insertion of ``Lattice.sum`` run.  The row update ``row + f*pivot_row``
 (eliminations negate f) and the ring's rules ``_dot`` and ``_product``
 (over nonzero pairs, in the dot's order) share one multiply-accumulate,
 the ring's rule ``_accumulate``, whose sums read a valuation only when the
-summands' valuations tie.  Quotients are the ring's rule, with no cached
-inverse: pivots are scaled to a unit of 1 before rows are cleared, and
-``det`` inverts each pivot once.
+summands' valuations tie.  Smith's column pass and the walk of
+``membership`` run it in place on the rows they update.  Quotients are the
+ring's rule, with no cached inverse: pivots are scaled to a unit of 1
+before rows are cleared, and ``det`` inverts each pivot once.
 
 One truncation window: every way of building a ``Lattice`` returns the
 canonical form of its docstring, which ``from_columns`` of its generators
 gives back.  A generator, column or vector is zero when every entry lies at
-or past pi^N, pi_exponent folded in (``_zero_at``): ``from_columns`` and
-``scale_by_pi`` drop it and ``membership`` finds it in every lattice.  So
+or past pi^N, pi_exponent folded in, which one ``min`` reads off its least
+triple: ``from_columns`` and ``scale_by_pi`` drop it (``_below`` keeps the
+other columns and their least valuation in one pass) and ``membership``
+finds it in every lattice.  So
 ``Lattice.sum`` returns the first lattice, flags and all, when the second's
 generators clear down its pivot rows (``membership``'s walk); one that first
 stays below N at a row no pivot takes is inserted by ``settle``; any other
@@ -334,11 +337,22 @@ def snf(A: MatrixV) -> SNFResult:
 
 def _smith_form(A, left, right):
     """``snf`` with U built only when ``left`` and W only when ``right``;
-    a transform not built is None in the result."""
+    a transform not built is None in the result.
+
+    Each pivot's row is cleared by column operations, column j minus f_j
+    times column k, run on the rows of ``work`` and W: each row takes
+    row[j] += row[k] * (-f_j) for the columns j with a factor, in place by
+    ``_accumulate``, with no transpose.  That is the row update of the
+    transposed matrices entry for entry: each entry takes exactly one term
+    per pivot, ``_accumulate``'s sum is symmetric in its two factors on
+    both backends (over F_q[[t]], masking to t^N before or after the
+    product gives the same normalised residue), and a zero row[k] flags
+    row[j] exactly when it or f_j is flagged, as the update does."""
     ring = A.ring
     if A.min_valuation() < 0:
         raise ValueError("snf needs entries in V (nonnegative valuations)")
     m, n, N, over = A.rows, A.cols, ring.precision, ring._over
+    minus, accumulate = ring._minus, ring._accumulate
     work = [list(row) for row in A.raw]
     U, W = left and _eye(ring, m), right and _eye(ring, n)
     rowed, colled = [work, U][:1 + left], [work, W][:1 + right]
@@ -353,14 +367,22 @@ def _smith_form(A, left, right):
             M[k], M[i0] = M[i0], M[k]
         for row in chain.from_iterable(colled):
             row[k], row[j0] = row[j0], row[k]
-        # pivot to an exact power of pi; clear its row, then its column
+        # pivot to an exact power of pi; clear its column by row
+        # operations, then its row by column operations run on rows
         _scale(ring, rowed, k, over((piv_v, ring._one, False), work[k][k]))
         pivot = work[k][k]
         _eliminate(ring, rowed, k, k, lambda i, x: over(x, pivot), range(m))
-        cols = [[list(c) for c in zip(*M)] for M in colled]
-        _eliminate(ring, cols, k, k, lambda j, x: over(x, pivot), range(n))
-        for M, C in zip(colled, cols):
-            M[:] = map(list, zip(*C))
+        terms = [(j, minus(over(x, pivot))) for j, x in enumerate(work[k])
+                 if j != k and x[0] < N]
+        if terms:
+            for row in chain.from_iterable(colled):
+                b = row[k]
+                if b[0] != INFINITY:
+                    accumulate(row, b, terms)
+                else:
+                    for j, f in terms:
+                        if b[2] or f[2]:
+                            row[j] = (*row[j][:2], True)
     D = [_cleared(row, N) for row in work]
     # clearing an effectively-zero entry flags the form, as does any flag
     flagged = flagged or D != work or any(x[2] for row in D for x in row)
@@ -484,8 +506,9 @@ class Lattice:
         cols = [_raw(ring, c) for c in columns]
         if any(len(c) != ambient_rank for c in cols):
             raise ValueError("generator has wrong ambient rank")
-        cols = [c for c in cols if not _zero_at(c, ring.precision)]
-        e = min(map(_least_v, cols), default=0)
+        cols, e = _below(cols, ring.precision)
+        if not cols:
+            return cls.zero(ring, ambient_rank)
         return cls._folded(ring, ambient_rank, e, _column_hermite(
             ring, ambient_rank, _shifted(cols, -e)))
 
@@ -494,10 +517,9 @@ class Lattice:
         """pi^e * span(cols), Hermite columns with no entry N <= v < inf,
         made canonical: columns zero once e is folded in dropped, and the
         least valuation folded into e (reduction can reveal a pi factor)."""
-        cols = [c for c in cols if not _zero_at(c, ring.precision - e)]
+        cols, extra = _below(cols, ring.precision - e)
         if not cols:
             return cls.zero(ring, ambient_rank)
-        extra = min(map(_least_v, cols))
         return cls(ring, ambient_rank, e + extra,
                    tuple(map(tuple, _shifted(cols, -extra))))
 
@@ -532,8 +554,8 @@ class Lattice:
         if len(vec) != self.ambient_rank:
             raise ValueError("ambient rank mismatch")
         vec = _raw(self.ring, vec)
-        return (self._walk(vec) is None
-                or _zero_at(vec, self.ring.precision))
+        # a vec the walk does not clear has an entry, so ``min`` reads one
+        return self._walk(vec) is None or min(vec)[0] >= self.ring.precision
 
     def _walk(self, vec):
         """Back-substitution of vec (triples) against H's ``pivots`` in vec's
@@ -542,15 +564,15 @@ class Lattice:
         the first row left below N in H's frame, which no later column
         (past N there) moves."""
         ring, e, pivots = self.ring, self.pi_exponent, self.pivots
-        minus, over, update = ring._minus, ring._over, ring._update
-        top, res = ring.precision + e, vec
+        minus, over, accumulate = ring._minus, ring._over, ring._accumulate
+        top, res = ring.precision + e, list(vec)
         for r in range(len(res)):
             x = res[r]
             if x[0] < top:
                 col = pivots.get(r)
                 if col is None or x[0] < col[r][0] + e:
                     return r, _shifted([res], -e)[0]
-                res = update(res, minus(over(x, col[r])), col)
+                accumulate(res, minus(over(x, col[r])), enumerate(col))
         return None
 
     def contains(self, other: "Lattice") -> bool:
@@ -593,7 +615,7 @@ class Lattice:
         if stop is None:
             return self
         if len(gens) == 1 and self.cols and stop[0] not in pivots \
-                and _least_v(gens[0]) >= self.pi_exponent:
+                and min(gens[0])[0] >= self.pi_exponent:
             return self._insert(*stop, pivots)
         return Lattice.from_columns(self.ring, self.ambient_rank,
                                     [*self.generator_triples(), *gens])
@@ -620,8 +642,8 @@ class Lattice:
     def scale_by_pi(self, e: int) -> "Lattice":
         """pi^e * L, less each column this moves to or past pi^N."""
         e += self.pi_exponent
-        if not self.cols or any(_zero_at(c, self.ring.precision - e)
-                                for c in self.cols):
+        top = self.ring.precision - e
+        if not self.cols or any(min(c)[0] >= top for c in self.cols):
             return Lattice._folded(self.ring, self.ambient_rank, e, self.cols)
         out = Lattice(self.ring, self.ambient_rank, e, self.cols)
         out._pivot_map = self._pivot_map
@@ -695,15 +717,20 @@ def _cleared(col, N):
     return [_ZERO if N <= x[0] < INFINITY else x for x in col]
 
 
-def _zero_at(col, N):
-    """Does every entry of col (triples; maybe none) lie at or past pi^N?"""
-    return not col or _least_v(col) >= N
-
-
-def _least_v(col):
-    """Least valuation in a nonempty column of triples, read off its least
-    triple (a tie in v never sets a unit against the None of a zero)."""
-    return min(col)[0]
+def _below(cols, top):
+    """(the columns whose least valuation lies below top, the least
+    valuation among them), in one pass: each column's least valuation is
+    read once, off its least triple (a tie in v never sets a unit against
+    the None of a zero).  An empty column is dropped."""
+    kept, least = [], INFINITY
+    for c in cols:
+        if c:
+            v = min(c)[0]
+            if v < top:
+                kept.append(c)
+                if v < least:
+                    least = v
+    return kept, least
 
 
 def _shifted(cols, e):

@@ -241,6 +241,12 @@ class Cocycle:
     def value(self, s: MonoidElem, t: MonoidElem) -> ScalarElem:
         raise NotImplementedError
 
+    def _meet(self, packing) -> None:
+        """Raise ValueError if the series of packing's monoid are outside
+        this cocycle's domain; ``series.mul`` asks before any term, so a
+        product with no term left under the cap is refused too.  Every
+        monoid is inside by default."""
+
     def _one(self) -> ScalarElem:
         """The ring's one, made on first use and kept."""
         if self._unit is None:
@@ -305,6 +311,11 @@ class BicharacterCocycle(Cocycle):
         if power is None:
             power = self._powers[exp] = self.lam ** exp
         return power
+
+    def _meet(self, packing):
+        # one dict read once packing has been met
+        if packing not in self._fields:
+            self._on(packing)
 
     def _on(self, packing):
         """The fields of keys of packing that the entries of Q read."""

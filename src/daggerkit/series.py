@@ -296,8 +296,9 @@ def _by_elements(cocycle: Cocycle, monoid: MonoidDescriptor):
 def mul(a: DaggerSeries, b: DaggerSeries,
         cocycle: Cocycle | None = None) -> DaggerSeries:
     """Twisted convolution: coefficient of u is the sum over s t = u of
-    x_s y_t c(s, t), truncated to lengths <= D with a flag on drops.  Two
-    one-term factors make their one term with no accumulator."""
+    x_s y_t c(s, t), truncated to lengths <= D with a flag on drops.  A
+    cocycle is checked against the monoid (``Cocycle._meet``) before any
+    term.  Two one-term factors make their one term with no accumulator."""
     ring, packing = a.ring, a.packing
     # a packing belongs to one monoid at one cap, so identical rings and
     # packings need no further test
@@ -308,6 +309,8 @@ def mul(a: DaggerSeries, b: DaggerSeries,
         cocycle = getattr(ring, "_trivial", None)
         if cocycle is None:
             cocycle = ring._trivial = TrivialCocycle(ring)
+    else:
+        cocycle._meet(packing)
     value = cocycle.value if cocycle.keyed else \
         _by_elements(cocycle, a.monoid)
     times, one, length, cap = ring._times, ring._one, packing.length, \

@@ -203,14 +203,20 @@ class RadiusReport:
 def rho1_estimate(S: Lattice, ctx, n_max: int) -> RadiusReport:
     """Gauge exponents of S^n for n <= n_max and the resulting radius
     estimate; verdict "converged" when the running estimate is stationary
-    over the last ceil(n_max/4) steps."""
+    over the last ceil(n_max/4) steps, that is when its last strict rise
+    came no later than step n_max - ceil(n_max/4) + 1.
+
+    Superadditivity, nu_(m+n) >= nu_m + nu_n for m + n <= n_max, is a hard
+    invariant.  It is checked for m <= n only: the inequality is symmetric
+    in m and n, so this checks every pair, and a violating (m, n) with
+    m > n has its mirror (n, m) earlier in the order of m, then n, so the
+    first violation reported is the first in that order over all pairs."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     ring = ctx.ring
     estimates = []
-    running: list[Fraction] = []
-    nus = {}
-    best = None
+    nus = [None]  # nus[n] = nu_n
+    best, rose = None, 0
     for n in range(1, n_max + 1):
         nu = _lattice_power(S, ctx, n).gauge_exponent()
         if nu == INFINITY:
@@ -219,16 +225,16 @@ def rho1_estimate(S: Lattice, ctx, n_max: int) -> RadiusReport:
         if nu < -ring.precision:
             raise PrecisionExhausted(
                 f"gauge exponent {nu} of the {n}-th power is below -N")
-        nus[n] = nu
-        estimates.append((n, Fraction(nu, n)))
-        best = Fraction(nu, n) if best is None else max(best, Fraction(nu, n))
-        running.append(best)
+        nus.append(nu)
+        estimate = Fraction(nu, n)
+        estimates.append((n, estimate))
+        if best is None or estimate > best:
+            best, rose = estimate, n
     window = -(-n_max // 4)
-    converged = len(set(running[-window:])) == 1
-    # superadditivity of the gauge exponents is a hard invariant
-    for m, num in nus.items():
-        for n, nun in nus.items():
-            if m + n in nus and nus[m + n] < num + nun:
+    converged = rose <= n_max - window + 1
+    for m in range(1, n_max // 2 + 1):
+        for n in range(m, n_max - m + 1):
+            if nus[m + n] < nus[m] + nus[n]:
                 raise ArithmeticError(
                     f"superadditivity violated at {m} + {n}")
     return RadiusReport(estimates, best, "converged" if converged

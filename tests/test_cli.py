@@ -373,6 +373,37 @@ class TestExitCodeContract:
         assert code == 2
         assert out["error"] == "input"
 
+    def test_cocycle_outside_its_monoid_with_no_term_left(self, capsys):
+        # ab * ab has length 4: at D = 3 the product dropped its only term
+        # and used to exit 0 with an empty product under a cocycle of Z^k
+        cocycle = json.dumps({"kind": "bicharacter",
+                              "lambda": {"v": 0, "u": "2"},
+                              "Q": [[0, 1], [0, 0]]})
+        for cap in (3, 4):
+            a = json.dumps({"monoid": {"kind": "free", "rank": 2}, "D": cap,
+                            "terms": [{"s": "ab", "x": "1"}]})
+            argv = ["series-mul", "--p", "5", "--a", a, "--b", a,
+                    "--cocycle", cocycle]
+            code, out = run(capsys, argv)
+            assert (code, out) == (2, {"error": "input", "detail":
+                                       "bicharacter cocycles live on Z^k"})
+            assert run_child(argv) == (code, out)
+
+    def test_units_past_the_int_digit_limit(self):
+        # over Z_5 a unit at N = 6200 has 4,334 decimal digits, past
+        # CPython's default limit of 4,300, which used to exit 2
+        code, out = run_child(["scalar", "--p", "5", "--precision", "6200",
+                               "--op", "div", "--x", '{"v":0,"u":"1"}',
+                               "--y", '{"v":0,"u":"2"}'])
+        # this process keeps the limit, so the digits are read as text
+        u = out["result"]["u"]
+        assert code == 0 and u.isdigit() and len(u) > 4300
+        unit = "1" + "0" * 4400 + "1"  # 4,402 digits on input, plus pi
+        code, out = run_child(["scalar", "--p", "5", "--precision", "6400",
+                               "--op", "add", "--x", '{"v":0,"u":"%s"}' % unit,
+                               "--y", '{"v":1,"u":"1"}'])
+        assert (code, out["result"]) == (0, {"v": 0, "u": unit[:-1] + "6"})
+
     def test_negative_degree_cap_is_input_error(self, capsys):
         # an empty lattice under --D -1 used to give a zero-dimensional
         # context and exit 0

@@ -519,6 +519,53 @@ def test_multiply_accumulate_is_plus_of_times(backend, base):
     assert met == SUM_KINDS
 
 
+@st.composite
+def symmetric_cases(draw, ring):
+    """(a, f, b) with f and b nonzero, flagged or not; a is drawn as in
+    ``triples``, or so that f * b cancels some or all of its digits."""
+    f = draw(triples(ring, nonzero=True))
+    b = draw(triples(ring, nonzero=True))
+    if draw(st.booleans()):
+        return draw(triples(ring)), f, b
+    k = draw(st.integers(1, ring.precision + 1))
+    y = draw(triples(ring, nonzero=True))[1]
+    fb = ring._times(f, b)
+    return ring._plus(ring._minus(fb), (fb[0] + k, y, False)), f, b
+
+
+@pytest.mark.parametrize("backend,base", [("padic", 2), ("padic", 5),
+                                          ("eqchar", 4), ("eqchar", 5),
+                                          ("eqchar", 9)])
+def test_multiply_accumulate_is_symmetric(backend, base):
+    """The premise of Smith's column pass run on rows (``linalg``): for
+    nonzero f and b, ``accumulate([a], f, [(0, b)])`` and
+    ``accumulate([a], b, [(0, f)])`` give the same triple.  Over F_q[[t]]
+    the shift to pi^d masks one factor to t^N, and the product's t^N mask
+    comes after; both give the same normalised residue."""
+    rings = [RingDescriptor(backend, base, n) for n in (1, 3, 12, 40)]
+    met = set()
+
+    @UPDATE_SETTINGS
+    @given(st.sampled_from(rings).flatmap(
+        lambda r: symmetric_cases(r).map(lambda case: (r, case))))
+    def run(ring_case):
+        ring, (a, f, b) = ring_case
+        one, other = [a], [a]
+        ring._accumulate(one, f, [(0, b)])
+        ring._accumulate(other, b, [(0, f)])
+        assert one == other
+        t = f[0] + b[0]
+        met.add("zero_a" if a[0] == INFINITY else
+                "tie" if a[0] == t else "untied")
+        if f[2] or b[2]:
+            met.add("flagged")
+        if min(a[0], f[0], b[0]) < 0:
+            met.add("K")
+
+    run()
+    assert met == {"zero_a", "tie", "untied", "flagged", "K"}
+
+
 @pytest.mark.parametrize("backend,base", RINGS)
 def test_untied_sums_of_units_are_units(backend, base):
     """The premise of reading ``val`` only on a tie: for units a, f, b and

@@ -92,6 +92,22 @@ class TestMul:
             assert not left.truncated and not right.truncated
             assert left == right
 
+    def test_cocycle_is_checked_before_any_term(self, ring):
+        # the check used to run only on a term under the cap, so a product
+        # that dropped every term took any cocycle
+        free2, lam = MonoidDescriptor("free", 2), ring.scalar(2)
+        for cap in (3, 4):
+            ab = DaggerSeries(ring, free2, {free2.element("ab"): ring.one()},
+                              cap)
+            with pytest.raises(ValueError, match="live on Z"):
+                mul(ab, ab, BicharacterCocycle(lam, [[0, 1], [0, 0]]))
+        x = DaggerSeries(ring, Z2, {Z2.element((1, 0)): ring.one()}, 1)
+        with pytest.raises(ValueError, match="wrong size"):
+            mul(x, x, BicharacterCocycle(lam, [[1]]))
+        # the cocycle's own monoid, with every term dropped, is accepted
+        prod = mul(x, x, BicharacterCocycle(lam, [[0, 1], [0, 0]]))
+        assert prod.is_zero and prod.truncated
+
     def test_certificate_combination(self, ring):
         a = geometric(ring, 6)
         ok, k = certify(a, 1)

@@ -115,6 +115,67 @@ class TestRho1:
             rho1_estimate(S, ctx, 8)
 
 
+    @staticmethod
+    def by_definition(nus):
+        """(first (m, n) in the order of m, then n, over all pairs with
+        m + n <= n_max and nu_(m+n) < nu_m + nu_n, or None; "converged"
+        when max(nu_k / k, k <= n) is the same for the last ceil(n_max/4)
+        n) for nus[n] = nu_n, n = 1 .. n_max."""
+        n_max = len(nus) - 1
+        bad = next(((m, n) for m in range(1, n_max + 1)
+                    for n in range(1, n_max + 1)
+                    if m + n <= n_max and nus[m + n] < nus[m] + nus[n]),
+                   None)
+        running = [max(Fraction(nus[k], k) for k in range(1, n + 1))
+                   for n in range(1, n_max + 1)]
+        window = -(-n_max // 4)
+        converged = len(set(running[-window:])) == 1
+        return bad, "converged" if converged else "upper_bound_only"
+
+    def test_checks_agree_with_their_definitions(self, ring, ctx,
+                                                 monkeypatch):
+        """``rho1_estimate`` checks superadditivity for m <= n only and
+        reads convergence off the last strict rise; on gauge sequences fed
+        through the power chain, both agree with the full definitions for
+        n_max <= 12, the error text included."""
+        class Power:
+            def __init__(self, nu):
+                self.nu = nu
+
+            def gauge_exponent(self):
+                return self.nu
+
+        nus = [None]
+        monkeypatch.setattr(spectral, "_lattice_power",
+                            lambda S, ctx, n: Power(nus[n]))
+        rng = random.Random(16)
+        met = set()
+        for n_max in range(2, 13):
+            for trial in range(60):
+                # floor(n r) is superadditive; nudges break it sometimes
+                r = Fraction(rng.randint(-3, 6), rng.randint(1, 4))
+                nus[1:] = [(n * r.numerator) // r.denominator
+                           - (rng.random() < trial / 200)
+                           for n in range(1, n_max + 1)]
+                bad, verdict = self.by_definition(nus)
+                met.add((bad is None, verdict))
+                if bad is None:
+                    report = rho1_estimate(None, ctx, n_max)
+                    assert report.verdict == verdict, nus
+                else:
+                    with pytest.raises(ArithmeticError) as err:
+                        rho1_estimate(None, ctx, n_max)
+                    assert str(err.value) == \
+                        f"superadditivity violated at {bad[0]} + {bad[1]}"
+        assert met == {(True, "converged"), (True, "upper_bound_only"),
+                       (False, "converged"), (False, "upper_bound_only")}
+        # nu_3 = 0 < nu_1 + nu_2 = 1: (1, 2) comes before (2, 1)
+        nus[1:] = [0, 1, 0, 2]
+        with pytest.raises(ArithmeticError,
+                           match=r"^superadditivity violated at 1 \+ 2$"):
+            rho1_estimate(None, ctx, 4)
+
+
 class TestNewtonPolygon:
     def test_diagonal_matrix(self, ring):
         a = mat(ring, [[(2, 1), 0], [0, (5, 1)]])
